@@ -25,6 +25,7 @@ use buscoding::predict::trained::ArtifactError;
 use buscoding::{percent_energy_removed, Activity, UnknownScheme, SCHEME_PATTERNS};
 use busprobe::JsonValue;
 use busserve::{Service, ServiceError};
+use bustrace::fnv::fnv1a;
 use bustrace::{Trace, Width};
 use wiremodel::{BusEnergyModel, Technology, TechnologyKind, Wire, WireStyle};
 
@@ -903,16 +904,6 @@ impl Service for ApiService {
         }
         Some(fnv1a(format!("{name}|{values}|{seed}").as_bytes()))
     }
-}
-
-/// 64-bit FNV-1a — a stable, dependency-free shard key.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 fn int(v: u64) -> JsonValue {

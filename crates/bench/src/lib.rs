@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod bencheck;
 pub mod experiments;
 pub mod metrics;
 pub mod plot;

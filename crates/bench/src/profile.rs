@@ -3,9 +3,10 @@
 //!
 //! The span paths recorded by [`busprobe::trace`] are exact but
 //! open-ended — new instrumentation points appear as the code grows.
-//! The bench schema and the regression gate want a *stable* coarse
-//! vocabulary instead, so this module maps each span (by its leaf
-//! segment, the name the probe site declared) onto one of five phases:
+//! `repro profile` and the benchmark's per-layer split (see
+//! `perfbench/README.md`) want a *stable* coarse vocabulary instead, so
+//! this module maps each span (by its leaf segment, the name the probe
+//! site declared) onto one of five phases:
 //!
 //! | phase | what it covers | typical leaves |
 //! |---|---|---|

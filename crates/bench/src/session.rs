@@ -38,6 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use buscoding::{Activity, UnknownScheme};
+use bustrace::fnv::Fnv1a;
 use bustrace::{io as trace_io, Trace};
 
 use crate::schemes::baseline_activity;
@@ -187,30 +188,6 @@ impl TraceKey {
             self.seed,
             h.finish()
         )
-    }
-}
-
-/// FNV-1a, enough for cache file names (no dependency, stable across
-/// runs — unlike `DefaultHasher`, whose keys are randomized per
-/// process).
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
     }
 }
 

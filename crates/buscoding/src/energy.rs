@@ -18,8 +18,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated switching activity of a bus state sequence.
 ///
 /// # Example
@@ -35,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// // edge pair (2,3) changes XOR too.
 /// assert_eq!(a.kappa(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Activity {
     lines: u32,
     pair_mask: u64,
@@ -219,7 +217,7 @@ impl fmt::Display for Activity {
 /// assert_eq!(w.tau_per_wire()[1], 1);
 /// assert_eq!(w.tau_per_wire()[2], 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireActivity {
     lines: u32,
     tau: Vec<u64>,
@@ -307,7 +305,7 @@ impl WireActivity {
 /// // Toggling the edge wire couples to only one neighbor.
 /// assert_eq!(cost.transition_cost(0b0000, 0b0001, 8), 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     lambda: f64,
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::Activity;
 
 /// The fraction of bus energy *remaining* after coding: the coded bus's
@@ -32,7 +30,7 @@ pub fn percent_energy_removed(coded: &Activity, baseline: &Activity, lambda: f64
 
 /// A scheme's result on one trace, bundled for reporting by the bench
 /// harness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchemeReport {
     /// Scheme identifier, e.g. `"window(8)"`.
     pub scheme: String,

@@ -16,6 +16,7 @@
 
 use std::collections::VecDeque;
 
+use bustrace::fnv::fnv1a_words;
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
@@ -103,14 +104,9 @@ impl FcmPredictor {
     }
 
     /// Order-preserving hash of a word sequence into the table index
-    /// space (Fowler–Noll–Vo over the bytes that matter).
+    /// space (word-wise FNV-1a).
     fn hash<I: Iterator<Item = Word>>(&self, items: I) -> usize {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for v in items {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        ((h >> 24) as usize) & self.mask
+        ((fnv1a_words(items) >> 24) as usize) & self.mask
     }
 
     fn value_context_ready(&self) -> bool {

@@ -33,6 +33,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
+use bustrace::fnv::{fnv1a, fnv1a_words};
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
@@ -76,7 +77,10 @@ pub fn valid_artifact_name(name: &str) -> bool {
 /// One signature table: hash of the last `order` values → the most
 /// frequent successor observed in training. Entries are sorted by hash
 /// (strictly ascending) so lookup is a binary search and the byte
-/// encoding is canonical.
+/// encoding is canonical. The hash is [`fnv1a_words`] over the values,
+/// oldest first, with the full 64-bit digest kept (no table-index
+/// masking), so accidental collisions are negligible and the trained
+/// tables stay exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignatureTable {
     /// How many preceding values form the signature.
@@ -278,29 +282,6 @@ impl fmt::Display for ArtifactError {
 }
 
 impl std::error::Error for ArtifactError {}
-
-/// FNV-1a over a byte slice — the section checksum (stable across runs
-/// and platforms, no dependency).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Order-preserving FNV-1a over whole words — the signature hash. The
-/// full 64-bit digest is kept (no table-index masking), so accidental
-/// collisions are negligible and the trained tables stay exact.
-pub fn signature_hash<I: Iterator<Item = Word>>(values: I) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        h ^= v;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------------
 // Binary encoding
@@ -721,7 +702,7 @@ impl TrainedPredictor {
             if self.history.len() < k {
                 continue;
             }
-            let hash = signature_hash(self.history.iter().skip(self.history.len() - k).copied());
+            let hash = fnv1a_words(self.history.iter().skip(self.history.len() - k).copied());
             if let Some(succ) = table.lookup(hash) {
                 return Some(succ);
             }
@@ -800,8 +781,8 @@ mod tests {
                     order: 1,
                     entries: {
                         let mut e = vec![
-                            (signature_hash([10u64].into_iter()), 20u64),
-                            (signature_hash([20u64].into_iter()), 30u64),
+                            (fnv1a_words([10u64]), 20u64),
+                            (fnv1a_words([20u64]), 30u64),
                         ];
                         e.sort_by_key(|&(h, _)| h);
                         e
@@ -810,7 +791,7 @@ mod tests {
                 SignatureTable {
                     order: 2,
                     entries: {
-                        let mut e = vec![(signature_hash([10u64, 20].into_iter()), 31u64)];
+                        let mut e = vec![(fnv1a_words([10u64, 20]), 31u64)];
                         e.sort_by_key(|&(h, _)| h);
                         e
                     },

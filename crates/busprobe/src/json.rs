@@ -129,11 +129,29 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser is
+/// recursive descent, so this bounds its stack use: unbounded, one
+/// megabyte of `[` overflows a thread's stack and aborts the whole
+/// process, which `catch_unwind` cannot contain. Every document the
+/// workspace emits nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why a parse failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The input is not well-formed JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
+}
+
 /// A parse failure with its byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the failure in the input.
     pub offset: usize,
+    /// The class of failure.
+    pub kind: JsonErrorKind,
     /// What went wrong.
     pub message: String,
 }
@@ -151,6 +169,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -164,12 +183,15 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
+            kind: JsonErrorKind::Syntax,
             message: message.into(),
         }
     }
@@ -208,8 +230,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError {
+                        kind: JsonErrorKind::TooDeep,
+                        ..self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+                    });
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected byte `{}`", other as char))),
             None => Err(self.err("unexpected end of input")),
@@ -408,6 +444,23 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let nested_objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&nested_objects).is_ok());
+
+        let over = format!("[{at_limit}]");
+        let err = parse(&over).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        // A megabyte of `[` is refused, not a stack overflow.
+        let hostile = "[".repeat(1 << 20);
+        assert_eq!(parse(&hostile).unwrap_err().kind, JsonErrorKind::TooDeep);
+        assert_eq!(parse("[1,]").unwrap_err().kind, JsonErrorKind::Syntax);
     }
 
     #[test]

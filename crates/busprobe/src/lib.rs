@@ -42,7 +42,7 @@ pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-pub use json::{JsonError, JsonValue};
+pub use json::{JsonError, JsonErrorKind, JsonValue};
 pub use registry::{
     adopt_span_context, counter, histogram, histogram_percentile, reset, snapshot, span,
     span_context, Counter, Histogram, MetricKind, MetricSnapshot, SpanContext, SpanGuard,

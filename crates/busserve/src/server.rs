@@ -604,15 +604,24 @@ mod tests {
     #[test]
     fn missing_verb_bad_json_and_wrong_version_are_protocol_errors() {
         let server = Server::new(Echo, ServerConfig::default());
+        // Far under the frame cap; unbounded parsing would overflow the
+        // stack and abort the daemon.
+        let deeply_nested = "[".repeat(1 << 20);
         for (request, kind) in [
             (r#"{"v":1}"#, "protocol"),
             ("not json", "protocol"),
             (r#"{"v":9,"verb":"echo"}"#, "version"),
+            (deeply_nested.as_str(), "protocol"),
         ] {
             let resp = call(&server, request);
             assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(false)));
             let got = resp.get("error").unwrap().get("kind").unwrap().as_str();
-            assert_eq!(got, Some(kind), "request {request:?}");
+            assert_eq!(
+                got,
+                Some(kind),
+                "request {:?}",
+                &request[..request.len().min(40)]
+            );
         }
     }
 

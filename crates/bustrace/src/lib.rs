@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fnv;
 pub mod generators;
 pub mod io;
 pub mod stats;

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Width, Word};
 
 /// A time-ordered sequence of words observed on a bus of a fixed width.
@@ -24,7 +22,7 @@ use crate::{Width, Word};
 /// assert_eq!(trace.width(), Width::W32);
 /// assert_eq!(trace.values()[3], 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Trace {
     width: Width,
     values: Vec<Word>,

@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The width of a bus in data wires, guaranteed to be in `1..=64`.
 ///
 /// All words carried on a bus of width `w` occupy the low `w` bits of a
@@ -23,8 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(w.truncate(0x1_2345_6789), 0x2345_6789);
 /// # Ok::<(), bustrace::WidthError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(try_from = "u32", into = "u32")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Width(u32);
 
 impl Width {

@@ -9,11 +9,10 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
+use bustrace::fnv::fnv1a_words;
 use bustrace::{Width, Word};
 
-use buscoding::predict::trained::{
-    save_artifact, signature_hash, ArtifactError, SignatureTable, TrainedTables,
-};
+use buscoding::predict::trained::{save_artifact, ArtifactError, SignatureTable, TrainedTables};
 
 use crate::{Corpus, Role, TraceProvider};
 
@@ -163,7 +162,7 @@ impl Accumulator {
             for (oi, &order) in self.sig_orders.iter().enumerate() {
                 let k = order as usize;
                 if i >= k {
-                    let hash = signature_hash(values[i - k..i].iter().copied());
+                    let hash = fnv1a_words(values[i - k..i].iter().copied());
                     *self.contexts[oi]
                         .entry(hash)
                         .or_default()
@@ -350,7 +349,7 @@ mod tests {
         // Order-1 signatures learned the loop successor function.
         let sig1 = &t.signatures[0];
         assert_eq!(sig1.order, 1);
-        let h = signature_hash([0x11u64].into_iter());
+        let h = fnv1a_words([0x11u64]);
         assert_eq!(sig1.lookup(h), Some(0x22));
     }
 

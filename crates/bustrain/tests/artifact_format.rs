@@ -5,9 +5,10 @@
 
 use std::sync::Arc;
 
+use bustrace::fnv::fnv1a_words;
 use bustrace::{Trace, Width};
 use buscoding::predict::trained::{
-    decode_artifact, encode_artifact, signature_hash, ArtifactError, SignatureTable, TrainedTables,
+    decode_artifact, encode_artifact, ArtifactError, SignatureTable, TrainedTables,
 };
 use bustrain::{train_corpus, Corpus, Role, TraceProvider, TrainerConfig};
 use proptest::prelude::*;
@@ -119,7 +120,7 @@ struct SeededProvider;
 
 impl TraceProvider for SeededProvider {
     fn trace(&self, workload: &str, values: usize, seed: u64) -> Result<Arc<Trace>, String> {
-        let mut x = seed ^ signature_hash(workload.bytes().map(u64::from)) | 1;
+        let mut x = seed ^ fnv1a_words(workload.bytes().map(u64::from)) | 1;
         Ok(Arc::new(Trace::from_values(
             Width::W32,
             (0..values).map(move |_| {

@@ -15,13 +15,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wiremodel::{Technology, TechnologyKind};
 
 use crate::ops::OpCounts;
 
 /// Which transcoder circuit is being priced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CircuitKind {
     /// The Window-based design (Figure 33): shift tags, match logic,
     /// MuxXorLatch. The paper's 8-entry layout, and the projected
@@ -53,7 +52,7 @@ impl fmt::Display for CircuitKind {
 }
 
 /// Per-operation dynamic energies in picojoules, for one end of the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpEnergies {
     /// Fixed per-cycle overhead: clock tree, input latch, output
     /// MuxXorLatch.
@@ -132,7 +131,7 @@ fn tech_energy_factor(kind: TechnologyKind) -> f64 {
 }
 
 /// A priced transcoder circuit at one end of a bus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircuitModel {
     kind: CircuitKind,
     tech: Technology,

@@ -23,7 +23,6 @@
 use std::collections::VecDeque;
 
 use bustrace::Word;
-use serde::{Deserialize, Serialize};
 
 use crate::ops::OpCounts;
 use crate::window_hw::HwOutcome;
@@ -36,7 +35,7 @@ const PRECHARGE_BITS: u32 = 16;
 const PRECHARGE_MASK: u64 = (1 << PRECHARGE_BITS) - 1;
 
 /// Geometry and aging parameters of the Context-based hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ContextHwConfig {
     /// Frequency-table entries (the layout of Figure 32 has 28).
     pub table: usize,

@@ -9,12 +9,11 @@
 //! crossover has the closed form `L* = E_transcoder / E_saved_per_mm`.
 
 use buscoding::Activity;
-use serde::{Deserialize, Serialize};
 use wiremodel::{Technology, Wire, WireError, WireStyle};
 
 /// One scheme's measured outcome on one trace, ready for energy
 /// analysis at any wire length.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CodingOutcome {
     /// Activity of the un-encoded bus.
     pub baseline: Activity,

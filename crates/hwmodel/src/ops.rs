@@ -3,13 +3,11 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Counts of every energy-consuming operation class a transcoder
 /// performs. One tally covers one end of the bus; encoder and decoder
 /// perform (nearly) identical work, so the full cost is twice the
 /// priced tally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpCounts {
     /// Cycles processed (for per-cycle overheads: clocking, input latch,
     /// output mux/XOR).

@@ -9,13 +9,12 @@
 //! *at a given bus clock, how long may the wire be — with and without
 //! the transcoder in the path?*
 
-use serde::{Deserialize, Serialize};
 use wiremodel::{Wire, WireError, WireStyle};
 
 use crate::circuit::CircuitModel;
 
 /// Timing breakdown of one bus traversal through a transcoder pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathTiming {
     /// Encoder data-ready-to-bus-out delay, ns.
     pub encode_ns: f64,

@@ -4,14 +4,13 @@
 use std::fmt;
 
 use bustrace::Trace;
-use serde::{Deserialize, Serialize};
 
 use crate::kernels::{self, KernelSpec};
 use crate::machine::{Machine, MachineConfig};
 use crate::ooo::{OooConfig, OooMachine};
 
 /// Which bus tap to collect (paper Section 4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusKind {
     /// The register-file output port.
     Register,
@@ -33,7 +32,7 @@ impl fmt::Display for BusKind {
 }
 
 /// The SPEC95-like benchmark suite evaluated throughout the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)] // the variants are benchmark names
 pub enum Benchmark {
     Gcc,

@@ -5,10 +5,8 @@
 //! the role SimpleScalar's access-latency accounting plays in the
 //! paper's bus timing generators.
 
-use serde::{Deserialize, Serialize};
-
 /// Cache geometry and latencies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (power of two).
     pub sets: usize,

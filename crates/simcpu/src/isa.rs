@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A register index in `0..32`. Register 0 always reads as zero and
 /// ignores writes.
 pub type Reg = u8;
@@ -18,7 +16,7 @@ pub type Reg = u8;
 pub const NUM_REGS: usize = 32;
 
 /// Integer ALU operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// Wrapping addition.
     Add,
@@ -56,7 +54,7 @@ impl AluOp {
 }
 
 /// Single-precision floating-point operations on register bit patterns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FpuOp {
     /// Addition.
     Fadd,
@@ -84,7 +82,7 @@ impl FpuOp {
 }
 
 /// Branch conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cond {
     /// Equal.
     Eq,
@@ -115,7 +113,7 @@ impl Cond {
 /// One machine instruction. Branch and jump targets are absolute
 /// instruction indices, resolved from labels by
 /// [`ProgramBuilder`](crate::ProgramBuilder).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// `rd <- imm`.
     Li {

@@ -41,11 +41,7 @@ pub struct KernelSpec {
 /// Creates the deterministic RNG for a kernel's data, mixing the kernel
 /// name into the seed so sibling kernels see uncorrelated data.
 pub(crate) fn kernel_rng(name: &str, seed: u64) -> SmallRng {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    SmallRng::seed_from_u64(seed ^ h)
+    SmallRng::seed_from_u64(seed ^ bustrace::fnv::fnv1a(name.as_bytes()))
 }
 
 /// A zeroed memory image.

@@ -1,12 +1,10 @@
 //! Bus-level energy accounting glue (Equation 1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::wire::Wire;
 
 /// Per-event wire energies: what one self-transition (τ) and one coupling
 /// event (κ) cost over a full wire, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransitionEnergy {
     /// Energy per self-transition event.
     pub tau_pj: f64,
@@ -46,7 +44,7 @@ impl TransitionEnergy {
 /// assert!(bus.energy_pj(100, 50) > bus.energy_pj(100, 0));
 /// # Ok::<(), wiremodel::WireError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusEnergyModel {
     wire: Wire,
     per_event: TransitionEnergy,

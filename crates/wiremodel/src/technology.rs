@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The three process generations studied in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TechnologyKind {
     /// 0.13 µm — the process the Window-based transcoder was laid out in
     /// (ST Micro models in the paper).
@@ -48,7 +46,7 @@ impl fmt::Display for TechnologyKind {
 /// and repeatered λ in Table 1, energy and delay curves in Figures 5–6)
 /// match the paper. They are *inputs* here; λ and the repeater plan are
 /// always *derived* by the model, never hard-coded.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Technology {
     /// Which generation this is.
     pub kind: TechnologyKind,

@@ -3,13 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::energy::TransitionEnergy;
 use crate::technology::Technology;
 
 /// Whether a wire is driven end-to-end or broken up by repeaters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireStyle {
     /// A bare distributed-RC wire driven only by an initial buffer
     /// cascade. Delay grows quadratically with length.
@@ -34,7 +32,7 @@ impl fmt::Display for WireStyle {
 ///
 /// Produced by Bakoglu-style sizing, backed off by the technology's
 /// [`repeater_derating`](Technology::repeater_derating) factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepeaterPlan {
     /// Number of repeated segments (equals the repeater count; the first
     /// "repeater" is realized by the driver cascade).
@@ -66,7 +64,7 @@ pub struct RepeaterPlan {
 /// assert!(repeated.transition_energy_pj() > bare.transition_energy_pj());
 /// # Ok::<(), wiremodel::WireError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wire {
     tech: Technology,
     style: WireStyle,

@@ -10,7 +10,8 @@ use bench::{Session, TraceKey, TraceStore};
 use simcpu::{Benchmark, BusKind};
 
 /// The busprobe registry is process-global, so tests that assert
-/// counter deltas must not overlap with each other.
+/// counter deltas must not overlap with each other, nor with any test
+/// that generates traces while another has probes enabled.
 fn probe_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -64,6 +65,9 @@ fn concurrent_requests_generate_the_trace_exactly_once() {
 
 #[test]
 fn distinct_seeds_do_not_alias() {
+    // Generates traces, which would move the counters another test is
+    // asserting deltas on.
+    let _g = probe_lock();
     let store = TraceStore::in_memory();
     let w = Workload::Bench(Benchmark::Gcc, BusKind::Register);
     let a = store.get(&TraceKey::new(w, 4_000, 1));
