@@ -437,7 +437,7 @@ pub enum ApiError {
     BadRequest(String),
     /// The workload name parsed but names nothing.
     UnknownWorkload(String),
-    /// A scheme name is not in the registry.
+    /// A scheme name is not in the grammar or does not fit the bus.
     UnknownScheme(UnknownScheme),
     /// The inline trace exceeds [`MAX_INLINE_WORDS`].
     TooLarge {

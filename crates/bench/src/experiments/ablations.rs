@@ -1,14 +1,13 @@
 //! Ablation studies of the design choices DESIGN.md calls out.
 
 use buscoding::predict::{context_value_codec, ContextConfig};
-use buscoding::Encoder;
+use buscoding::{Encoder, SchemeSpec};
 use hwmodel::{CircuitModel, ContextHardware, ContextHwConfig, WindowHardware};
 use simcpu::{Benchmark, BusKind};
 use wiremodel::Technology;
 
 use crate::experiments::par_map;
 use crate::report::{f, Table};
-use crate::schemes::Scheme;
 use crate::session::ActivityQuery;
 use crate::workloads::Workload;
 use crate::Session;
@@ -50,12 +49,12 @@ pub fn sort(session: &Session) -> Vec<Table> {
         // context-value(28+8 d4096), so the session store supplies it.
         let coded = session.activity(
             &ActivityQuery::new(
-                Scheme::ContextValue {
+                SchemeSpec::ContextValue {
                     table: 28,
                     shift: 8,
                     divide: 4096,
                 }
-                .name(),
+                .to_string(),
                 w,
             )
             .cap(CAP),
@@ -202,8 +201,9 @@ pub fn last_value(session: &Session) -> Vec<Table> {
         let baseline = session.baseline_capped(w, CAP);
         let mut removed = Vec::new();
         for entries in [1usize, 8] {
-            let coded =
-                session.activity(&ActivityQuery::new(Scheme::Window { entries }.name(), w).cap(CAP));
+            let coded = session.activity(
+                &ActivityQuery::new(SchemeSpec::Window { entries }.to_string(), w).cap(CAP),
+            );
             removed.push(buscoding::percent_energy_removed(&coded, &baseline, 1.0));
         }
         (format!("{b}/register"), removed[0], removed[1])

@@ -1,5 +1,6 @@
 //! Section 5 circuit reproductions: Table 2 and Figure 26.
 
+use buscoding::SchemeSpec;
 use hwmodel::budget::energy_budget_pj_per_cycle;
 use hwmodel::{CircuitModel, ContextHwConfig, WindowHardware};
 use simcpu::BusKind;
@@ -7,7 +8,6 @@ use wiremodel::{Technology, Wire, WireStyle};
 
 use crate::experiments::par_map;
 use crate::report::{f, Table};
-use crate::schemes::Scheme;
 use crate::session::ActivityQuery;
 use crate::workloads::Workload;
 use crate::Session;
@@ -107,18 +107,18 @@ pub fn fig26(session: &Session) -> Vec<Table> {
             .iter()
             .map(|&w| {
                 let scheme = match design {
-                    "window" => Scheme::Window { entries },
+                    "window" => SchemeSpec::Window { entries },
                     _ => {
                         let cfg = ContextHwConfig::paper_layout();
                         let table = entries.saturating_sub(cfg.shift).max(1);
-                        Scheme::ContextValue {
+                        SchemeSpec::ContextValue {
                             table,
                             shift: cfg.shift,
                             divide: 4096,
                         }
                     }
                 };
-                session.activity(&ActivityQuery::new(scheme.name(), w).cap(CAP))
+                session.activity(&ActivityQuery::new(scheme.to_string(), w).cap(CAP))
             })
             .collect();
         (design, entries, acts)

@@ -4,20 +4,30 @@
 use buscoding::predict::{MissPolicy, PredictiveEncoder, WindowPredictor};
 use buscoding::spatial::spatial_activity;
 use buscoding::varlen::huffman_study;
-use buscoding::{evaluate_blocks, percent_energy_removed, CostModel};
+use buscoding::{evaluate_blocks, percent_energy_removed, CostModel, SchemeSpec};
 use bustrace::generators::{TraceGenerator, WorkingSetGen};
-use bustrace::Width;
+use bustrace::{Trace, Width};
 use simcpu::{Benchmark, BusKind};
 
 use crate::experiments::par_map;
 use crate::report::{f, Table};
-use crate::schemes::Scheme;
+use crate::schemes::baseline_activity;
 use crate::session::ActivityQuery;
 use crate::workloads::Workload;
 use crate::Session;
 
 /// Most extension studies cap their traces at 100k values.
 const CAP: usize = 100_000;
+
+/// Percent of λ = 1 energy window(8) removes from a trace that lives
+/// outside the session store.
+fn window8_removed(trace: &Trace) -> f64 {
+    let mut pair = SchemeSpec::Window { entries: 8 }
+        .build(trace.width())
+        .expect("fits");
+    let coded = evaluate_blocks(pair.encoder_mut(), trace);
+    percent_energy_removed(&coded, &baseline_activity(trace), 1.0)
+}
 
 /// Section 6: how much would variable-length coding buy, and at what
 /// timing cost? Oracle Huffman over each trace, serialized over 8 and
@@ -49,8 +59,9 @@ pub fn varlen(session: &Session) -> Vec<Table> {
             let study = huffman_study(&trace, 256, 8);
             let baseline = session.baseline_capped(w, CAP);
             let tau_ratio = study.serialized.tau() as f64 / baseline.tau() as f64;
-            let coded =
-                session.activity(&ActivityQuery::new(Scheme::Window { entries: 8 }.name(), w).cap(CAP));
+            let coded = session.activity(
+                &ActivityQuery::new(SchemeSpec::Window { entries: 8 }.to_string(), w).cap(CAP),
+            );
             let window = percent_energy_removed(&coded, &baseline, 1.0);
             (
                 format!("{b}/register"),
@@ -88,7 +99,7 @@ pub fn width(session: &Session) -> Vec<Table> {
     for bits in [8u32, 16, 24, 32, 48, 62] {
         let w = Width::new(bits).expect("valid width");
         let trace = WorkingSetGen::new(w, 32, 0.8, 0.005, session.seed()).generate(values);
-        let removed = Scheme::Window { entries: 8 }.percent_removed(&trace, 1.0);
+        let removed = window8_removed(&trace);
         t.push(vec![bits.to_string(), f(removed, 1)]);
     }
     vec![t]
@@ -117,8 +128,9 @@ pub fn spatial_bound(session: &Session) -> Vec<Table> {
             let n = trace.len() as f64;
             let baseline = session.baseline_capped(w, CAP);
             let spatial = spatial_activity(&trace);
-            let window =
-                session.activity(&ActivityQuery::new(Scheme::Window { entries: 8 }.name(), w).cap(CAP));
+            let window = session.activity(
+                &ActivityQuery::new(SchemeSpec::Window { entries: 8 }.to_string(), w).cap(CAP),
+            );
             (
                 format!("{b}/register"),
                 baseline.tau() as f64 / n,
@@ -150,15 +162,15 @@ pub fn address_bus(session: &Session) -> Vec<Table> {
         ],
     );
     let schemes = [
-        Scheme::WorkZone { zones: 4 },
-        Scheme::Stride { strides: 8 },
-        Scheme::Window { entries: 8 },
-        Scheme::ContextValue {
+        SchemeSpec::WorkZone { zones: 4 },
+        SchemeSpec::Stride { strides: 8 },
+        SchemeSpec::Window { entries: 8 },
+        SchemeSpec::ContextValue {
             table: 28,
             shift: 8,
             divide: 4096,
         },
-        Scheme::Inversion {
+        SchemeSpec::Inversion {
             chunks: 1,
             design_lambda: 1.0,
         },
@@ -178,7 +190,7 @@ pub fn address_bus(session: &Session) -> Vec<Table> {
             let removed: Vec<f64> = schemes
                 .iter()
                 .map(|s| {
-                    let coded = session.activity(&ActivityQuery::new(s.name(), w).cap(CAP));
+                    let coded = session.activity(&ActivityQuery::new(s.to_string(), w).cap(CAP));
                     percent_energy_removed(&coded, &baseline, 1.0)
                 })
                 .collect();
@@ -215,8 +227,9 @@ pub fn miss_policy(session: &Session) -> Vec<Table> {
             // The raw-or-inverted default *is* window(8): share the
             // session store. RawOnly isn't a registry scheme, so it
             // runs the block engine directly.
-            let both =
-                session.activity(&ActivityQuery::new(Scheme::Window { entries: 8 }.name(), w).cap(CAP));
+            let both = session.activity(
+                &ActivityQuery::new(SchemeSpec::Window { entries: 8 }.to_string(), w).cap(CAP),
+            );
             let cost = CostModel::default();
             let mut raw_only: PredictiveEncoder<WindowPredictor> =
                 PredictiveEncoder::new(trace.width(), WindowPredictor::new(8), cost)
@@ -278,14 +291,14 @@ pub fn predictors(session: &Session) -> Vec<Table> {
         &["workload", "stride16", "window8", "context28", "fcm_o2_4k"],
     );
     let schemes = [
-        Scheme::Stride { strides: 16 },
-        Scheme::Window { entries: 8 },
-        Scheme::ContextValue {
+        SchemeSpec::Stride { strides: 16 },
+        SchemeSpec::Window { entries: 8 },
+        SchemeSpec::ContextValue {
             table: 28,
             shift: 8,
             divide: 4096,
         },
-        Scheme::Fcm {
+        SchemeSpec::Fcm {
             order: 2,
             table_bits: 12,
         },
@@ -296,7 +309,7 @@ pub fn predictors(session: &Session) -> Vec<Table> {
         let removed: Vec<f64> = schemes
             .iter()
             .map(|s| {
-                let coded = session.activity(&ActivityQuery::new(s.name(), w).cap(CAP));
+                let coded = session.activity(&ActivityQuery::new(s.to_string(), w).cap(CAP));
                 percent_energy_removed(&coded, &baseline, 1.0)
             })
             .collect();
@@ -373,12 +386,11 @@ pub fn timing_model(session: &Session) -> Vec<Table> {
             let flat = b.trace(BusKind::Memory, values, seed);
             let deep = b.trace_with(BusKind::Memory, values, seed, MachineConfig::with_l2());
             let ooo = b.trace_ooo(BusKind::Memory, values, seed, OooConfig::default());
-            let s = Scheme::Window { entries: 8 };
             (
                 format!("{b}/memory"),
-                s.percent_removed(&flat, 1.0),
-                s.percent_removed(&deep, 1.0),
-                s.percent_removed(&ooo, 1.0),
+                window8_removed(&flat),
+                window8_removed(&deep),
+                window8_removed(&ooo),
             )
         },
     );
@@ -394,9 +406,7 @@ pub fn timing_model(session: &Session) -> Vec<Table> {
 /// trial and measures whether (and how fast) the decoder *notices*,
 /// and how much silently corrupted data escapes meanwhile.
 pub fn desync(session: &Session) -> Vec<Table> {
-    use buscoding::predict::{context_value_codec, window_codec, ContextConfig, WindowConfig};
-    use buscoding::workzone::{WorkZoneDecoder, WorkZoneEncoder};
-    use buscoding::{Decoder, Transcoder};
+    use buscoding::{scheme_by_name, Decoder};
 
     let mut t = Table::new(
         "ext-desync",
@@ -417,7 +427,7 @@ pub fn desync(session: &Session) -> Vec<Table> {
     // before the error or end).
     fn trial(
         bus: &[u64],
-        original: &bustrace::Trace,
+        original: &Trace,
         dec: &mut dyn Decoder,
         at: usize,
         bit: u32,
@@ -449,22 +459,14 @@ pub fn desync(session: &Session) -> Vec<Table> {
         ));
     }
 
-    let schemes: Vec<Transcoder> = {
-        let w = trace.width();
-        let (we, wd) = window_codec(WindowConfig::new(w, 8));
-        let (ce, cd) = context_value_codec(ContextConfig::new(w, 28, 8));
-        vec![
-            Transcoder::new("window(8)", we, wd),
-            Transcoder::new("context-value(28+8)", ce, cd),
-            Transcoder::new(
-                "workzone(4)",
-                WorkZoneEncoder::new(w, 4),
-                WorkZoneDecoder::new(w, 4),
-            ),
-        ]
-    };
-
-    for mut pair in schemes {
+    // (table label, registry name)
+    let schemes = [
+        ("window(8)", "window(8)"),
+        ("context-value(28+8)", "context-value(28+8 d4096)"),
+        ("workzone(4)", "workzone(4)"),
+    ];
+    for (label, scheme) in schemes {
+        let mut pair = scheme_by_name(scheme, trace.width()).expect("registry name fits the bus");
         pair.reset();
         let lines = pair.lines();
         let bus: Vec<u64> = trace.iter().map(|v| pair.encode(v)).collect();
@@ -487,7 +489,7 @@ pub fn desync(session: &Session) -> Vec<Table> {
             f64::NAN
         };
         t.push(vec![
-            pair.name().into(),
+            label.into(),
             f(detected_pct, 1),
             if detected > 0 {
                 f(mean_latency, 1)
@@ -531,7 +533,7 @@ pub fn wire_reorder(session: &Session) -> Vec<Table> {
             let matrix = CouplingMatrix::of(&trace);
             let order = matrix.optimize();
             let permuted = permute_trace(&trace, &order);
-            let measure = |tr: &bustrace::Trace| {
+            let measure = |tr: &Trace| {
                 let mut a = Activity::new(tr.width().bits());
                 for v in tr.iter() {
                     a.step(v);

@@ -14,12 +14,9 @@
 //! * timing-error mode — upset probabilities derived from the wire
 //!   model's delay distribution, worsening with length.
 
-use buscoding::predict::{
-    context_value_codec, fcm_codec, stride_codec, window_codec, ContextConfig, FcmConfig,
-    StrideConfig, WindowConfig,
-};
+use buscoding::predict::{window_codec, WindowConfig};
 use buscoding::robust::{epoch_wrap, RecoveringDecoder};
-use buscoding::{evaluate, Encoder, Transcoder};
+use buscoding::{evaluate, scheme_by_name, Encoder};
 use busfault::{ErrorPolicy, FaultChannel, RandomUpsets, SingleFlip, TimingFaults};
 use bustrace::Trace;
 use hwmodel::crossover::CodingOutcome;
@@ -32,20 +29,14 @@ use crate::schemes::{baseline_activity, window_transcoder_pj_per_value};
 use crate::workloads::Workload;
 use crate::Session;
 
-/// The predictive schemes under test, as fresh transcoder pairs.
-fn predictive_schemes(trace: &Trace) -> Vec<Transcoder> {
-    let w = trace.width();
-    let (se, sd) = stride_codec(StrideConfig::new(w, 8));
-    let (we, wd) = window_codec(WindowConfig::new(w, 8));
-    let (ce, cd) = context_value_codec(ContextConfig::new(w, 28, 8).with_divide_period(4096));
-    let (fe, fd) = fcm_codec(FcmConfig::new(w, 2, 12));
-    vec![
-        Transcoder::new("stride(8)", se, sd),
-        Transcoder::new("window(8)", we, wd),
-        Transcoder::new("context-value(28+8)", ce, cd),
-        Transcoder::new("fcm(o2/2^12)", fe, fd),
-    ]
-}
+/// The predictive schemes under test: the label the fault tables print,
+/// and the scheme's name in the registry grammar.
+const PREDICTIVE: [(&str, &str); 4] = [
+    ("stride(8)", "stride(8)"),
+    ("window(8)", "window(8)"),
+    ("context-value(28+8)", "context-value(28+8 d4096)"),
+    ("fcm(o2/2^12)", "fcm(2 2^12)"),
+];
 
 /// Splits a seed deterministically per (scheme, cell) without
 /// correlating adjacent cells.
@@ -91,16 +82,12 @@ fn upset_sweep(seed: u64, trace: &Trace) -> Table {
     const RATES: [f64; 2] = [1e-4, 1e-3];
     const INTERVALS: [u64; 2] = [0, 256]; // 0 = no resync
     let channel = FaultChannel::new(ErrorPolicy::Continue);
-    let names: Vec<String> = predictive_schemes(trace)
-        .iter()
-        .map(|p| p.name().to_string())
-        .collect();
-    for (si, name) in names.iter().enumerate() {
+    for (si, (name, scheme)) in PREDICTIVE.iter().enumerate() {
         for (ri, &rate) in RATES.iter().enumerate() {
             for &interval in &INTERVALS {
                 // Fresh FSMs per cell: the channel resets state, but a
                 // fresh pair keeps cells fully independent.
-                let pair = predictive_schemes(trace).swap_remove(si);
+                let pair = scheme_by_name(scheme, trace.width()).expect("fits the register bus");
                 let mut fault =
                     RandomUpsets::new(rate, mix(seed, si as u64, ((ri as u64) << 16) | interval));
                 let report = if interval == 0 {
@@ -112,7 +99,7 @@ fn upset_sweep(seed: u64, trace: &Trace) -> Table {
                     channel.run(&mut enc, &mut dec, &mut fault, trace)
                 };
                 t.push(vec![
-                    name.clone(),
+                    name.to_string(),
                     format!("{rate:e}"),
                     if interval == 0 {
                         "none".to_string()
@@ -150,16 +137,13 @@ fn single_flip_recovery(seed: u64, trace: &Trace) -> Table {
     const TRIALS: u64 = 40;
     let words = trace.len() as u64;
     let channel = FaultChannel::new(ErrorPolicy::Continue);
-    let names: Vec<String> = predictive_schemes(trace)
-        .iter()
-        .map(|p| p.name().to_string())
-        .collect();
-    for (si, name) in names.iter().enumerate() {
+    for (si, (name, scheme)) in PREDICTIVE.iter().enumerate() {
         let mut recovered = 0u64;
         let mut corrupted_sum = 0u64;
         let mut max_latency = 0u64;
         for trial in 0..TRIALS {
-            let (enc, dec) = predictive_schemes(trace).swap_remove(si).into_parts();
+            let pair = scheme_by_name(scheme, trace.width()).expect("fits the register bus");
+            let (enc, dec) = pair.into_parts();
             let dec = RecoveringDecoder::new(dec, trace.width());
             let (mut enc, mut dec) = epoch_wrap(enc, dec, INTERVAL);
             let x = mix(seed, si as u64, trial);
@@ -183,7 +167,7 @@ fn single_flip_recovery(seed: u64, trace: &Trace) -> Table {
             corrupted_sum += report.corrupted_words;
         }
         t.push(vec![
-            name.clone(),
+            name.to_string(),
             TRIALS.to_string(),
             f(recovered as f64 / TRIALS as f64 * 100.0, 1),
             f(corrupted_sum as f64 / TRIALS as f64, 2),

@@ -462,8 +462,9 @@ impl Session {
     ///
     /// # Panics
     ///
-    /// Panics if the query's scheme is not a canonical registry name;
-    /// [`try_activity`](Self::try_activity) is the non-panicking form.
+    /// Panics if the query's scheme is not a canonical registry name or
+    /// does not fit the trace's width; [`try_activity`](Self::try_activity)
+    /// is the non-panicking form.
     pub fn activity(&self, query: &ActivityQuery) -> Activity {
         self.try_activity(query)
             .unwrap_or_else(|e| panic!("activity store: {e}"))
@@ -477,8 +478,8 @@ impl Session {
     /// # Errors
     ///
     /// [`UnknownScheme`] when the query's scheme is not a canonical
-    /// registry name; the error's `Display` lists the accepted
-    /// patterns.
+    /// registry name or does not fit the trace's width; the error's
+    /// `Display` lists the accepted patterns.
     pub fn try_activity(&self, query: &ActivityQuery) -> Result<Activity, UnknownScheme> {
         let trace_key = query.trace_key(self);
         let key = (query.scheme().to_string(), trace_key);

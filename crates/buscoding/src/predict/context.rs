@@ -241,13 +241,6 @@ impl ValueContextPredictor {
 }
 
 impl Predictor for ValueContextPredictor {
-    fn name(&self) -> String {
-        format!(
-            "context-value({}+{})",
-            self.core.table_entries, self.core.shift_entries
-        )
-    }
-
     fn max_candidates(&self) -> usize {
         self.core.table_entries + self.core.shift_entries
     }
@@ -354,13 +347,6 @@ impl TransitionContextPredictor {
 }
 
 impl Predictor for TransitionContextPredictor {
-    fn name(&self) -> String {
-        format!(
-            "context-transition({}+{})",
-            self.core.table_entries, self.core.shift_entries
-        )
-    }
-
     fn max_candidates(&self) -> usize {
         self.core.table_entries + self.core.shift_entries
     }

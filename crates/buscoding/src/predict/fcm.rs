@@ -135,14 +135,6 @@ impl FcmPredictor {
 }
 
 impl Predictor for FcmPredictor {
-    fn name(&self) -> String {
-        format!(
-            "fcm({}, 2^{})",
-            self.order,
-            (self.mask + 1).trailing_zeros()
-        )
-    }
-
     fn max_candidates(&self) -> usize {
         2
     }

@@ -61,9 +61,6 @@ const CTRL_INV: u64 = 0b10;
 /// engine separately maintains the LAST value as implicit rank 0, and
 /// skips candidates equal to it.
 pub trait Predictor: std::fmt::Debug {
-    /// A short human-readable identifier, e.g. `"window(8)"`.
-    fn name(&self) -> String;
-
     /// The most candidates [`candidate`](Self::candidate) can ever
     /// return; fixes the codebook size.
     fn max_candidates(&self) -> usize;
@@ -237,11 +234,6 @@ impl<P: Predictor> PredictiveEncoder<P> {
     pub fn with_miss_policy(mut self, policy: MissPolicy) -> Self {
         self.miss_policy = policy;
         self
-    }
-
-    /// The predictor's display name.
-    pub fn name(&self) -> String {
-        self.state.predictor.name()
     }
 
     /// Read access to the underlying predictor (for instrumentation).
@@ -430,10 +422,6 @@ mod tests {
     }
 
     impl Predictor for FixedPredictor {
-        fn name(&self) -> String {
-            "fixed".into()
-        }
-
         fn max_candidates(&self) -> usize {
             self.list.len()
         }

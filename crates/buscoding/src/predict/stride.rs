@@ -92,10 +92,6 @@ impl StridePredictor {
 }
 
 impl Predictor for StridePredictor {
-    fn name(&self) -> String {
-        format!("stride({})", self.strides)
-    }
-
     fn max_candidates(&self) -> usize {
         self.strides
     }

@@ -712,10 +712,6 @@ impl TrainedPredictor {
 }
 
 impl Predictor for TrainedPredictor {
-    fn name(&self) -> String {
-        format!("trained:{}", self.tables.name)
-    }
-
     fn max_candidates(&self) -> usize {
         1 + self.tables.strides.len() + self.tables.codebook.len()
     }

@@ -81,10 +81,6 @@ impl WindowPredictor {
 }
 
 impl Predictor for WindowPredictor {
-    fn name(&self) -> String {
-        format!("window({})", self.entries)
-    }
-
     fn max_candidates(&self) -> usize {
         self.entries
     }

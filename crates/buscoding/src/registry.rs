@@ -1,35 +1,28 @@
-//! The scheme factory registry: construct any coding scheme in this
-//! crate from its display name.
-//!
-//! Every scheme already carries a canonical display name (the strings
-//! `bench` prints in its tables: `window(8)`, `context-value(28+8
-//! d4096)`, …). Before this module, each consumer that needed to build
-//! schemes *by name* — the bench harness, the adaptive controller, ad
-//! hoc tools — kept its own construction table. [`scheme_by_name`] is
-//! the one shared table: it parses a canonical name and returns a fresh
-//! [`Transcoder`] pair, so candidate lists can be plain `&str` slices
-//! and two consumers can never disagree about what `stride(8)` means.
-//!
-//! # Example
+//! The scheme grammar and factory. [`SchemeSpec`] is the typed name of
+//! every coding scheme in this crate: its [`Display`](fmt::Display)
+//! form (`window(8)`, `context-value(28+8 d4096)`, …) is the scheme's
+//! one name, and [`FromStr`] accepts only names that render back to
+//! themselves, with every parameter inside its limit. The grammar and
+//! its limits are tabulated once, in `docs/SERVICE.md` ("Scheme
+//! grammar").
 //!
 //! ```
-//! use buscoding::{scheme_by_name, verify_roundtrip};
-//! use bustrace::{Trace, Width};
+//! use buscoding::{scheme_by_name, SchemeSpec};
+//! use bustrace::Width;
 //!
-//! let mut pair = scheme_by_name("window(8)", Width::W32).unwrap();
-//! let trace = Trace::from_values(Width::W32, (0..100u64).map(|i| i % 7));
-//! let (enc, dec) = pair.split_mut();
-//! verify_roundtrip(enc, dec, &trace).unwrap();
+//! assert_eq!("window(8)".parse(), Ok(SchemeSpec::Window { entries: 8 }));
+//! assert!("window(08)".parse::<SchemeSpec>().is_err()); // one spelling
+//! assert_eq!(scheme_by_name("window(8)", Width::W32).unwrap().lines(), 34);
 //! ```
 
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
+use std::sync::Arc;
 
 use bustrace::Width;
 
-use std::sync::Arc;
-
-use crate::codec::Transcoder;
+use crate::codec::{Decoder, Encoder, Transcoder};
 use crate::energy::CostModel;
 use crate::identity::IdentityCodec;
 use crate::inversion::{InversionDecoder, InversionEncoder, PatternSet};
@@ -38,19 +31,343 @@ use crate::predict::trained::{
 };
 use crate::predict::{
     context_transition_codec, context_value_codec, fcm_codec, stride_codec, window_codec,
-    ContextConfig, FcmConfig, StrideConfig, WindowConfig,
+    ContextConfig, FcmConfig, Predictor, StrideConfig, TrainedPredictor, WindowConfig,
 };
 use crate::workzone::{WorkZoneDecoder, WorkZoneEncoder};
 
-/// Error returned when a scheme name cannot be parsed, names an unknown
-/// family, or names a `trained:` artifact that cannot be loaded.
+/// Largest window, stride bank, context table or shift register, and
+/// FCM order.
+const MAX_ENTRIES: usize = 64;
+/// Largest working-zone register count.
+const MAX_ZONES: usize = 16;
+/// Largest inversion chunk count (`2^6` = 64 patterns).
+const MAX_CHUNKS: u32 = 6;
+/// Largest FCM table-size exponent.
+const MAX_TABLE_BITS: u32 = 24;
+/// The widest bus state word, data plus control lines.
+const MAX_LINES: u32 = 64;
+
+/// A coding scheme and its parameters (paper Section 4.3), declared in
+/// [`SCHEME_PATTERNS`] order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SchemeSpec {
+    /// The un-encoded bus.
+    Identity,
+    /// Generalized inversion coder over `2^chunks` patterns, designed
+    /// against the given λ (the λ0/λ1/λN families of Figure 15).
+    Inversion {
+        /// Independently invertible fields (1 is classic bus-invert).
+        chunks: u32,
+        /// Design-time λ of the minimizing cost function.
+        design_lambda: f64,
+    },
+    /// Strided predictor bank with strides `1..=strides`.
+    Stride {
+        /// Number of stride predictors.
+        strides: usize,
+    },
+    /// Window-based transcoder.
+    Window {
+        /// Shift-register entries.
+        entries: usize,
+    },
+    /// Value-based context transcoder.
+    ContextValue {
+        /// Frequency-table entries.
+        table: usize,
+        /// Staging shift-register entries.
+        shift: usize,
+        /// Counter-division period (0 disables).
+        divide: u64,
+    },
+    /// Transition-based context transcoder.
+    ContextTransition {
+        /// Frequency-table entries.
+        table: usize,
+        /// Staging shift-register entries.
+        shift: usize,
+        /// Counter-division period (0 disables).
+        divide: u64,
+    },
+    /// Working-zone encoding (Musoll et al., the paper's reference
+    /// \[15\]) — the classic address-bus baseline.
+    WorkZone {
+        /// Zone registers.
+        zones: usize,
+    },
+    /// FCM + DFCM value prediction (Sazeides & Smith, the paper's
+    /// reference \[19\]).
+    Fcm {
+        /// Context order.
+        order: usize,
+        /// log2 of the prediction-table size.
+        table_bits: u32,
+    },
+    /// An offline-trained artifact from the artifact directory.
+    Trained {
+        /// The artifact's name.
+        artifact: String,
+    },
+}
+
+/// The scheme grammar, one pattern per [`SchemeSpec`] variant, in
+/// declaration order.
+pub const SCHEME_PATTERNS: &[&str] = &[
+    "identity",
+    "inversion(<chunks>ch l<lambda>)",
+    "stride(<strides>)",
+    "window(<entries>)",
+    "context-value(<table>+<shift> d<divide>)",
+    "context-transition(<table>+<shift> d<divide>)",
+    "workzone(<zones>)",
+    "fcm(<order> 2^<table_bits>)",
+    "trained:<artifact>",
+];
+
+impl fmt::Display for SchemeSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SchemeSpec::Identity => write!(f, "identity"),
+            SchemeSpec::Inversion {
+                chunks,
+                design_lambda,
+            } => write!(f, "inversion({chunks}ch l{design_lambda})"),
+            SchemeSpec::Stride { strides } => write!(f, "stride({strides})"),
+            SchemeSpec::Window { entries } => write!(f, "window({entries})"),
+            SchemeSpec::ContextValue {
+                table,
+                shift,
+                divide,
+            } => write!(f, "context-value({table}+{shift} d{divide})"),
+            SchemeSpec::ContextTransition {
+                table,
+                shift,
+                divide,
+            } => write!(f, "context-transition({table}+{shift} d{divide})"),
+            SchemeSpec::WorkZone { zones } => write!(f, "workzone({zones})"),
+            SchemeSpec::Fcm { order, table_bits } => write!(f, "fcm({order} 2^{table_bits})"),
+            SchemeSpec::Trained { artifact } => write!(f, "trained:{artifact}"),
+        }
+    }
+}
+
+impl FromStr for SchemeSpec {
+    type Err = UnknownScheme;
+
+    /// Parses a scheme name, rejecting out-of-range parameters and any
+    /// spelling that is not the canonical rendering (`window(08)`,
+    /// `inversion(1ch l1e3)`). `trained:` artifacts are checked when
+    /// built.
+    fn from_str(name: &str) -> Result<Self, UnknownScheme> {
+        parse(name)
+            .filter(|spec| spec.to_string() == name)
+            .ok_or_else(|| UnknownScheme::new(name, None))
+    }
+}
+
+/// A count in `1..=max`.
+fn count<T: FromStr + PartialOrd + From<u8>>(text: &str, max: T) -> Option<T> {
+    text.parse().ok().filter(|n| (T::from(1)..=max).contains(n))
+}
+
+/// The lenient half of [`SchemeSpec::from_str`]: range-checked, but
+/// any spelling the standard number parsers accept.
+fn parse(name: &str) -> Option<SchemeSpec> {
+    if name == "identity" {
+        return Some(SchemeSpec::Identity);
+    }
+    if let Some(artifact) = name.strip_prefix("trained:") {
+        let artifact = artifact.to_string();
+        return Some(SchemeSpec::Trained { artifact });
+    }
+    let (family, args) = name.strip_suffix(')')?.split_once('(')?;
+    Some(match family {
+        "inversion" => {
+            let (chunks, lambda) = args.split_once("ch l")?;
+            let chunks = count(chunks, MAX_CHUNKS)?;
+            let design_lambda = lambda
+                .parse()
+                .ok()
+                .filter(|l: &f64| l.is_finite() && l.is_sign_positive())?;
+            SchemeSpec::Inversion {
+                chunks,
+                design_lambda,
+            }
+        }
+        "stride" => SchemeSpec::Stride {
+            strides: count(args, MAX_ENTRIES)?,
+        },
+        "window" => SchemeSpec::Window {
+            entries: count(args, MAX_ENTRIES)?,
+        },
+        "context-value" | "context-transition" => {
+            let (sizes, divide) = args.split_once(" d")?;
+            let (table, shift) = sizes.split_once('+')?;
+            let (table, shift) = (count(table, MAX_ENTRIES)?, count(shift, MAX_ENTRIES)?);
+            let divide = divide.parse().ok()?;
+            if family == "context-value" {
+                SchemeSpec::ContextValue {
+                    table,
+                    shift,
+                    divide,
+                }
+            } else {
+                SchemeSpec::ContextTransition {
+                    table,
+                    shift,
+                    divide,
+                }
+            }
+        }
+        "workzone" => SchemeSpec::WorkZone {
+            zones: count(args, MAX_ZONES)?,
+        },
+        "fcm" => {
+            let (order, bits) = args.split_once(" 2^")?;
+            let order = count(order, MAX_ENTRIES)?;
+            let table_bits = count(bits, MAX_TABLE_BITS)?;
+            SchemeSpec::Fcm { order, table_bits }
+        }
+        _ => return None,
+    })
+}
+
+/// Why a scheme needing `control` control lines, `ranks` prediction
+/// ranks (LAST included; 0 if it predicts nothing) and `min_bits` data
+/// bits cannot run on a `width` bus.
+fn misfit(width: Width, control: u32, ranks: usize, min_bits: u32) -> Option<String> {
+    let (lines, codes) = (width.bits() + control, width.value_count());
+    if width.bits() < min_bits {
+        Some(format!("needs at least {min_bits} data bits, not {width}"))
+    } else if lines > MAX_LINES {
+        Some(format!("{lines} bus lines at {width} exceed {MAX_LINES}"))
+    } else if codes.is_some_and(|codes| ranks as u64 > codes) {
+        Some(format!("{ranks} prediction ranks exceed a {width} bus"))
+    } else {
+        None
+    }
+}
+
+/// Boxes a scheme's encoder/decoder pair.
+fn boxed<E: Encoder + 'static, D: Decoder + 'static>(
+    (e, d): (E, D),
+) -> (Box<dyn Encoder>, Box<dyn Decoder>) {
+    (Box::new(e), Box::new(d))
+}
+
+impl SchemeSpec {
+    /// Builds a fresh encoder/decoder pair for this scheme at the given
+    /// bus width, named by the scheme's display name. Calling twice
+    /// yields two independent pairs in their power-on state.
+    ///
+    /// # Errors
+    ///
+    /// [`UnknownScheme`] when the scheme does not fit the width (the
+    /// width rules are in `docs/SERVICE.md`), or when a `trained:`
+    /// artifact cannot be loaded or was trained at another width.
+    pub fn build(&self, width: Width) -> Result<Transcoder, UnknownScheme> {
+        let name = self.to_string();
+        let fits = |control, ranks, min_bits| match misfit(width, control, ranks, min_bits) {
+            Some(reason) => Err(UnknownScheme::new(&name, Some(reason))),
+            None => Ok(()),
+        };
+        // Control lines, prediction ranks and data bits per family; a
+        // trained table's ranks are checked once it is loaded.
+        match *self {
+            SchemeSpec::Identity => fits(0, 0, 1),
+            SchemeSpec::Inversion { chunks, .. } => fits(chunks, 0, chunks),
+            SchemeSpec::Stride { strides: n } | SchemeSpec::Window { entries: n } => {
+                fits(2, 1 + n, 1)
+            }
+            SchemeSpec::ContextValue { table, shift, .. }
+            | SchemeSpec::ContextTransition { table, shift, .. } => fits(2, 1 + table + shift, 1),
+            SchemeSpec::WorkZone { zones } => {
+                fits(1 + zones.next_power_of_two().trailing_zeros(), 0, 6)
+            }
+            SchemeSpec::Fcm { .. } | SchemeSpec::Trained { .. } => fits(2, 3, 1),
+        }?;
+        let context = |table, shift, divide| {
+            ContextConfig::new(width, table, shift).with_divide_period(divide)
+        };
+        let (e, d) = match *self {
+            SchemeSpec::Identity => boxed((IdentityCodec::new(width), IdentityCodec::new(width))),
+            SchemeSpec::Inversion {
+                chunks,
+                design_lambda: lambda,
+            } => {
+                let patterns = match chunks {
+                    1 => PatternSet::bus_invert(width),
+                    _ => PatternSet::chunked(width, chunks),
+                };
+                let encoder = InversionEncoder::new(patterns.clone(), CostModel::new(lambda));
+                boxed((encoder, InversionDecoder::new(patterns)))
+            }
+            SchemeSpec::Stride { strides } => {
+                boxed(stride_codec(StrideConfig::new(width, strides)))
+            }
+            SchemeSpec::Window { entries } => {
+                boxed(window_codec(WindowConfig::new(width, entries)))
+            }
+            SchemeSpec::ContextValue {
+                table,
+                shift,
+                divide,
+            } => boxed(context_value_codec(context(table, shift, divide))),
+            SchemeSpec::ContextTransition {
+                table,
+                shift,
+                divide,
+            } => boxed(context_transition_codec(context(table, shift, divide))),
+            SchemeSpec::WorkZone { zones } => boxed((
+                WorkZoneEncoder::new(width, zones),
+                WorkZoneDecoder::new(width, zones),
+            )),
+            SchemeSpec::Fcm { order, table_bits } => {
+                boxed(fcm_codec(FcmConfig::new(width, order, table_bits)))
+            }
+            SchemeSpec::Trained { ref artifact } => {
+                let artifact_error = |err| UnknownScheme {
+                    name: name.clone(),
+                    reason: None,
+                    artifact: Some(err),
+                };
+                let tables =
+                    load_named_artifact(&artifact_dir(), artifact).map_err(artifact_error)?;
+                if tables.width != width {
+                    return Err(artifact_error(ArtifactError::Malformed(format!(
+                        "artifact {artifact:?} was trained at {} but the bus is {width}",
+                        tables.width
+                    ))));
+                }
+                let tables = Arc::new(tables);
+                let ranks = 1 + TrainedPredictor::new(Arc::clone(&tables)).max_candidates();
+                fits(2, ranks, 1)?;
+                boxed(trained_codec(tables, CostModel::default()))
+            }
+        };
+        Ok(Transcoder::from_boxed(name, e, d))
+    }
+}
+
+/// Error returned when a scheme name is not in the grammar (or has an
+/// out-of-range parameter), does not fit the bus width, or names a
+/// `trained:` artifact that cannot be loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownScheme {
     name: String,
+    reason: Option<String>,
     artifact: Option<ArtifactError>,
 }
 
 impl UnknownScheme {
+    fn new(name: &str, reason: Option<String>) -> Self {
+        UnknownScheme {
+            name: name.to_string(),
+            reason,
+            artifact: None,
+        }
+    }
+
     /// The offending name.
     pub fn name(&self) -> &str {
         &self.name
@@ -67,33 +384,18 @@ impl UnknownScheme {
 
 impl fmt::Display for UnknownScheme {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.artifact {
-            Some(err) => write!(f, "scheme {:?}: {err}", self.name),
-            None => write!(
-                f,
-                "unknown coding scheme {:?} (expected one of: {})",
-                self.name,
-                scheme_candidates().join(", ")
-            ),
+        if let Some(err) = &self.artifact {
+            return write!(f, "scheme {:?}: {err}", self.name);
         }
+        write!(f, "unknown coding scheme {:?}", self.name)?;
+        if let Some(reason) = &self.reason {
+            write!(f, ": {reason}")?;
+        }
+        write!(f, " (expected one of: {})", scheme_candidates().join(", "))
     }
 }
 
 impl Error for UnknownScheme {}
-
-/// The name grammar [`scheme_by_name`] accepts, one pattern per scheme
-/// family.
-pub const SCHEME_PATTERNS: &[&str] = &[
-    "identity",
-    "inversion(<chunks>ch l<lambda>)",
-    "stride(<strides>)",
-    "window(<entries>)",
-    "context-value(<table>+<shift> d<divide>)",
-    "context-transition(<table>+<shift> d<divide>)",
-    "workzone(<zones>)",
-    "fcm(<order> 2^<table_bits>)",
-    "trained:<artifact>",
-];
 
 /// Every name [`scheme_by_name`] would currently accept: the static
 /// [`SCHEME_PATTERNS`] grammar plus a concrete `trained:<name>` entry
@@ -101,151 +403,22 @@ pub const SCHEME_PATTERNS: &[&str] = &[
 /// is absent (nothing was ever trained) only the static patterns are
 /// listed, so error messages never advertise schemes that cannot load.
 pub fn scheme_candidates() -> Vec<String> {
-    let mut candidates: Vec<String> = SCHEME_PATTERNS.iter().map(|s| s.to_string()).collect();
-    for name in available_artifacts(&artifact_dir()) {
-        candidates.push(format!("trained:{name}"));
-    }
-    candidates
-}
-
-/// Splits `name` into a family and the text between its parentheses;
-/// a name without parentheses yields an empty argument string.
-fn family_and_args(name: &str) -> Option<(&str, &str)> {
-    match name.find('(') {
-        None => Some((name, "")),
-        Some(open) => {
-            let close = name.rfind(')')?;
-            if close != name.len() - 1 || close < open {
-                return None;
-            }
-            Some((&name[..open], &name[open + 1..close]))
-        }
-    }
-}
-
-/// Parses `"<table>+<shift> d<divide>"` (the context-scheme argument
-/// form).
-fn parse_context_args(args: &str) -> Option<(usize, usize, u64)> {
-    let (sizes, divide) = args.split_once(' ')?;
-    let (table, shift) = sizes.split_once('+')?;
-    Some((
-        table.parse().ok()?,
-        shift.parse().ok()?,
-        divide.strip_prefix('d')?.parse().ok()?,
-    ))
-}
-
-/// Parses `"<chunks>ch l<lambda>"` (the inversion-scheme argument form).
-fn parse_inversion_args(args: &str) -> Option<(u32, f64)> {
-    let (chunks, lambda) = args.split_once(' ')?;
-    let lambda: f64 = lambda.strip_prefix('l')?.parse().ok()?;
-    if !lambda.is_finite() || lambda < 0.0 {
-        return None;
-    }
-    Some((chunks.strip_suffix("ch")?.parse().ok()?, lambda))
+    let trained = available_artifacts(&artifact_dir()).into_iter();
+    let patterns = SCHEME_PATTERNS.iter().map(|s| s.to_string());
+    patterns
+        .chain(trained.map(|name| format!("trained:{name}")))
+        .collect()
 }
 
 /// Builds a fresh encoder/decoder pair for the scheme named by its
-/// canonical display name, at the given bus width.
-///
-/// Calling twice with the same arguments yields two independent pairs
-/// in their power-on state — the registry is a factory, not a cache.
+/// canonical display name: [`SchemeSpec::from_str`], then
+/// [`SchemeSpec::build`].
 ///
 /// # Errors
 ///
-/// Returns [`UnknownScheme`] when the name does not match any
-/// [`SCHEME_PATTERNS`] entry or its parameters fail to parse.
+/// The [`UnknownScheme`] of either step.
 pub fn scheme_by_name(name: &str, width: Width) -> Result<Transcoder, UnknownScheme> {
-    let unknown = || UnknownScheme {
-        name: name.to_string(),
-        artifact: None,
-    };
-    // `trained:` names carry no parenthesized arguments, so they are
-    // resolved before the family grammar: load the named artifact from
-    // the artifact directory and deploy it.
-    if let Some(artifact) = name.strip_prefix("trained:") {
-        let load = load_named_artifact(&artifact_dir(), artifact).and_then(|tables| {
-            if tables.width != width {
-                Err(ArtifactError::Malformed(format!(
-                    "artifact {artifact:?} was trained at {} but the bus is {width}",
-                    tables.width
-                )))
-            } else {
-                Ok(tables)
-            }
-        });
-        return match load {
-            Ok(tables) => {
-                let (e, d) = trained_codec(Arc::new(tables), CostModel::default());
-                Ok(Transcoder::new(name, e, d))
-            }
-            Err(err) => Err(UnknownScheme {
-                name: name.to_string(),
-                artifact: Some(err),
-            }),
-        };
-    }
-    let (family, args) = family_and_args(name).ok_or_else(unknown)?;
-    let pair = match family {
-        "identity" if args.is_empty() => {
-            Transcoder::new(name, IdentityCodec::new(width), IdentityCodec::new(width))
-        }
-        "window" => {
-            let entries: usize = args.parse().map_err(|_| unknown())?;
-            let (e, d) = window_codec(WindowConfig::new(width, entries));
-            Transcoder::new(name, e, d)
-        }
-        "stride" => {
-            let strides: usize = args.parse().map_err(|_| unknown())?;
-            let (e, d) = stride_codec(StrideConfig::new(width, strides));
-            Transcoder::new(name, e, d)
-        }
-        "context-value" => {
-            let (table, shift, divide) = parse_context_args(args).ok_or_else(unknown)?;
-            let cfg = ContextConfig::new(width, table, shift).with_divide_period(divide);
-            let (e, d) = context_value_codec(cfg);
-            Transcoder::new(name, e, d)
-        }
-        "context-transition" => {
-            let (table, shift, divide) = parse_context_args(args).ok_or_else(unknown)?;
-            let cfg = ContextConfig::new(width, table, shift).with_divide_period(divide);
-            let (e, d) = context_transition_codec(cfg);
-            Transcoder::new(name, e, d)
-        }
-        "inversion" => {
-            let (chunks, lambda) = parse_inversion_args(args).ok_or_else(unknown)?;
-            let patterns = if chunks <= 1 {
-                PatternSet::bus_invert(width)
-            } else {
-                PatternSet::chunked(width, chunks)
-            };
-            Transcoder::new(
-                name,
-                InversionEncoder::new(patterns.clone(), CostModel::new(lambda)),
-                InversionDecoder::new(patterns),
-            )
-        }
-        "workzone" => {
-            let zones: usize = args.parse().map_err(|_| unknown())?;
-            Transcoder::new(
-                name,
-                WorkZoneEncoder::new(width, zones),
-                WorkZoneDecoder::new(width, zones),
-            )
-        }
-        "fcm" => {
-            let (order, bits) = args.split_once(' ').ok_or_else(unknown)?;
-            let order: usize = order.parse().map_err(|_| unknown())?;
-            let bits: u32 = bits
-                .strip_prefix("2^")
-                .and_then(|b| b.parse().ok())
-                .ok_or_else(unknown)?;
-            let (e, d) = fcm_codec(FcmConfig::new(width, order, bits));
-            Transcoder::new(name, e, d)
-        }
-        _ => return Err(unknown()),
-    };
-    Ok(pair)
+    name.parse::<SchemeSpec>()?.build(width)
 }
 
 #[cfg(test)]
@@ -253,6 +426,7 @@ mod tests {
     use super::*;
     use crate::codec::verify_roundtrip;
     use bustrace::Trace;
+    use proptest::prelude::*;
 
     fn mixed_trace(n: u64) -> Trace {
         Trace::from_values(Width::W32, (0..n).map(|i| (i * 7) % 23 + (i % 3) * 0x1000))
@@ -308,10 +482,219 @@ mod tests {
             "fcm(2 12)",
             "context-value(28 d4096)",
             "",
+            // Aliases of canonical names, and out-of-range parameters.
+            "window(+8)",
+            "window(08)",
+            "inversion(0ch l1)",
+            "inversion(1ch l1e3)",
+            "inversion(1ch l-0)",
+            "inversion(1ch lNaN)",
+            "window(0)",
+            "window(65)",
+            "window(100000000000)",
+            "fcm(2 2^0)",
+            "fcm(2 2^25)",
+            "workzone(17)",
+            "context-value(28+0 d0)",
         ] {
             let err = scheme_by_name(bad, Width::W32).expect_err(bad);
             assert_eq!(err.name(), bad);
             assert!(err.to_string().contains("window(<entries>)"), "{err}");
+        }
+    }
+
+    #[test]
+    fn width_misfits_are_typed_errors() {
+        let w = |bits| Width::new(bits).unwrap();
+        for (name, width, why) in [
+            ("window(8)", w(64), "66 bus lines"),
+            ("window(8)", w(2), "9 prediction ranks"),
+            ("context-value(64+64 d0)", w(7), "129 prediction ranks"),
+            ("inversion(6ch l1)", w(4), "at least 6 data bits"),
+            ("inversion(2ch l1)", w(63), "65 bus lines"),
+            ("workzone(4)", w(5), "at least 6 data bits"),
+            ("workzone(4)", w(62), "65 bus lines"),
+        ] {
+            let err = scheme_by_name(name, width).expect_err(name);
+            assert_eq!(err.name(), name);
+            assert_eq!(err.artifact_error(), None);
+            assert!(err.to_string().contains(why), "{name} at {width}: {err}");
+        }
+        // The widest bus each family fits still builds.
+        assert_eq!(scheme_by_name("identity", w(64)).unwrap().lines(), 64);
+        assert_eq!(scheme_by_name("window(8)", w(62)).unwrap().lines(), 64);
+        assert_eq!(scheme_by_name("window(3)", w(2)).unwrap().lines(), 4);
+    }
+
+    /// One example per [`SchemeSpec`] variant, in declaration order, with
+    /// its exact name; the exhaustive match below stops compiling when a
+    /// variant is added without its pattern.
+    #[test]
+    fn scheme_patterns_pin_the_grammar() {
+        let examples = [
+            (SchemeSpec::Identity, "identity"),
+            (
+                SchemeSpec::Inversion {
+                    chunks: 1,
+                    design_lambda: 0.0,
+                },
+                "inversion(1ch l0)",
+            ),
+            (SchemeSpec::Stride { strides: 8 }, "stride(8)"),
+            (SchemeSpec::Window { entries: 8 }, "window(8)"),
+            (
+                SchemeSpec::ContextValue {
+                    table: 28,
+                    shift: 8,
+                    divide: 4096,
+                },
+                "context-value(28+8 d4096)",
+            ),
+            (
+                SchemeSpec::ContextTransition {
+                    table: 4,
+                    shift: 2,
+                    divide: 0,
+                },
+                "context-transition(4+2 d0)",
+            ),
+            (SchemeSpec::WorkZone { zones: 4 }, "workzone(4)"),
+            (
+                SchemeSpec::Fcm {
+                    order: 2,
+                    table_bits: 12,
+                },
+                "fcm(2 2^12)",
+            ),
+            (
+                SchemeSpec::Trained {
+                    artifact: "demo".into(),
+                },
+                "trained:demo",
+            ),
+        ];
+        assert_eq!(SCHEME_PATTERNS.len(), examples.len());
+        for (i, (spec, name)) in examples.iter().enumerate() {
+            let variant = match spec {
+                SchemeSpec::Identity => 0,
+                SchemeSpec::Inversion { .. } => 1,
+                SchemeSpec::Stride { .. } => 2,
+                SchemeSpec::Window { .. } => 3,
+                SchemeSpec::ContextValue { .. } => 4,
+                SchemeSpec::ContextTransition { .. } => 5,
+                SchemeSpec::WorkZone { .. } => 6,
+                SchemeSpec::Fcm { .. } => 7,
+                SchemeSpec::Trained { .. } => 8,
+            };
+            assert_eq!(variant, i, "examples must follow declaration order");
+            let pattern = SCHEME_PATTERNS[i];
+            let prefix = &pattern[..pattern.find('<').unwrap_or(pattern.len())];
+            assert_eq!(spec.to_string(), *name);
+            assert!(name.starts_with(prefix), "{name} vs {pattern}");
+            assert_eq!(name.parse::<SchemeSpec>().as_ref(), Ok(spec));
+        }
+    }
+
+    /// Finite, non-negative λ values: small dyadic fractions and
+    /// arbitrary bit patterns.
+    fn lambda() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u32..4096).prop_map(|n| f64::from(n) / 8.0),
+            any::<u64>().prop_map(|bits| {
+                let x = f64::from_bits(bits >> 1);
+                if x.is_finite() {
+                    x
+                } else {
+                    1.0
+                }
+            }),
+        ]
+    }
+
+    /// Every variant with in-range parameters; `max_bits` bounds the
+    /// FCM table so building stays cheap.
+    fn spec(max_bits: u32) -> impl Strategy<Value = SchemeSpec> {
+        let n = 1..=MAX_ENTRIES;
+        prop_oneof![
+            Just(SchemeSpec::Identity),
+            (1..=MAX_CHUNKS, lambda()).prop_map(|(chunks, design_lambda)| {
+                SchemeSpec::Inversion {
+                    chunks,
+                    design_lambda,
+                }
+            }),
+            n.clone().prop_map(|strides| SchemeSpec::Stride { strides }),
+            n.clone().prop_map(|entries| SchemeSpec::Window { entries }),
+            (n.clone(), n.clone(), any::<u64>()).prop_map(|(table, shift, divide)| {
+                SchemeSpec::ContextValue {
+                    table,
+                    shift,
+                    divide,
+                }
+            }),
+            (n.clone(), n.clone(), any::<u64>()).prop_map(|(table, shift, divide)| {
+                SchemeSpec::ContextTransition {
+                    table,
+                    shift,
+                    divide,
+                }
+            }),
+            (1..=MAX_ZONES).prop_map(|zones| SchemeSpec::WorkZone { zones }),
+            (n, 1..=max_bits).prop_map(|(order, table_bits)| SchemeSpec::Fcm { order, table_bits }),
+            prop::collection::vec(any::<u8>(), 0..12).prop_map(|bytes| SchemeSpec::Trained {
+                artifact: String::from_utf8_lossy(&bytes).into_owned(),
+            }),
+        ]
+    }
+
+    /// Near-miss spellings: canonical names with a stray token spliced
+    /// in, which must either be rejected or still be canonical.
+    fn near_miss() -> impl Strategy<Value = String> {
+        const TOKENS: [&str; 12] = [
+            "0", "+", "-", "1", " ", "e3", ".0", "d", "(", ")", "2^", "ch l",
+        ];
+        (spec(MAX_TABLE_BITS), any::<usize>(), 0..TOKENS.len()).prop_map(|(spec, at, token)| {
+            let mut name = spec.to_string();
+            let at = (0..=name.len())
+                .filter(|&i| name.is_char_boundary(i))
+                .nth(at % (name.chars().count() + 1))
+                .unwrap_or(0);
+            name.insert_str(at, TOKENS[token]);
+            name
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_inverts_render(spec in spec(MAX_TABLE_BITS)) {
+            prop_assert_eq!(spec.to_string().parse::<SchemeSpec>(), Ok(spec));
+        }
+
+        #[test]
+        fn render_inverts_parse(name in near_miss()) {
+            if let Ok(spec) = name.parse::<SchemeSpec>() {
+                prop_assert_eq!(spec.to_string(), name);
+            }
+        }
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..48),
+        ) {
+            let name = String::from_utf8_lossy(&bytes);
+            if let Ok(spec) = name.parse::<SchemeSpec>() {
+                prop_assert_eq!(spec.to_string(), name);
+            }
+        }
+
+        #[test]
+        fn build_never_panics_at_any_width(spec in spec(12), bits in 1u32..=64) {
+            prop_assume!(!matches!(spec, SchemeSpec::Trained { .. }));
+            if let Ok(pair) = spec.build(Width::new(bits).unwrap()) {
+                prop_assert!(pair.lines() <= MAX_LINES);
+            }
         }
     }
 

@@ -53,8 +53,7 @@ fn check(p: &dyn Predictor, words: &[Word]) {
             assert_eq!(
                 p.rank_of(v, last, cap),
                 reference_rank_of(p, v, last, cap),
-                "{} diverged: value {v:#x} last {last:?} cap {cap}",
-                p.name(),
+                "{p:?} diverged: value {v:#x} last {last:?} cap {cap}",
             );
         }
     }

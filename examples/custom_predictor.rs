@@ -37,10 +37,6 @@ impl TaggedLastValue {
 }
 
 impl Predictor for TaggedLastValue {
-    fn name(&self) -> String {
-        "tagged-last-value".into()
-    }
-
     fn max_candidates(&self) -> usize {
         1
     }
