@@ -21,13 +21,12 @@
 //! because a 32-bit bus has 2³² states but nearly 2⁶⁴ arcs, so arc
 //! frequencies are more dilute.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{
+    predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor, MAX_ENTRIES,
+};
 
 /// Configuration shared by both context-transcoder flavors.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,16 +67,10 @@ impl ContextConfig {
     ///
     /// # Panics
     ///
-    /// Panics if either structure has zero entries.
+    /// Panics if either structure has zero entries or more than
+    /// [`MAX_ENTRIES`].
     pub fn new(width: Width, table_entries: usize, shift_entries: usize) -> Self {
-        assert!(
-            table_entries >= 1,
-            "frequency table needs at least one entry"
-        );
-        assert!(
-            shift_entries >= 1,
-            "shift register needs at least one entry"
-        );
+        check_sizes(table_entries, shift_entries);
         ContextConfig {
             width,
             table_entries,
@@ -113,108 +106,150 @@ impl ContextConfig {
 /// A sorted frequency table with staged promotion — the behavioral model
 /// shared by both flavors (the key type differs).
 ///
-/// Membership stays a linear scan on purpose: the table tops out at 64
-/// entries (one cache line per eight), which a scan beats any hashed
-/// index at — measured on the figure-20..25 sweeps.
+/// Keys and counts live in parallel fixed arrays: the table (hottest
+/// first) occupies `0..table_len` and the staging register (newest
+/// first) follows it, so the value flavor's candidate list is the key
+/// array itself. Membership stays a linear scan on purpose — the engine
+/// does the one scan and hands back the slot (see the `HashMap` note in
+/// `docs/PERFORMANCE.md`).
 #[derive(Debug, Clone)]
 struct FrequencyCore<K: PartialEq + Copy> {
     table_entries: usize,
     shift_entries: usize,
     divide_period: u64,
     promote_threshold: u64,
-    /// Sorted by descending frequency; position is the code rank.
-    table: Vec<(K, u64)>,
-    /// Newest staged entry at the back.
-    sr: VecDeque<(K, u64)>,
+    /// Table entries in `0..table_len`, sorted by descending count (the
+    /// position is the code rank); staged entries after them, newest
+    /// first.
+    keys: [K; 2 * MAX_ENTRIES],
+    counts: [u64; 2 * MAX_ENTRIES],
+    table_len: usize,
+    staged: usize,
     seen: u64,
 }
 
-impl<K: PartialEq + Copy> FrequencyCore<K> {
+fn check_sizes(table_entries: usize, shift_entries: usize) {
+    assert!(
+        table_entries >= 1,
+        "frequency table needs at least one entry"
+    );
+    assert!(
+        shift_entries >= 1,
+        "shift register needs at least one entry"
+    );
+    assert!(
+        table_entries <= MAX_ENTRIES && shift_entries <= MAX_ENTRIES,
+        "the frequency table and shift register hold at most {MAX_ENTRIES} entries each, \
+         got {table_entries}+{shift_entries}"
+    );
+}
+
+impl<K: PartialEq + Copy + Default> FrequencyCore<K> {
     fn new(cfg: &ContextConfig) -> Self {
-        assert!(
-            cfg.table_entries >= 1,
-            "frequency table needs at least one entry"
-        );
-        assert!(
-            cfg.shift_entries >= 1,
-            "shift register needs at least one entry"
-        );
+        check_sizes(cfg.table_entries, cfg.shift_entries);
         FrequencyCore {
             table_entries: cfg.table_entries,
             shift_entries: cfg.shift_entries,
             divide_period: cfg.divide_period,
             promote_threshold: cfg.promote_threshold,
-            table: Vec::with_capacity(cfg.table_entries),
-            sr: VecDeque::with_capacity(cfg.shift_entries),
+            keys: [K::default(); 2 * MAX_ENTRIES],
+            counts: [0; 2 * MAX_ENTRIES],
+            table_len: 0,
+            staged: 0,
             seen: 0,
         }
     }
 
     fn reset(&mut self) {
-        self.table.clear();
-        self.sr.clear();
+        self.table_len = 0;
+        self.staged = 0;
         self.seen = 0;
     }
 
-    /// Records one key observation, maintaining sortedness and staging.
-    fn record(&mut self, key: K) {
+    /// Live entries: the table, then the staging register.
+    fn len(&self) -> usize {
+        self.table_len + self.staged
+    }
+
+    fn live_keys(&self) -> &[K] {
+        &self.keys[..self.len()]
+    }
+
+    /// Records one observation of `key`, which sits at `slot` of the
+    /// live entries (or nowhere), maintaining sortedness and staging.
+    fn record(&mut self, key: K, slot: Option<usize>) {
         self.seen += 1;
+        let len = self.len();
         if self.divide_period > 0 && self.seen.is_multiple_of(self.divide_period) {
-            for e in &mut self.table {
-                e.1 /= 2;
-            }
-            for e in &mut self.sr {
-                e.1 /= 2;
+            for c in &mut self.counts[..len] {
+                *c /= 2;
             }
         }
-        if let Some(pos) = self.table.iter().position(|e| e.0 == key) {
-            self.table[pos].1 += 1;
-            // Bubble up past entries with strictly lower counts; ties
-            // keep their order (the hardware's pending-bit sort makes
-            // the same guarantee, Section 5.3.1).
-            let mut p = pos;
-            while p > 0 && self.table[p].1 > self.table[p - 1].1 {
-                self.table.swap(p, p - 1);
-                p -= 1;
+        match slot {
+            Some(mut p) if p < self.table_len => {
+                self.counts[p] += 1;
+                // Bubble up past entries with strictly lower counts; ties
+                // keep their order (the hardware's pending-bit sort makes
+                // the same guarantee, Section 5.3.1).
+                while p > 0 && self.counts[p] > self.counts[p - 1] {
+                    self.keys.swap(p, p - 1);
+                    self.counts.swap(p, p - 1);
+                    p -= 1;
+                }
             }
-            return;
+            Some(p) => self.counts[p] += 1,
+            None => {
+                // New key: stage it; a full shift register evicts its
+                // oldest entry, which gets one shot at promotion into
+                // the table.
+                if self.staged == self.shift_entries {
+                    self.staged -= 1;
+                    let exit = self.len();
+                    self.maybe_promote(self.keys[exit], self.counts[exit]);
+                }
+                self.insert_at(self.table_len, key, 1);
+                self.staged += 1;
+            }
         }
-        if let Some(e) = self.sr.iter_mut().find(|e| e.0 == key) {
-            e.1 += 1;
-            return;
-        }
-        // New key: stage it; a full shift register evicts its oldest
-        // entry, which gets one shot at promotion into the table.
-        if self.sr.len() == self.shift_entries {
-            let (exit_key, exit_count) = self.sr.pop_front().expect("non-empty");
-            self.maybe_promote(exit_key, exit_count);
-        }
-        self.sr.push_back((key, 1));
+    }
+
+    /// Shifts the live entries from `pos` on one place back and writes
+    /// `(key, count)` at `pos`.
+    fn insert_at(&mut self, pos: usize, key: K, count: u64) {
+        let len = self.len();
+        self.keys.copy_within(pos..len, pos + 1);
+        self.counts.copy_within(pos..len, pos + 1);
+        self.keys[pos] = key;
+        self.counts[pos] = count;
     }
 
     fn maybe_promote(&mut self, key: K, count: u64) {
         if count < self.promote_threshold {
             return;
         }
-        if self.table.len() < self.table_entries {
-            self.insert_sorted(key, count);
-        } else if let Some(last) = self.table.last() {
-            if count > last.1 {
-                self.table.pop();
-                self.insert_sorted(key, count);
+        if self.table_len == self.table_entries {
+            if count <= self.counts[self.table_len - 1] {
+                return;
             }
+            // Drop the coldest table entry.
+            let len = self.len();
+            self.keys
+                .copy_within(self.table_len..len, self.table_len - 1);
+            self.counts
+                .copy_within(self.table_len..len, self.table_len - 1);
+            self.table_len -= 1;
         }
-    }
-
-    fn insert_sorted(&mut self, key: K, count: u64) {
-        let pos = self.table.partition_point(|e| e.1 >= count);
-        self.table.insert(pos, (key, count));
+        let pos = self.counts[..self.table_len].partition_point(|&c| c >= count);
+        self.insert_at(pos, key, count);
+        self.table_len += 1;
     }
 
     /// Invariant check used by tests: descending counts.
     #[cfg(test)]
     fn is_sorted(&self) -> bool {
-        self.table.windows(2).all(|w| w[0].1 >= w[1].1)
+        self.counts[..self.table_len]
+            .windows(2)
+            .all(|w| w[0] >= w[1])
     }
 }
 
@@ -228,6 +263,10 @@ pub struct ValueContextPredictor {
 
 impl ValueContextPredictor {
     /// Creates a predictor from the configuration's structure sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either structure is empty or above [`MAX_ENTRIES`].
     pub fn new(cfg: &ContextConfig) -> Self {
         ValueContextPredictor {
             core: FrequencyCore::new(cfg),
@@ -236,7 +275,11 @@ impl ValueContextPredictor {
 
     /// Current frequency-table contents (value, count), hottest first.
     pub fn table(&self) -> impl Iterator<Item = (Word, u64)> + '_ {
-        self.core.table.iter().copied()
+        let n = self.core.table_len;
+        self.core.keys[..n]
+            .iter()
+            .copied()
+            .zip(self.core.counts[..n].iter().copied())
     }
 }
 
@@ -245,54 +288,14 @@ impl Predictor for ValueContextPredictor {
         self.core.table_entries + self.core.shift_entries
     }
 
-    fn candidate(&self, index: usize) -> Option<Word> {
-        if index < self.core.table.len() {
-            return Some(self.core.table[index].0);
-        }
-        let j = index - self.core.table.len();
-        let n = self.core.sr.len();
-        if j < n {
-            Some(self.core.sr[n - 1 - j].0)
-        } else {
-            None
-        }
+    fn candidates(&mut self) -> &[Word] {
+        self.core.live_keys()
     }
 
-    /// Flat scan over the table then the staged values, newest first —
-    /// the same order [`candidate`](Predictor::candidate) exposes, with
-    /// one bounds check per structure instead of one dynamic lookup per
-    /// candidate.
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        let mut rank = 1usize;
-        for &(k, _) in &self.core.table {
-            if rank >= cap {
-                return None;
-            }
-            if Some(k) == last {
-                continue;
-            }
-            if k == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        for &(k, _) in self.core.sr.iter().rev() {
-            if rank >= cap {
-                return None;
-            }
-            if Some(k) == last {
-                continue;
-            }
-            if k == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
-    }
-
-    fn observe(&mut self, value: Word) {
-        self.core.record(value);
+    /// Keys are unique across the table and staging register, so the
+    /// engine's slot is the entry to bump.
+    fn observe(&mut self, value: Word, slot: Option<usize>) {
+        self.core.record(value, slot);
     }
 
     fn reset(&mut self) {
@@ -307,41 +310,27 @@ impl Predictor for ValueContextPredictor {
 pub struct TransitionContextPredictor {
     core: FrequencyCore<(Word, Word)>,
     last: Option<Word>,
-    /// Successors of `last`, rebuilt lazily at the first candidate
-    /// lookup after an observation (interior mutability because
-    /// [`Predictor::candidate`] takes `&self`). A rank-0 hit — a
-    /// repeated word — never consults candidates, so repeat runs skip
-    /// the table walk entirely; the rebuilt list is identical either
-    /// way because nothing mutates between `observe` and the lookup.
-    current: RefCell<Vec<Word>>,
-    stale: Cell<bool>,
+    /// Successors of `last` in candidate order (table, then staging),
+    /// rebuilt after every observation.
+    successors: [Word; 2 * MAX_ENTRIES],
+    /// Where each successor's arc sits among the core's live entries.
+    arcs: [usize; 2 * MAX_ENTRIES],
+    len: usize,
 }
 
 impl TransitionContextPredictor {
     /// Creates a predictor from the configuration's structure sizes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either structure is empty or above [`MAX_ENTRIES`].
     pub fn new(cfg: &ContextConfig) -> Self {
         TransitionContextPredictor {
             core: FrequencyCore::new(cfg),
             last: None,
-            current: RefCell::new(Vec::new()),
-            stale: Cell::new(false),
-        }
-    }
-
-    fn rebuild_candidates(&self) {
-        let mut current = self.current.borrow_mut();
-        current.clear();
-        self.stale.set(false);
-        let Some(last) = self.last else { return };
-        for &((prev, next), _) in &self.core.table {
-            if prev == last {
-                current.push(next);
-            }
-        }
-        for &((prev, next), _) in self.core.sr.iter().rev() {
-            if prev == last {
-                current.push(next);
-            }
+            successors: [0; 2 * MAX_ENTRIES],
+            arcs: [0; 2 * MAX_ENTRIES],
+            len: 0,
         }
     }
 }
@@ -351,48 +340,31 @@ impl Predictor for TransitionContextPredictor {
         self.core.table_entries + self.core.shift_entries
     }
 
-    fn candidate(&self, index: usize) -> Option<Word> {
-        if self.stale.get() {
-            self.rebuild_candidates();
-        }
-        self.current.borrow().get(index).copied()
+    fn candidates(&mut self) -> &[Word] {
+        &self.successors[..self.len]
     }
 
-    /// One borrow of the rebuilt successor list instead of a
-    /// borrow-and-check per candidate.
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        if self.stale.get() {
-            self.rebuild_candidates();
-        }
-        let mut rank = 1usize;
-        for &k in self.current.borrow().iter() {
-            if rank >= cap {
-                return None;
-            }
-            if Some(k) == last {
-                continue;
-            }
-            if k == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
-    }
-
-    fn observe(&mut self, value: Word) {
+    /// Arcs are unique, so the successor at `slot` names the one arc
+    /// `(last, value)` to bump; no slot means the arc is new.
+    fn observe(&mut self, value: Word, slot: Option<usize>) {
         if let Some(last) = self.last {
-            self.core.record((last, value));
+            self.core.record((last, value), slot.map(|s| self.arcs[s]));
         }
         self.last = Some(value);
-        self.stale.set(true);
+        self.len = 0;
+        for (at, &(prev, next)) in self.core.live_keys().iter().enumerate() {
+            if prev == value {
+                self.successors[self.len] = next;
+                self.arcs[self.len] = at;
+                self.len += 1;
+            }
+        }
     }
 
     fn reset(&mut self) {
         self.core.reset();
         self.last = None;
-        self.current.borrow_mut().clear();
-        self.stale.set(false);
+        self.len = 0;
     }
 }
 
@@ -404,17 +376,12 @@ pub fn context_value_codec(
     PredictiveEncoder<ValueContextPredictor>,
     PredictiveDecoder<ValueContextPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(
+    predictive_codec(
         config.width,
         ValueContextPredictor::new(&config),
-        config.cost,
-    );
-    let dec = PredictiveDecoder::new(
-        config.width,
         ValueContextPredictor::new(&config),
         config.cost,
-    );
-    (enc, dec)
+    )
 }
 
 /// Builds a matched encoder/decoder pair for the transition-based
@@ -425,17 +392,12 @@ pub fn context_transition_codec(
     PredictiveEncoder<TransitionContextPredictor>,
     PredictiveDecoder<TransitionContextPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(
+    predictive_codec(
         config.width,
         TransitionContextPredictor::new(&config),
-        config.cost,
-    );
-    let dec = PredictiveDecoder::new(
-        config.width,
         TransitionContextPredictor::new(&config),
         config.cost,
-    );
-    (enc, dec)
+    )
 }
 
 #[cfg(test)]
@@ -444,6 +406,7 @@ mod tests {
     use crate::codec::{evaluate, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
+    use crate::predict::tests::feed;
     use bustrace::Trace;
 
     fn cfg(table: usize, sr: usize) -> ContextConfig {
@@ -456,11 +419,11 @@ mod tests {
         // 0xAA appears constantly, with enough other traffic to push it
         // through the staging register into the table.
         for i in 0..200u64 {
-            p.observe(0xAA);
-            p.observe(i); // churn
+            feed(&mut p, 0xAA);
+            feed(&mut p, i); // churn
         }
         assert_eq!(
-            p.candidate(0),
+            p.candidates().first().copied(),
             Some(0xAA),
             "table: {:?}",
             p.table().collect::<Vec<_>>()
@@ -473,7 +436,7 @@ mod tests {
         let mut x = 3u64;
         for _ in 0..20_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            p.observe((x >> 55) * 3); // ~512 distinct values, skewed reuse
+            feed(&mut p, (x >> 55) * 3); // ~512 distinct values, skewed reuse
             assert!(p.core.is_sorted());
         }
     }
@@ -483,12 +446,12 @@ mod tests {
         let mut p = ValueContextPredictor::new(&cfg(2, 2));
         // Two hot values...
         for _ in 0..50 {
-            p.observe(1);
-            p.observe(2);
+            feed(&mut p, 1);
+            feed(&mut p, 2);
         }
         // ...then a stream of once-only values must not evict them.
         for i in 100..200u64 {
-            p.observe(i);
+            feed(&mut p, i);
         }
         let table: Vec<Word> = p.table().map(|(v, _)| v).collect();
         assert!(table.contains(&1) && table.contains(&2), "table: {table:?}");
@@ -500,21 +463,21 @@ mod tests {
         let mut frozen = ValueContextPredictor::new(&cfg(2, 2).with_divide_period(0));
         // Phase 1: value 7 dominates.
         for _ in 0..3000 {
-            aging.observe(7);
-            frozen.observe(7);
+            feed(&mut aging, 7);
+            feed(&mut frozen, 7);
         }
         // Phase 2: value 9 dominates; interleave churn so staging flows.
         for i in 0..3000u64 {
             for p in [&mut aging, &mut frozen] {
-                p.observe(9);
-                p.observe(1_000_000 + (i % 64));
+                feed(p, 9);
+                feed(p, 1_000_000 + (i % 64));
             }
         }
-        let top_aging = aging.candidate(0);
+        let top_aging = aging.candidates().first().copied();
         // With division, the new phase's hot value overtakes the stale
         // one; without, 7's huge stale count keeps the top slot.
         assert_eq!(top_aging, Some(9));
-        assert_eq!(frozen.candidate(0), Some(7));
+        assert_eq!(frozen.candidates().first().copied(), Some(7));
     }
 
     #[test]
@@ -557,13 +520,13 @@ mod tests {
         let mut p = TransitionContextPredictor::new(&cfg(8, 4));
         for _ in 0..300 {
             for v in [10u64, 20, 30] {
-                p.observe(v);
+                feed(&mut p, v);
             }
         }
         // After seeing 10 -> 20 hundreds of times, the successor of 10
         // must be the top candidate once 10 is observed.
-        p.observe(10);
-        assert_eq!(p.candidate(0), Some(20));
+        feed(&mut p, 10);
+        assert_eq!(p.candidates().first().copied(), Some(20));
     }
 
     #[test]
@@ -642,5 +605,11 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn rejects_empty_table() {
         let _ = ContextConfig::new(Width::W32, 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 entries each")]
+    fn rejects_structures_above_the_capacity_limit() {
+        let _ = ContextConfig::new(Width::W32, 28, MAX_ENTRIES + 1);
     }
 }

@@ -20,7 +20,7 @@ use bustrace::fnv::fnv1a_words;
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor};
 
 /// Configuration of the FCM/DFCM transcoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,6 +77,15 @@ pub struct FcmPredictor {
     value_table: Vec<Option<Word>>,
     /// DFCM table: hash of delta history -> predicted next delta.
     delta_table: Vec<Option<Word>>,
+    /// Table index of the current value context, once `order` values
+    /// exist; hashed once per word, for the prediction and then for
+    /// training on the word that follows.
+    value_index: Option<usize>,
+    /// Table index of the current delta context, likewise.
+    delta_index: Option<usize>,
+    /// The candidate list for the next word.
+    candidates: [Word; 2],
+    len: usize,
 }
 
 impl FcmPredictor {
@@ -100,37 +109,19 @@ impl FcmPredictor {
             deltas: VecDeque::with_capacity(cfg.order),
             value_table: vec![None; size],
             delta_table: vec![None; size],
+            value_index: None,
+            delta_index: None,
+            candidates: [0; 2],
+            len: 0,
         }
     }
 
-    /// Order-preserving hash of a word sequence into the table index
-    /// space (word-wise FNV-1a).
-    fn hash<I: Iterator<Item = Word>>(&self, items: I) -> usize {
-        ((fnv1a_words(items) >> 24) as usize) & self.mask
-    }
-
-    fn value_context_ready(&self) -> bool {
-        self.history.len() >= self.order
-    }
-
-    fn delta_context_ready(&self) -> bool {
-        self.deltas.len() >= self.order
-    }
-
-    fn fcm_prediction(&self) -> Option<Word> {
-        if !self.value_context_ready() {
-            return None;
-        }
-        self.value_table[self.hash(self.history.iter().copied())]
-    }
-
-    fn dfcm_prediction(&self) -> Option<Word> {
-        if !self.delta_context_ready() {
-            return None;
-        }
-        let delta = self.delta_table[self.hash(self.deltas.iter().copied())]?;
-        let last = *self.history.back()?;
-        Some(self.width.truncate(last.wrapping_add(delta)))
+    /// Order-preserving hash of a full context into the table index
+    /// space (word-wise FNV-1a); `None` until the context holds `order`
+    /// words.
+    fn table_index(&self, context: &VecDeque<Word>) -> Option<usize> {
+        (context.len() >= self.order)
+            .then(|| ((fnv1a_words(context.iter().copied()) >> 24) as usize) & self.mask)
     }
 }
 
@@ -139,24 +130,18 @@ impl Predictor for FcmPredictor {
         2
     }
 
-    fn candidate(&self, index: usize) -> Option<Word> {
-        match index {
-            0 => self.fcm_prediction().or_else(|| self.dfcm_prediction()),
-            1 => self.dfcm_prediction(),
-            _ => None,
-        }
+    fn candidates(&mut self) -> &[Word] {
+        &self.candidates[..self.len]
     }
 
-    fn observe(&mut self, value: Word) {
+    fn observe(&mut self, value: Word, _slot: Option<usize>) {
         // Train both tables on the context that *preceded* this value.
-        if self.value_context_ready() {
-            let h = self.hash(self.history.iter().copied());
+        if let Some(h) = self.value_index {
             self.value_table[h] = Some(value);
         }
         if let Some(&last) = self.history.back() {
             let delta = self.width.truncate(value.wrapping_sub(last));
-            if self.delta_context_ready() {
-                let h = self.hash(self.deltas.iter().copied());
+            if let Some(h) = self.delta_index {
                 self.delta_table[h] = Some(delta);
             }
             if self.deltas.len() == self.order {
@@ -168,6 +153,21 @@ impl Predictor for FcmPredictor {
             self.history.pop_front();
         }
         self.history.push_back(value);
+
+        // FCM's prediction ranks first, DFCM's second; with no FCM
+        // prediction, DFCM's fills both ranks.
+        self.value_index = self.table_index(&self.history);
+        self.delta_index = self.table_index(&self.deltas);
+        let fcm = self.value_index.and_then(|h| self.value_table[h]);
+        let dfcm = self
+            .delta_index
+            .and_then(|h| self.delta_table[h])
+            .map(|delta| self.width.truncate(value.wrapping_add(delta)));
+        self.len = 0;
+        for c in [fcm.or(dfcm), dfcm].into_iter().map_while(|c| c) {
+            self.candidates[self.len] = c;
+            self.len += 1;
+        }
     }
 
     fn reset(&mut self) {
@@ -175,6 +175,9 @@ impl Predictor for FcmPredictor {
         self.deltas.clear();
         self.value_table.fill(None);
         self.delta_table.fill(None);
+        self.value_index = None;
+        self.delta_index = None;
+        self.len = 0;
     }
 }
 
@@ -185,9 +188,12 @@ pub fn fcm_codec(
     PredictiveEncoder<FcmPredictor>,
     PredictiveDecoder<FcmPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(config.width, FcmPredictor::new(&config), config.cost);
-    let dec = PredictiveDecoder::new(config.width, FcmPredictor::new(&config), config.cost);
-    (enc, dec)
+    predictive_codec(
+        config.width,
+        FcmPredictor::new(&config),
+        FcmPredictor::new(&config),
+        config.cost,
+    )
 }
 
 #[cfg(test)]
@@ -196,6 +202,7 @@ mod tests {
     use crate::codec::{evaluate, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
+    use crate::predict::tests::feed;
     use bustrace::Trace;
 
     fn cfg() -> FcmConfig {
@@ -209,11 +216,11 @@ mod tests {
         let seq = [0xAAAA_0001u64, 0xBBBB_0002, 0xCCCC_0003];
         for _ in 0..10 {
             for &v in &seq {
-                p.observe(v);
+                feed(&mut p, v);
             }
         }
         // After ...B C the next is A.
-        assert_eq!(p.candidate(0), Some(seq[0]));
+        assert_eq!(p.candidates()[0], seq[0]);
     }
 
     #[test]
@@ -222,17 +229,18 @@ mod tests {
         // Strictly increasing by 12: absolute values never repeat, so
         // plain FCM can't learn, but DFCM nails the delta pattern.
         for i in 0..100u64 {
-            p.observe(0x9000_0000 + 12 * i);
+            feed(&mut p, 0x9000_0000 + 12 * i);
         }
-        assert_eq!(p.candidate(1), Some(0x9000_0000 + 12 * 100));
+        assert_eq!(p.candidates()[1], 0x9000_0000 + 12 * 100);
     }
 
     #[test]
     fn cold_predictor_offers_nothing() {
-        let p = FcmPredictor::new(&cfg());
-        assert_eq!(p.candidate(0), None);
-        assert_eq!(p.candidate(1), None);
-        assert_eq!(p.candidate(2), None);
+        let mut p = FcmPredictor::new(&cfg());
+        assert!(p.candidates().is_empty());
+        // One value: still no full context, so still nothing to offer.
+        feed(&mut p, 7);
+        assert!(p.candidates().is_empty());
     }
 
     #[test]

@@ -17,7 +17,13 @@
 //!    happened.
 //!
 //! The engine here ([`PredictiveEncoder`] / [`PredictiveDecoder`])
-//! implements 2–5 once; the concrete predictors plug in.
+//! implements 2–5 once; the concrete predictors plug in. Like the
+//! paper's transcoder, which does one CAM match per cycle (§5), the
+//! engine matches each word once: every predictor hands it the whole
+//! ranked list as one contiguous slice ([`Predictor::candidates`]), the
+//! engine scans it a single time for the word, and the predictor gets
+//! the matched slot back in [`Predictor::observe`] instead of searching
+//! its own store again.
 
 mod context;
 mod fcm;
@@ -34,11 +40,18 @@ pub use stride::{stride_codec, StrideConfig, StridePredictor};
 pub use trained::{trained_codec, ArtifactError, SignatureTable, TrainedPredictor, TrainedTables};
 pub use window::{window_codec, WindowConfig, WindowPredictor};
 
+use std::sync::Arc;
+
 use bustrace::{Width, Word};
 
 use crate::codebook::CodeBook;
 use crate::codec::{Decoder, Encoder, RoundTripError};
 use crate::energy::CostModel;
+
+/// Largest window, stride bank, context table or shift register, and
+/// FCM order. The scheme grammar rejects larger sizes, and the online
+/// predictors size their fixed stores from it.
+pub const MAX_ENTRIES: usize = 64;
 
 /// Control-line state: the bus carries a prediction codeword
 /// (transition-coded on the data lines).
@@ -60,49 +73,52 @@ const CTRL_INV: u64 = 0b10;
 /// naturally); first-match semantics keep the two ends consistent. The
 /// engine separately maintains the LAST value as implicit rank 0, and
 /// skips candidates equal to it.
+///
+/// Each word, the engine calls [`candidates`](Self::candidates) once,
+/// scans the slice once, and then calls [`observe`](Self::observe) with
+/// the slot it matched.
 pub trait Predictor: std::fmt::Debug {
-    /// The most candidates [`candidate`](Self::candidate) can ever
+    /// The longest list [`candidates`](Self::candidates) can ever
     /// return; fixes the codebook size.
     fn max_candidates(&self) -> usize;
 
-    /// The `index`-th ranked candidate, or `None` past the current end
-    /// of the list.
-    fn candidate(&self, index: usize) -> Option<Word>;
+    /// The current ranked candidate list, best first, as one contiguous
+    /// slice no longer than [`max_candidates`](Self::max_candidates).
+    fn candidates(&mut self) -> &[Word];
 
-    /// The rank of `value` as the engine counts ranks: candidates equal
-    /// to `last` are skipped without consuming a rank, the first other
-    /// candidate is rank 1, and ranks at or beyond `cap` do not count.
-    ///
-    /// The default walks [`candidate`](Self::candidate) one index at a
-    /// time. Predictors whose candidate list lives in a directly
-    /// scannable store override this with an equivalent flat scan — the
-    /// rank walk is the single hottest loop in a sweep, and the
-    /// override removes a dynamic call plus re-derived bounds checks
-    /// per candidate. Overrides MUST return exactly what the default
-    /// returns (the `block_equivalence` property tests and the
-    /// byte-identity CI smoke pin this).
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        let mut rank = 1usize;
-        let mut index = 0usize;
-        while rank < cap {
-            let c = self.candidate(index)?;
-            index += 1;
-            if Some(c) == last {
-                continue;
-            }
-            if c == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
-    }
-
-    /// Feeds the confirmed bus word into the predictor's state.
-    fn observe(&mut self, value: Word);
+    /// Feeds the confirmed bus word into the predictor's state. `slot`
+    /// is the first index of `value` in the list
+    /// [`candidates`](Self::candidates) returned for this word, or
+    /// `None` if the list does not hold it, so the predictor never has
+    /// to search its store again.
+    fn observe(&mut self, value: Word, slot: Option<usize>);
 
     /// Restores the power-on state.
     fn reset(&mut self);
+}
+
+/// The engine's one match per word: the first slot of `candidates`
+/// holding `value`, and the rank that `value` earns. LAST is rank 0
+/// wherever it sits in the list; any other value ranks one past its
+/// slot, less the LAST entries before the slot, which consume no rank.
+fn match_word(
+    candidates: &[Word],
+    value: Word,
+    last: Option<Word>,
+) -> (Option<usize>, Option<usize>) {
+    // Before the first word there is no LAST to skip; standing `value`
+    // in for it skips nothing ahead of the first match.
+    let skip = last.unwrap_or(value);
+    let is_last = last == Some(value);
+    let mut skipped = 0;
+    for (slot, &c) in candidates.iter().enumerate() {
+        if c == value {
+            let rank = if is_last { 0 } else { slot + 1 - skipped };
+            return (Some(rank), Some(slot));
+        }
+        skipped += usize::from(c == skip);
+    }
+    (is_last.then_some(0), None)
 }
 
 /// State shared verbatim between the encoder and decoder halves.
@@ -110,32 +126,34 @@ pub trait Predictor: std::fmt::Debug {
 struct EngineState<P> {
     width: Width,
     predictor: P,
-    book: CodeBook,
+    book: Arc<CodeBook>,
     data: u64,
     control: u64,
     last: Option<Word>,
 }
 
-impl<P: Predictor> EngineState<P> {
-    fn new(width: Width, predictor: P, cost: CostModel) -> Self {
-        let lines = width.bits() + 2;
+/// The codebook an engine around `predictor` needs: rank 0 is the LAST
+/// value, and the predictor's candidates get the following ranks.
+fn engine_book(width: Width, predictor: &impl Predictor, cost: CostModel) -> Arc<CodeBook> {
+    let lines = width.bits() + 2;
+    assert!(
+        lines <= 64,
+        "{lines} bus lines exceed the 64-line state word"
+    );
+    // The codebook cannot exceed the number of distinct data-line
+    // vectors.
+    let entries = 1 + predictor.max_candidates();
+    if let Some(max) = width.value_count() {
         assert!(
-            lines <= 64,
-            "{lines} bus lines exceed the 64-line state word"
+            entries as u64 <= max,
+            "predictor offers more candidates than a {width} bus has codewords"
         );
-        // Rank 0 is the LAST value; the predictor's candidates get the
-        // following ranks. The codebook cannot exceed the number of
-        // distinct data-line vectors.
-        let mut entries = 1 + predictor.max_candidates();
-        if let Some(max) = width.value_count() {
-            assert!(
-                entries as u64 <= max,
-                "predictor offers more candidates than a {width} bus has codewords"
-            );
-            let _ = max;
-        }
-        entries = entries.max(1);
-        let book = CodeBook::new(width.bits(), entries, cost);
+    }
+    Arc::new(CodeBook::new(width.bits(), entries, cost))
+}
+
+impl<P: Predictor> EngineState<P> {
+    fn new(width: Width, predictor: P, book: Arc<CodeBook>) -> Self {
         EngineState {
             width,
             predictor,
@@ -161,49 +179,56 @@ impl<P: Predictor> EngineState<P> {
         self.last = None;
     }
 
-    /// Finds the rank of `value`: 0 for the LAST value, otherwise
-    /// 1 + its first position among predictor candidates not equal to
-    /// LAST. Ranks at or beyond the codebook size do not count as hits.
-    fn rank_of_value(&self, value: Word) -> Option<usize> {
-        if self.last == Some(value) {
-            return Some(0);
-        }
-        self.predictor.rank_of(value, self.last, self.book.len())
-    }
-
-    /// The value at `rank` (inverse of [`rank_of_value`]); `None` if the
-    /// rank is not currently populated.
-    fn value_at_rank(&self, rank: usize) -> Option<Word> {
+    /// The value at `rank` (the inverse of [`match_word`]), read from
+    /// the same slice; `None` if the rank is not currently populated.
+    fn value_at_rank(&mut self, rank: usize) -> Option<Word> {
+        let last = self.last;
         if rank == 0 {
-            return self.last;
+            return last;
         }
-        let mut r = 1usize;
-        let mut index = 0usize;
-        loop {
-            let c = self.predictor.candidate(index)?;
-            index += 1;
-            if Some(c) == self.last {
-                continue;
-            }
-            if r == rank {
-                return Some(c);
-            }
-            r += 1;
-        }
+        self.predictor
+            .candidates()
+            .iter()
+            .copied()
+            .filter(|&c| Some(c) != last)
+            .nth(rank - 1)
     }
 
-    fn advance(&mut self, value: Word) {
-        self.predictor.observe(value);
+    fn advance(&mut self, value: Word, slot: Option<usize>) {
+        self.predictor.observe(value, slot);
         self.last = Some(value);
     }
+}
+
+/// Builds a matched encoder/decoder pair around two identically
+/// configured power-on predictors, sharing one codebook between the
+/// halves (the scheme helpers such as [`window_codec`] all go through
+/// here).
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`PredictiveEncoder::new`].
+pub fn predictive_codec<P: Predictor>(
+    width: Width,
+    encoder_predictor: P,
+    decoder_predictor: P,
+    cost: CostModel,
+) -> (PredictiveEncoder<P>, PredictiveDecoder<P>) {
+    let book = engine_book(width, &encoder_predictor, cost);
+    let dec = PredictiveDecoder {
+        state: EngineState::new(width, decoder_predictor, Arc::clone(&book)),
+    };
+    let enc = PredictiveEncoder::from_state(EngineState::new(width, encoder_predictor, book), cost);
+    (enc, dec)
 }
 
 /// The sending half of a prediction-based transcoder.
 ///
 /// Construct pairs with the scheme helpers ([`window_codec`],
 /// [`stride_codec`], [`context_value_codec`],
-/// [`context_transition_codec`]) or directly via [`PredictiveEncoder::new`]
-/// with any custom [`Predictor`].
+/// [`context_transition_codec`]), with [`predictive_codec`] around any
+/// custom [`Predictor`], or one half at a time via
+/// [`PredictiveEncoder::new`].
 #[derive(Debug, Clone)]
 pub struct PredictiveEncoder<P> {
     state: EngineState<P>,
@@ -221,8 +246,13 @@ impl<P: Predictor> PredictiveEncoder<P> {
     /// Panics if the bus (width + 2 control lines) exceeds 64 lines, or
     /// the predictor offers more candidates than the bus has codewords.
     pub fn new(width: Width, predictor: P, cost: CostModel) -> Self {
+        let book = engine_book(width, &predictor, cost);
+        Self::from_state(EngineState::new(width, predictor, book), cost)
+    }
+
+    fn from_state(state: EngineState<P>, cost: CostModel) -> Self {
         PredictiveEncoder {
-            state: EngineState::new(width, predictor, cost),
+            state,
             cost,
             miss_policy: MissPolicy::default(),
             last_outcome: None,
@@ -276,8 +306,8 @@ pub enum EncodeOutcome {
 }
 
 /// Predictor accuracy probes, shared by every predictive scheme. Static
-/// handles memoize the registry lookup, so the enabled-path cost is one
-/// atomic add and the disabled path a single flag load.
+/// handles memoize the registry lookup; the encoder tallies outcomes in
+/// a [`ProbeTally`] and flushes it once per block.
 static PROBE_HIT_LAST: busprobe::StaticCounter =
     busprobe::StaticCounter::new("buscoding.predict.hit_last");
 static PROBE_HIT_RANKED: busprobe::StaticCounter =
@@ -286,32 +316,55 @@ static PROBE_MISS: busprobe::StaticCounter = busprobe::StaticCounter::new("busco
 static PROBE_HIT_RANK: busprobe::StaticHistogram =
     busprobe::StaticHistogram::new("buscoding.predict.hit_rank", &[0, 1, 2, 4, 8, 16, 32]);
 
-impl<P> PredictiveEncoder<P> {
-    fn set_outcome(&mut self, outcome: EncodeOutcome) {
+/// Outcome counts gathered while probes are enabled, flushed with one
+/// atomic add per counter.
+#[derive(Default)]
+struct ProbeTally {
+    hit_last: u64,
+    hit_ranked: u64,
+    miss: u64,
+}
+
+impl ProbeTally {
+    fn count(&mut self, outcome: EncodeOutcome) {
         match outcome {
-            EncodeOutcome::Hit { rank: 0 } => PROBE_HIT_LAST.inc(),
+            EncodeOutcome::Hit { rank: 0 } => self.hit_last += 1,
             EncodeOutcome::Hit { rank } => {
-                PROBE_HIT_RANKED.inc();
+                self.hit_ranked += 1;
                 PROBE_HIT_RANK.observe(rank as u64);
             }
-            EncodeOutcome::MissRaw | EncodeOutcome::MissInverted => PROBE_MISS.inc(),
+            EncodeOutcome::MissRaw | EncodeOutcome::MissInverted => self.miss += 1,
         }
-        self.last_outcome = Some(outcome);
+    }
+
+    /// Adds the tallies to the probes. Zero tallies are skipped, so a
+    /// counter is registered only once its event has happened.
+    fn flush(self) {
+        for (probe, n) in [
+            (&PROBE_HIT_LAST, self.hit_last),
+            (&PROBE_HIT_RANKED, self.hit_ranked),
+            (&PROBE_MISS, self.miss),
+        ] {
+            if n > 0 {
+                probe.add(n);
+            }
+        }
     }
 }
 
-impl<P: Predictor> Encoder for PredictiveEncoder<P> {
-    fn lines(&self) -> u32 {
-        self.state.lines()
-    }
-
-    fn encode(&mut self, value: Word) -> u64 {
+impl<P: Predictor> PredictiveEncoder<P> {
+    /// Encodes one word without touching the probes: one match against
+    /// the predictor's candidate slice, then the codeword or miss drive,
+    /// then the predictor update with the matched slot.
+    fn step(&mut self, value: Word) -> (u64, EncodeOutcome) {
         let value = self.state.width.truncate(value);
-        match self.state.rank_of_value(value) {
+        let last = self.state.last;
+        let (rank, slot) = match_word(self.state.predictor.candidates(), value, last);
+        let outcome = match rank {
             Some(rank) => {
                 self.state.data ^= self.state.book.code(rank);
                 self.state.control = CTRL_PRED;
-                self.set_outcome(EncodeOutcome::Hit { rank });
+                EncodeOutcome::Hit { rank }
             }
             None => {
                 let width = self.state.width;
@@ -327,25 +380,50 @@ impl<P: Predictor> Encoder for PredictiveEncoder<P> {
                 if inv_cost < raw_cost {
                     self.state.data = value ^ width.mask();
                     self.state.control = CTRL_INV;
-                    self.set_outcome(EncodeOutcome::MissInverted);
+                    EncodeOutcome::MissInverted
                 } else {
                     self.state.data = value;
                     self.state.control = CTRL_RAW;
-                    self.set_outcome(EncodeOutcome::MissRaw);
+                    EncodeOutcome::MissRaw
                 }
             }
+        };
+        self.last_outcome = Some(outcome);
+        self.state.advance(value, slot);
+        (self.state.assemble(), outcome)
+    }
+}
+
+impl<P: Predictor> Encoder for PredictiveEncoder<P> {
+    fn lines(&self) -> u32 {
+        self.state.lines()
+    }
+
+    fn encode(&mut self, value: Word) -> u64 {
+        let (bus, outcome) = self.step(value);
+        if busprobe::enabled() {
+            let mut tally = ProbeTally::default();
+            tally.count(outcome);
+            tally.flush();
         }
-        self.state.advance(value);
-        self.state.assemble()
+        bus
     }
 
     fn encode_block(&mut self, words: &[Word], out: &mut Vec<u64>) {
-        // Monomorphic over the concrete predictor `P`: the rank lookup,
-        // codebook XOR and predictor update all inline per block.
+        // Monomorphic over the concrete predictor `P`: the match,
+        // codebook XOR and predictor update all inline per block, and
+        // the probe flag is read once per block rather than per word.
         out.reserve(words.len());
+        let probes = busprobe::enabled();
+        let mut tally = ProbeTally::default();
         for &value in words {
-            out.push(self.encode(value));
+            let (bus, outcome) = self.step(value);
+            if probes {
+                tally.count(outcome);
+            }
+            out.push(bus);
         }
+        tally.flush();
     }
 
     fn reset(&mut self) {
@@ -364,8 +442,9 @@ impl<P: Predictor> PredictiveDecoder<P> {
     /// Creates a decoder. The predictor and cost model must be configured
     /// identically to the paired encoder's.
     pub fn new(width: Width, predictor: P, cost: CostModel) -> Self {
+        let book = engine_book(width, &predictor, cost);
         PredictiveDecoder {
-            state: EngineState::new(width, predictor, cost),
+            state: EngineState::new(width, predictor, book),
         }
     }
 }
@@ -397,9 +476,17 @@ impl<P: Predictor> Decoder for PredictiveDecoder<P> {
                 )))
             }
         };
+        // Corrupted input can decode a raw word the list holds, so the
+        // slot is looked up whatever the control lines say.
+        let slot = self
+            .state
+            .predictor
+            .candidates()
+            .iter()
+            .position(|&c| c == value);
         self.state.data = data;
         self.state.control = control;
-        self.state.advance(value);
+        self.state.advance(value, slot);
         Ok(value)
     }
 
@@ -414,6 +501,13 @@ mod tests {
     use crate::codec::{evaluate, verify_roundtrip};
     use bustrace::Trace;
 
+    /// Feeds `value` to a bare predictor the way the engine does: with
+    /// its first slot in the current candidate list.
+    pub(crate) fn feed<P: Predictor>(p: &mut P, value: Word) {
+        let slot = p.candidates().iter().position(|&c| c == value);
+        p.observe(value, slot);
+    }
+
     /// A predictor that always predicts a fixed list — enough to unit
     /// test the engine in isolation.
     #[derive(Debug, Clone)]
@@ -426,11 +520,11 @@ mod tests {
             self.list.len()
         }
 
-        fn candidate(&self, index: usize) -> Option<Word> {
-            self.list.get(index).copied()
+        fn candidates(&mut self) -> &[Word] {
+            &self.list
         }
 
-        fn observe(&mut self, _value: Word) {}
+        fn observe(&mut self, _value: Word, _slot: Option<usize>) {}
 
         fn reset(&mut self) {}
     }
@@ -441,10 +535,11 @@ mod tests {
         PredictiveEncoder<FixedPredictor>,
         PredictiveDecoder<FixedPredictor>,
     ) {
-        let cost = CostModel::default();
-        (
-            PredictiveEncoder::new(Width::W32, FixedPredictor { list: list.clone() }, cost),
-            PredictiveDecoder::new(Width::W32, FixedPredictor { list }, cost),
+        predictive_codec(
+            Width::W32,
+            FixedPredictor { list: list.clone() },
+            FixedPredictor { list },
+            CostModel::default(),
         )
     }
 

@@ -6,12 +6,12 @@
 //! are more often right, so they are ranked first and earn the cheaper
 //! codes; the LAST-value predictor (rank 0) is supplied by the engine.
 
-use std::collections::VecDeque;
-
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{
+    predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor, MAX_ENTRIES,
+};
 
 /// Configuration of a strided transcoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,9 +29,9 @@ impl StrideConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `strides` is zero.
+    /// Panics if `strides` is zero or above [`MAX_ENTRIES`].
     pub fn new(width: Width, strides: usize) -> Self {
-        assert!(strides >= 1, "at least one stride predictor is required");
+        check_strides(strides);
         StrideConfig {
             width,
             strides,
@@ -52,8 +52,17 @@ impl StrideConfig {
 pub struct StridePredictor {
     width: Width,
     strides: usize,
-    /// Most recent value at the back; capacity `2 * strides`.
-    history: VecDeque<Word>,
+    /// Values held in `history` (at most `2 * strides`).
+    len: usize,
+    /// Slot of the newest value. The history is a mirrored ring of
+    /// capacity `2 * strides`: every write lands at `i` and
+    /// `i + 2 * strides`, so `history[head..head + len]` is the history,
+    /// newest first.
+    head: usize,
+    history: [Word; 4 * MAX_ENTRIES],
+    /// The bank's predictions for the next word, stride 1 first; the
+    /// list is empty until the first observation.
+    bank: [Word; MAX_ENTRIES],
 }
 
 impl StridePredictor {
@@ -61,13 +70,16 @@ impl StridePredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `strides` is zero.
+    /// Panics if `strides` is zero or above [`MAX_ENTRIES`].
     pub fn new(width: Width, strides: usize) -> Self {
-        assert!(strides >= 1, "at least one stride predictor is required");
+        check_strides(strides);
         StridePredictor {
             width,
             strides,
-            history: VecDeque::with_capacity(2 * strides),
+            len: 0,
+            head: 0,
+            history: [0; 4 * MAX_ENTRIES],
+            bank: [0; MAX_ENTRIES],
         }
     }
 
@@ -75,20 +87,14 @@ impl StridePredictor {
     pub fn strides(&self) -> usize {
         self.strides
     }
+}
 
-    /// Prediction of the stride-`k` unit, if enough history exists.
-    fn predict_stride(&self, k: usize) -> Option<Word> {
-        let n = self.history.len();
-        if n < 2 * k {
-            return None;
-        }
-        let recent = self.history[n - k];
-        let older = self.history[n - 2 * k];
-        Some(
-            self.width
-                .truncate(recent.wrapping_add(recent.wrapping_sub(older))),
-        )
-    }
+fn check_strides(strides: usize) {
+    assert!(strides >= 1, "at least one stride predictor is required");
+    assert!(
+        strides <= MAX_ENTRIES,
+        "the bank holds at most {MAX_ENTRIES} stride predictors, got {strides}"
+    );
 }
 
 impl Predictor for StridePredictor {
@@ -96,61 +102,37 @@ impl Predictor for StridePredictor {
         self.strides
     }
 
-    fn candidate(&self, index: usize) -> Option<Word> {
-        let k = index + 1;
-        if k > self.strides {
-            return None;
-        }
-        // Ranks must stay dense: report a placeholder prediction (the
-        // oldest-possible fallback of "no movement") while history is
-        // short, rather than truncating the list. Using the most recent
-        // value keeps the candidate harmless — the engine skips
-        // candidates equal to LAST.
-        match self.predict_stride(k) {
-            Some(p) => Some(p),
-            None => self.history.back().copied(),
-        }
+    fn candidates(&mut self) -> &[Word] {
+        let n = if self.len == 0 { 0 } else { self.strides };
+        &self.bank[..n]
     }
 
-    /// Same bank walk as [`candidate`](Predictor::candidate) with the
-    /// history length and the short-history fallback hoisted out of the
-    /// per-stride step.
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        let n = self.history.len();
-        let fallback = self.history.back().copied();
-        let mut rank = 1usize;
-        for k in 1..=self.strides {
-            if rank >= cap {
-                return None;
-            }
-            let c = if n >= 2 * k {
-                let recent = self.history[n - k];
-                let older = self.history[n - 2 * k];
-                self.width
-                    .truncate(recent.wrapping_add(recent.wrapping_sub(older)))
-            } else {
-                fallback?
-            };
-            if Some(c) == last {
-                continue;
-            }
-            if c == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
-    }
+    fn observe(&mut self, value: Word, _slot: Option<usize>) {
+        let capacity = 2 * self.strides;
+        self.head = self.head.checked_sub(1).unwrap_or(capacity - 1);
+        self.history[self.head] = value;
+        self.history[self.head + capacity] = value;
+        self.len = (self.len + 1).min(capacity);
 
-    fn observe(&mut self, value: Word) {
-        if self.history.len() == 2 * self.strides {
-            self.history.pop_front();
+        // Stride k predicts v[t-k] + (v[t-k] - v[t-2k]) once 2k values
+        // exist. Ranks must stay dense: while history is short, the
+        // units without enough of it report the most recent value (the
+        // "no movement" fallback), which the engine skips as LAST,
+        // rather than truncating the list.
+        let history = &self.history[self.head..self.head + self.len];
+        let ready = self.len / 2;
+        let mask = self.width.mask();
+        // Stride k (from 1) reads history[k - 1] and history[2k - 1].
+        let older = history.iter().skip(1).step_by(2);
+        for ((slot, &recent), &older) in self.bank[..ready].iter_mut().zip(history).zip(older) {
+            *slot = recent.wrapping_add(recent.wrapping_sub(older)) & mask;
         }
-        self.history.push_back(value);
+        self.bank[ready..self.strides].fill(value);
     }
 
     fn reset(&mut self) {
-        self.history.clear();
+        self.len = 0;
+        self.head = 0;
     }
 }
 
@@ -161,17 +143,12 @@ pub fn stride_codec(
     PredictiveEncoder<StridePredictor>,
     PredictiveDecoder<StridePredictor>,
 ) {
-    let enc = PredictiveEncoder::new(
+    predictive_codec(
         config.width,
         StridePredictor::new(config.width, config.strides),
-        config.cost,
-    );
-    let dec = PredictiveDecoder::new(
-        config.width,
         StridePredictor::new(config.width, config.strides),
         config.cost,
-    );
-    (enc, dec)
+    )
 }
 
 #[cfg(test)]
@@ -180,46 +157,47 @@ mod tests {
     use crate::codec::{evaluate, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
+    use crate::predict::tests::feed;
     use bustrace::Trace;
 
     #[test]
     fn stride_one_tracks_arithmetic_sequences() {
         let mut p = StridePredictor::new(Width::W32, 1);
         for v in [10u64, 13, 16] {
-            p.observe(v);
+            feed(&mut p, v);
         }
-        assert_eq!(p.candidate(0), Some(19));
-        assert_eq!(p.candidate(1), None);
+        assert_eq!(p.candidates(), &[19]);
     }
 
     #[test]
     fn stride_two_tracks_interleaved_sequences() {
         let mut p = StridePredictor::new(Width::W32, 2);
         for v in [100u64, 7, 110, 7] {
-            p.observe(v);
+            feed(&mut p, v);
         }
         // Stride-2 sees 100,110 -> predicts 120 for the next slot.
-        assert_eq!(p.candidate(1), Some(120));
-        p.observe(120);
+        assert_eq!(p.candidates()[1], 120);
+        feed(&mut p, 120);
         // Now the stride-2 stream at the next slot is the constant 7s.
-        assert_eq!(p.candidate(1), Some(7));
+        assert_eq!(p.candidates()[1], 7);
     }
 
     #[test]
     fn prediction_wraps_at_width() {
         let w = Width::new(8).unwrap();
         let mut p = StridePredictor::new(w, 1);
-        p.observe(200);
-        p.observe(240);
-        assert_eq!(p.candidate(0), Some((240u64 + 40) & 0xFF));
+        feed(&mut p, 200);
+        feed(&mut p, 240);
+        assert_eq!(p.candidates(), &[(240u64 + 40) & 0xFF]);
     }
 
     #[test]
     fn cold_predictor_falls_back_gracefully() {
-        let p = StridePredictor::new(Width::W32, 4);
-        for i in 0..4 {
-            assert_eq!(p.candidate(i), None, "no history at all yet");
-        }
+        let mut p = StridePredictor::new(Width::W32, 4);
+        assert!(p.candidates().is_empty(), "no history at all yet");
+        feed(&mut p, 5);
+        // One value: every unit falls back to it, keeping ranks dense.
+        assert_eq!(p.candidates(), &[5, 5, 5, 5]);
     }
 
     #[test]
@@ -300,6 +278,12 @@ mod tests {
         // Interleave of 4 streams: big jump once stride-4 is available.
         assert!(removed[2] > removed[1] + 20.0, "{removed:?}");
         assert!(removed[3] >= removed[2] - 1.0, "{removed:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 stride predictors")]
+    fn rejects_banks_above_the_capacity_limit() {
+        let _ = StridePredictor::new(Width::W32, MAX_ENTRIES + 1);
     }
 
     #[test]

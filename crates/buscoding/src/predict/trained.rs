@@ -37,7 +37,7 @@ use bustrace::fnv::{fnv1a, fnv1a_words};
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor};
 
 /// Artifact file magic.
 const MAGIC: [u8; 4] = *b"BTRN";
@@ -133,6 +133,13 @@ impl TrainedTables {
             signatures: Vec::new(),
             strides: Vec::new(),
         }
+    }
+
+    /// The longest candidate list a [`TrainedPredictor`] deploying these
+    /// tables offers: a signature prediction, one candidate per stride,
+    /// and the codebook.
+    pub fn max_candidates(&self) -> usize {
+        1 + self.strides.len() + self.codebook.len()
     }
 
     /// Structural validation shared by the encoder and decoder: name
@@ -606,9 +613,7 @@ static ARTIFACT_DIR: RwLock<Option<PathBuf>> = RwLock::new(None);
 /// environment-derived default. The `repro` front ends call this with
 /// `<out>/trained` so the registry and the CLI agree on one location.
 pub fn set_artifact_dir(dir: impl Into<PathBuf>) {
-    *ARTIFACT_DIR
-        .write()
-        .unwrap_or_else(|e| e.into_inner()) = Some(dir.into());
+    *ARTIFACT_DIR.write().unwrap_or_else(|e| e.into_inner()) = Some(dir.into());
 }
 
 /// Where `trained:<name>` schemes look for artifacts: the explicit
@@ -670,6 +675,14 @@ pub struct TrainedPredictor {
     /// Last `max_order` observed values, newest at the back.
     history: VecDeque<Word>,
     max_order: usize,
+    /// One signature slot, one slot per trained stride, then the
+    /// codebook, which is copied in once at construction. Each word
+    /// rewrites only the signature and stride slots.
+    list: Vec<Word>,
+    /// Where the current candidate list starts in `list`: past the
+    /// signature slot when no signature matched, and past the strides
+    /// too before the first value.
+    start: usize,
 }
 
 impl TrainedPredictor {
@@ -682,10 +695,15 @@ impl TrainedPredictor {
             .max()
             .unwrap_or(0)
             .max(1);
+        let mut list = vec![0; 1 + tables.strides.len()];
+        list.extend_from_slice(&tables.codebook);
+        let start = 1 + tables.strides.len();
         TrainedPredictor {
             tables,
             history: VecDeque::with_capacity(max_order),
             max_order,
+            list,
+            start,
         }
     }
 
@@ -713,36 +731,34 @@ impl TrainedPredictor {
 
 impl Predictor for TrainedPredictor {
     fn max_candidates(&self) -> usize {
-        1 + self.tables.strides.len() + self.tables.codebook.len()
+        self.tables.max_candidates()
     }
 
-    fn candidate(&self, index: usize) -> Option<Word> {
-        let mut index = index;
-        if let Some(sig) = self.signature_prediction() {
-            if index == 0 {
-                return Some(sig);
-            }
-            index -= 1;
-        }
-        if let Some(&last) = self.history.back() {
-            if index < self.tables.strides.len() {
-                let stride = self.tables.strides[index];
-                return Some(self.tables.width.truncate(last.wrapping_add(stride)));
-            }
-            index -= self.tables.strides.len();
-        }
-        self.tables.codebook.get(index).copied()
+    fn candidates(&mut self) -> &[Word] {
+        &self.list[self.start..]
     }
 
-    fn observe(&mut self, value: Word) {
+    fn observe(&mut self, value: Word, _slot: Option<usize>) {
         if self.history.len() == self.max_order {
             self.history.pop_front();
         }
         self.history.push_back(value);
+        let width = self.tables.width;
+        for (slot, &stride) in self.list[1..].iter_mut().zip(&self.tables.strides) {
+            *slot = width.truncate(value.wrapping_add(stride));
+        }
+        self.start = match self.signature_prediction() {
+            Some(sig) => {
+                self.list[0] = sig;
+                0
+            }
+            None => 1,
+        };
     }
 
     fn reset(&mut self) {
         self.history.clear();
+        self.start = 1 + self.tables.strides.len();
     }
 }
 
@@ -754,15 +770,19 @@ pub fn trained_codec(
     PredictiveEncoder<TrainedPredictor>,
     PredictiveDecoder<TrainedPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(tables.width, TrainedPredictor::new(Arc::clone(&tables)), cost);
-    let dec = PredictiveDecoder::new(tables.width, TrainedPredictor::new(tables), cost);
-    (enc, dec)
+    predictive_codec(
+        tables.width,
+        TrainedPredictor::new(Arc::clone(&tables)),
+        TrainedPredictor::new(tables),
+        cost,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::verify_roundtrip;
+    use crate::predict::tests::feed;
     use bustrace::Trace;
 
     fn sample_tables() -> TrainedTables {
@@ -776,10 +796,8 @@ mod tests {
                 SignatureTable {
                     order: 1,
                     entries: {
-                        let mut e = vec![
-                            (fnv1a_words([10u64]), 20u64),
-                            (fnv1a_words([20u64]), 30u64),
-                        ];
+                        let mut e =
+                            vec![(fnv1a_words([10u64]), 20u64), (fnv1a_words([20u64]), 30u64)];
                         e.sort_by_key(|&(h, _)| h);
                         e
                     },
@@ -885,19 +903,19 @@ mod tests {
     fn predictor_offers_signature_then_strides_then_codebook() {
         let mut p = TrainedPredictor::new(Arc::new(sample_tables()));
         // Cold: no history, so no signature and no strides — codebook only.
-        assert_eq!(p.candidate(0), Some(0xCAFE));
-        p.observe(10);
+        assert_eq!(p.candidates(), &[0xCAFE, 0xBEEF, 7, 0]);
+        feed(&mut p, 10);
         // History [10]: order-1 signature predicts 20, strides offer
         // 10+4 and 10+0x100, then the codebook.
-        assert_eq!(p.candidate(0), Some(20));
-        assert_eq!(p.candidate(1), Some(14));
-        assert_eq!(p.candidate(2), Some(10 + 0x100));
-        assert_eq!(p.candidate(3), Some(0xCAFE));
-        p.observe(20);
+        assert_eq!(p.candidates(), &[20, 14, 10 + 0x100, 0xCAFE, 0xBEEF, 7, 0]);
+        feed(&mut p, 20);
         // History [10, 20]: the order-2 table wins over order-1.
-        assert_eq!(p.candidate(0), Some(31));
+        assert_eq!(p.candidates()[0], 31);
+        feed(&mut p, 5);
+        // History [20, 5]: no signature matches, so the strides lead.
+        assert_eq!(p.candidates(), &[9, 5 + 0x100, 0xCAFE, 0xBEEF, 7, 0]);
         p.reset();
-        assert_eq!(p.candidate(0), Some(0xCAFE));
+        assert_eq!(p.candidates(), &[0xCAFE, 0xBEEF, 7, 0]);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! (the 8-entry, 0.13 µm layout of Figure 33), because it needs no
 //! counters, no sorting, and no swapping — just matching and shifting.
 
-use std::collections::VecDeque;
-
 use bustrace::{Width, Word};
 
 use crate::energy::CostModel;
-use crate::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use crate::predict::{
+    predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor, MAX_ENTRIES,
+};
 
 /// Configuration of a window-based transcoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,9 +29,9 @@ impl WindowConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero.
+    /// Panics if `entries` is zero or above [`MAX_ENTRIES`].
     pub fn new(width: Width, entries: usize) -> Self {
-        assert!(entries >= 1, "the window needs at least one entry");
+        check_entries(entries);
         WindowConfig {
             width,
             entries,
@@ -51,8 +51,12 @@ impl WindowConfig {
 #[derive(Debug, Clone)]
 pub struct WindowPredictor {
     entries: usize,
-    /// Newest value at the back. All values distinct.
-    window: VecDeque<Word>,
+    len: usize,
+    /// Slot of the newest entry. The register is a mirrored ring: every
+    /// write lands at `i` and `i + entries`, so `ring[head..head + len]`
+    /// is the window, newest first, without a wrap or a memmove.
+    head: usize,
+    ring: [Word; 2 * MAX_ENTRIES],
 }
 
 impl WindowPredictor {
@@ -60,12 +64,14 @@ impl WindowPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero.
+    /// Panics if `entries` is zero or above [`MAX_ENTRIES`].
     pub fn new(entries: usize) -> Self {
-        assert!(entries >= 1, "the window needs at least one entry");
+        check_entries(entries);
         WindowPredictor {
             entries,
-            window: VecDeque::with_capacity(entries),
+            len: 0,
+            head: 0,
+            ring: [0; 2 * MAX_ENTRIES],
         }
     }
 
@@ -76,8 +82,16 @@ impl WindowPredictor {
 
     /// Current contents, newest first.
     pub fn contents(&self) -> impl Iterator<Item = Word> + '_ {
-        self.window.iter().rev().copied()
+        self.ring[self.head..self.head + self.len].iter().copied()
     }
+}
+
+fn check_entries(entries: usize) {
+    assert!(entries >= 1, "the window needs at least one entry");
+    assert!(
+        entries <= MAX_ENTRIES,
+        "the window holds at most {MAX_ENTRIES} entries, got {entries}"
+    );
 }
 
 impl Predictor for WindowPredictor {
@@ -85,50 +99,28 @@ impl Predictor for WindowPredictor {
         self.entries
     }
 
-    fn candidate(&self, index: usize) -> Option<Word> {
-        // Newest entries are likeliest to recur: rank them first.
-        let n = self.window.len();
-        if index < n {
-            Some(self.window[n - 1 - index])
-        } else {
-            None
-        }
+    /// Newest entries are likeliest to recur: they rank first.
+    fn candidates(&mut self) -> &[Word] {
+        &self.ring[self.head..self.head + self.len]
     }
 
-    /// Flat newest-first scan of the shift register — same order as
-    /// [`candidate`](Predictor::candidate) without a length check per
-    /// candidate.
-    fn rank_of(&self, value: Word, last: Option<Word>, cap: usize) -> Option<usize> {
-        let mut rank = 1usize;
-        for &k in self.window.iter().rev() {
-            if rank >= cap {
-                return None;
-            }
-            if Some(k) == last {
-                continue;
-            }
-            if k == value {
-                return Some(rank);
-            }
-            rank += 1;
-        }
-        None
-    }
-
-    fn observe(&mut self, value: Word) {
-        if self.window.contains(&value) {
+    fn observe(&mut self, value: Word, slot: Option<usize>) {
+        if slot.is_some() {
             // A plain shift register of unique values: hits do not
             // reorder entries (the hardware is pointer-based, Figure 30).
             return;
         }
-        if self.window.len() == self.entries {
-            self.window.pop_front();
-        }
-        self.window.push_back(value);
+        // Shift in at the front; at capacity the oldest entry falls off
+        // the end of the view.
+        self.head = self.head.checked_sub(1).unwrap_or(self.entries - 1);
+        self.ring[self.head] = value;
+        self.ring[self.head + self.entries] = value;
+        self.len = (self.len + 1).min(self.entries);
     }
 
     fn reset(&mut self) {
-        self.window.clear();
+        self.len = 0;
+        self.head = 0;
     }
 }
 
@@ -139,17 +131,12 @@ pub fn window_codec(
     PredictiveEncoder<WindowPredictor>,
     PredictiveDecoder<WindowPredictor>,
 ) {
-    let enc = PredictiveEncoder::new(
+    predictive_codec(
         config.width,
         WindowPredictor::new(config.entries),
-        config.cost,
-    );
-    let dec = PredictiveDecoder::new(
-        config.width,
         WindowPredictor::new(config.entries),
         config.cost,
-    );
-    (enc, dec)
+    )
 }
 
 #[cfg(test)]
@@ -158,21 +145,20 @@ mod tests {
     use crate::codec::{evaluate, verify_roundtrip};
     use crate::identity::IdentityCodec;
     use crate::metrics::percent_energy_removed;
+    use crate::predict::tests::feed;
     use bustrace::Trace;
 
     #[test]
     fn window_keeps_unique_values_in_order() {
         let mut p = WindowPredictor::new(3);
         for v in [1u64, 2, 1, 3, 4] {
-            p.observe(v);
+            feed(&mut p, v);
         }
         // A hit does not re-shift: 1 keeps its original (oldest) slot and
         // ages out when 4 arrives, even though it was seen again.
         let contents: Vec<Word> = p.contents().collect();
         assert_eq!(contents, vec![4, 3, 2]);
-        assert_eq!(p.candidate(0), Some(4));
-        assert_eq!(p.candidate(2), Some(2));
-        assert_eq!(p.candidate(3), None);
+        assert_eq!(p.candidates(), &[4, 3, 2]);
     }
 
     #[test]
@@ -248,9 +234,15 @@ mod tests {
     #[test]
     fn reset_clears_window() {
         let mut p = WindowPredictor::new(4);
-        p.observe(9);
+        feed(&mut p, 9);
         p.reset();
-        assert_eq!(p.candidate(0), None);
+        assert!(p.candidates().is_empty());
         assert_eq!(p.contents().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 entries")]
+    fn rejects_windows_above_the_capacity_limit() {
+        let _ = WindowPredictor::new(MAX_ENTRIES + 1);
     }
 }

@@ -31,13 +31,10 @@ use crate::predict::trained::{
 };
 use crate::predict::{
     context_transition_codec, context_value_codec, fcm_codec, stride_codec, window_codec,
-    ContextConfig, FcmConfig, Predictor, StrideConfig, TrainedPredictor, WindowConfig,
+    ContextConfig, FcmConfig, StrideConfig, WindowConfig, MAX_ENTRIES,
 };
 use crate::workzone::{WorkZoneDecoder, WorkZoneEncoder};
 
-/// Largest window, stride bank, context table or shift register, and
-/// FCM order.
-const MAX_ENTRIES: usize = 64;
 /// Largest working-zone register count.
 const MAX_ZONES: usize = 16;
 /// Largest inversion chunk count (`2^6` = 64 patterns).
@@ -340,7 +337,7 @@ impl SchemeSpec {
                     ))));
                 }
                 let tables = Arc::new(tables);
-                let ranks = 1 + TrainedPredictor::new(Arc::clone(&tables)).max_candidates();
+                let ranks = 1 + tables.max_candidates();
                 fits(2, ranks, 1)?;
                 boxed(trained_codec(tables, CostModel::default()))
             }

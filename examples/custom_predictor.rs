@@ -2,7 +2,9 @@
 //!
 //! The engine (Figure 2 of the paper) is predictor-agnostic: anything
 //! that offers a confidence-ranked candidate list and updates from the
-//! confirmed value stream can drive the bus. Here we build a simple
+//! confirmed value stream can drive the bus. Each word the engine asks
+//! for the list once, as one slice, matches the word against it once,
+//! and reports the matched slot back to `observe`. Here we build a simple
 //! two-level predictor — a per-low-byte last-value table — and verify it
 //! round-trips and saves energy on traffic it suits.
 //!
@@ -10,7 +12,7 @@
 //! cargo run --release --example custom_predictor
 //! ```
 
-use buscoding::predict::{PredictiveDecoder, PredictiveEncoder, Predictor};
+use buscoding::predict::{predictive_codec, Predictor};
 use buscoding::{evaluate, percent_energy_removed, verify_roundtrip, CostModel, IdentityCodec};
 use bustrace::{Trace, Width, Word};
 
@@ -21,6 +23,9 @@ use bustrace::{Trace, Width, Word};
 struct TaggedLastValue {
     table: Vec<Option<Word>>,
     previous: Option<Word>,
+    /// The candidate list handed to the engine: empty, or the one
+    /// prediction for the current class.
+    prediction: Option<Word>,
 }
 
 impl TaggedLastValue {
@@ -28,6 +33,7 @@ impl TaggedLastValue {
         TaggedLastValue {
             table: vec![None; 256],
             previous: None,
+            prediction: None,
         }
     }
 
@@ -41,23 +47,24 @@ impl Predictor for TaggedLastValue {
         1
     }
 
-    fn candidate(&self, index: usize) -> Option<Word> {
-        if index > 0 {
-            return None;
-        }
-        self.previous.and_then(|p| self.table[Self::class_of(p)])
+    fn candidates(&mut self) -> &[Word] {
+        self.prediction.as_slice()
     }
 
-    fn observe(&mut self, value: Word) {
+    fn observe(&mut self, value: Word, _slot: Option<usize>) {
+        // A one-entry list needs no slot: a hit and a miss update the
+        // table the same way.
         if let Some(p) = self.previous {
             self.table[Self::class_of(p)] = Some(value);
         }
         self.previous = Some(value);
+        self.prediction = self.table[Self::class_of(value)];
     }
 
     fn reset(&mut self) {
         self.table.fill(None);
         self.previous = None;
+        self.prediction = None;
     }
 }
 
@@ -75,9 +82,13 @@ fn main() {
     }
     let trace = Trace::from_values(Width::W32, values);
 
-    let cost = CostModel::default();
-    let mut enc = PredictiveEncoder::new(Width::W32, TaggedLastValue::new(), cost);
-    let mut dec = PredictiveDecoder::new(Width::W32, TaggedLastValue::new(), cost);
+    // Both ends run their own predictor; the pair shares one codebook.
+    let (mut enc, mut dec) = predictive_codec(
+        Width::W32,
+        TaggedLastValue::new(),
+        TaggedLastValue::new(),
+        CostModel::default(),
+    );
 
     // Correctness first: the decoder must recover every word.
     verify_roundtrip(&mut enc, &mut dec, &trace).expect("custom predictor must round-trip");
