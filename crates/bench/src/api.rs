@@ -37,8 +37,9 @@ use crate::workloads::Workload;
 /// is not purely additive; responses echo it as `api`.
 pub const API_VERSION: i64 = 1;
 
-/// Largest inline trace a request may carry, in words — the same cap
-/// [`bustrace::io`] applies when reading traces from disk.
+/// Largest trace a request may evaluate, in words: the most an inline
+/// trace may carry and the largest explicit `len` of a stored one — the
+/// same cap [`bustrace::io`] applies when reading traces from disk.
 pub const MAX_INLINE_WORDS: usize = bustrace::io::DEFAULT_MAX_WORDS;
 
 static EVALS: busprobe::StaticCounter = busprobe::StaticCounter::new("bench.api.evals");
@@ -63,7 +64,7 @@ pub enum TraceSource {
     /// is keyed by (workload, len, seed) provenance, which inline data
     /// does not have.
     Inline {
-        /// Bus width the words are masked to.
+        /// Bus width every word must fit in.
         width: Width,
         /// The word stream.
         words: Vec<u64>,
@@ -439,9 +440,9 @@ pub enum ApiError {
     UnknownWorkload(String),
     /// A scheme name is not in the grammar or does not fit the bus.
     UnknownScheme(UnknownScheme),
-    /// The inline trace exceeds [`MAX_INLINE_WORDS`].
+    /// The trace exceeds [`MAX_INLINE_WORDS`].
     TooLarge {
-        /// Words the request carried.
+        /// Words the request carried or asked for.
         words: usize,
         /// The accepted maximum.
         limit: usize,
@@ -457,10 +458,9 @@ impl std::fmt::Display for ApiError {
                 "unknown workload {name:?} (expected e.g. `random`, `phased/4096`, `gcc/register`)"
             ),
             ApiError::UnknownScheme(e) => write!(f, "{e}"),
-            ApiError::TooLarge { words, limit } => write!(
-                f,
-                "inline trace of {words} words exceeds the {limit}-word limit"
-            ),
+            ApiError::TooLarge { words, limit } => {
+                write!(f, "trace of {words} words exceeds the {limit}-word limit")
+            }
         }
     }
 }
@@ -674,6 +674,12 @@ impl Evaluator for Session {
                 cap,
                 seed,
             } => {
+                if let Some(words) = len.filter(|&n| n > MAX_INLINE_WORDS) {
+                    return Err(ApiError::TooLarge {
+                        words,
+                        limit: MAX_INLINE_WORDS,
+                    });
+                }
                 let mut evaluated = Vec::with_capacity(request.schemes.len());
                 let mut key = None;
                 for scheme in &request.schemes {
@@ -708,6 +714,13 @@ impl Evaluator for Session {
                         words: words.len(),
                         limit: MAX_INLINE_WORDS,
                     });
+                }
+                if let Some(i) = words.iter().position(|&w| !width.contains(w)) {
+                    return Err(ApiError::BadRequest(format!(
+                        "`trace.words[{i}]` = {} does not fit the {}-bit bus",
+                        words[i],
+                        width.bits()
+                    )));
                 }
                 let trace = Trace::from_values(*width, words.iter().copied());
                 let mut evaluated = Vec::with_capacity(request.schemes.len());

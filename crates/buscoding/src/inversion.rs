@@ -18,7 +18,9 @@ use bustrace::{Width, Word};
 use crate::codec::{Decoder, Encoder, RoundTripError};
 use crate::energy::CostModel;
 
-/// The set of constant XOR patterns available to an inversion coder.
+/// The set of constant XOR patterns available to an inversion coder:
+/// every combination of inverting contiguous chunks of the word
+/// (bus-invert is one chunk).
 ///
 /// The identity pattern (all-zero) is always present at index 0, so the
 /// coder can fall back to sending data unmodified.
@@ -77,31 +79,6 @@ impl PatternSet {
                     .fold(0u64, |acc, (_, m)| acc ^ m)
             })
             .collect();
-        PatternSet { width, patterns }
-    }
-
-    /// A custom pattern set. Pattern 0 is forced to the identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any pattern has bits outside the width, patterns are
-    /// not distinct, or there are more than 64 of them.
-    pub fn custom(width: Width, mut patterns: Vec<u64>) -> Self {
-        if patterns.first() != Some(&0) {
-            patterns.insert(0, 0);
-        }
-        assert!(
-            patterns.len() <= 64,
-            "more than 64 patterns is not supported"
-        );
-        assert!(
-            patterns.iter().all(|&p| width.contains(p)),
-            "patterns must fit within the bus width"
-        );
-        let mut sorted = patterns.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), patterns.len(), "patterns must be distinct");
         PatternSet { width, patterns }
     }
 
@@ -309,24 +286,6 @@ mod tests {
         let w = Width::new(10).unwrap();
         let p = PatternSet::chunked(w, 3);
         assert_eq!(*p.patterns().last().unwrap(), 0x3FF);
-    }
-
-    #[test]
-    fn custom_inserts_identity_and_validates() {
-        let p = PatternSet::custom(W8(), vec![0x0F]);
-        assert_eq!(p.patterns(), &[0x00, 0x0F]);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct")]
-    fn custom_rejects_duplicates() {
-        let _ = PatternSet::custom(W8(), vec![0x0F, 0x0F]);
-    }
-
-    #[test]
-    #[should_panic(expected = "fit within")]
-    fn custom_rejects_out_of_width() {
-        let _ = PatternSet::custom(W8(), vec![0x100]);
     }
 
     #[test]

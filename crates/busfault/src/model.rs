@@ -1,7 +1,6 @@
 //! Fault models: deterministic corruptions of the absolute bus state.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use bustrace::rng::SmallRng;
 use wiremodel::Wire;
 
 /// A deterministic corruption applied to the absolute bus state each

@@ -10,9 +10,7 @@
 //! All generators are deterministic given their seed, so every experiment
 //! in the repository is exactly reproducible.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use crate::rng::SmallRng;
 use crate::{Trace, Width, Word};
 
 /// A source of synthetic bus words.
@@ -106,7 +104,7 @@ impl TraceGenerator for UniformRandomGen {
     }
 
     fn next_word(&mut self) -> Word {
-        self.width.truncate(self.rng.gen::<u64>())
+        self.width.truncate(self.rng.next_u64())
     }
 }
 
@@ -179,7 +177,7 @@ impl TraceGenerator for NoisyStrideGen {
 
     fn next_word(&mut self) -> Word {
         if self.rng.gen_bool(self.jump_probability) {
-            let start = self.width().truncate(self.rng.gen::<u64>());
+            let start = self.width().truncate(self.rng.next_u64());
             self.inner = StrideGen::new(self.width(), start, self.inner.stride);
         }
         self.inner.next_word()
@@ -276,7 +274,7 @@ impl WorkingSetGen {
         );
         let mut rng = SmallRng::seed_from_u64(seed);
         let live: Vec<Word> = (0..set_size)
-            .map(|_| width.truncate(rng.gen::<u64>()))
+            .map(|_| width.truncate(rng.next_u64()))
             .collect();
         let weights: Vec<f64> = (1..=set_size)
             .map(|r| 1.0 / (r as f64).powf(skew))
@@ -300,7 +298,7 @@ impl WorkingSetGen {
     }
 
     fn sample_rank(&mut self) -> usize {
-        let u: f64 = self.rng.gen();
+        let u = self.rng.next_f64();
         match self
             .cdf
             .binary_search_by(|p| p.partial_cmp(&u).expect("cdf has no NaN"))
@@ -318,8 +316,8 @@ impl TraceGenerator for WorkingSetGen {
 
     fn next_word(&mut self) -> Word {
         if self.rng.gen_bool(self.churn) {
-            let victim = self.rng.gen_range(0..self.live.len());
-            self.live[victim] = self.width.truncate(self.rng.gen::<u64>());
+            let victim = self.rng.below(self.live.len() as u64) as usize;
+            self.live[victim] = self.width.truncate(self.rng.next_u64());
         }
         let rank = self.sample_rank();
         self.live[rank]
@@ -467,14 +465,11 @@ impl MarkovGen {
         );
         let mut rng = SmallRng::seed_from_u64(seed);
         let states: Vec<Word> = (0..n_states)
-            .map(|_| width.truncate(rng.gen::<u64>()))
+            .map(|_| width.truncate(rng.next_u64()))
             .collect();
         // Random permutation as the successor map.
         let mut next: Vec<usize> = (0..n_states).collect();
-        for i in (1..n_states).rev() {
-            let j = rng.gen_range(0..=i);
-            next.swap(i, j);
-        }
+        rng.shuffle(&mut next);
         MarkovGen {
             width,
             states,
@@ -514,7 +509,7 @@ impl TraceGenerator for MarkovGen {
         self.current = if self.rng.gen_bool(self.fidelity) {
             self.next[self.current]
         } else {
-            self.rng.gen_range(0..self.states.len())
+            self.rng.below(self.states.len() as u64) as usize
         };
         out
     }
@@ -566,7 +561,7 @@ impl TraceGenerator for FloatWalkGen {
     }
 
     fn next_word(&mut self) -> Word {
-        let factor = 1.0 + self.step * (self.rng.gen::<f64>() * 2.0 - 1.0);
+        let factor = 1.0 + self.step * (self.rng.next_f64() * 2.0 - 1.0);
         self.value *= factor;
         if !self.value.is_finite() || self.value <= f64::MIN_POSITIVE {
             self.value = 1.0;

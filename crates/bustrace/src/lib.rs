@@ -27,6 +27,7 @@
 pub mod fnv;
 pub mod generators;
 pub mod io;
+pub mod rng;
 pub mod stats;
 
 mod trace;

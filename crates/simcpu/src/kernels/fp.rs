@@ -7,8 +7,6 @@
 //! perturbs its fields every outer pass (XOR-ing fresh low mantissa
 //! bits) so relaxation never converges to constant traffic.
 
-use rand::Rng;
-
 use crate::isa::{AluOp, Cond, FpuOp};
 use crate::program::ProgramBuilder;
 
@@ -54,7 +52,7 @@ pub fn swim(seed: u64) -> KernelSpec {
         .map(|i| (1.0 + 0.004 * i as f32).to_bits())
         .collect();
     fill_with(&mut memory, P, N, &mut rng, |r| {
-        levels[r.gen_range(0..levels.len())]
+        levels[r.below(levels.len() as u64) as usize]
     });
 
     let mut b = ProgramBuilder::new();
@@ -207,7 +205,7 @@ pub fn hydro2d(seed: u64) -> KernelSpec {
     // locality; velocity field free-form.
     let bands: Vec<u32> = (0..12).map(|i| (0.6 + 0.08 * i as f32).to_bits()).collect();
     fill_with(&mut memory, RHO, N, &mut rng, |r| {
-        bands[r.gen_range(0..bands.len())]
+        bands[r.below(bands.len() as u64) as usize]
     });
     fill_f32(&mut memory, VEL, N, &mut rng, -0.1, 0.1);
 
@@ -507,7 +505,7 @@ pub fn wave5(seed: u64) -> KernelSpec {
     let mut rng = kernel_rng("wave5", seed);
     let mut memory = blank_memory();
     fill_with(&mut memory, IDX, NPART, &mut rng, |r| {
-        r.gen_range(0..NGRID as u32)
+        r.below(NGRID as u64) as u32
     });
     fill_f32(&mut memory, VELS, NPART, &mut rng, -0.5, 0.5);
     fill_f32(&mut memory, FIELD, NGRID, &mut rng, -1.0, 1.0);

@@ -1,8 +1,6 @@
 //! The SPECint-like kernels: pointer chasing, hashing, table dispatch,
 //! and small-integer array scans.
 
-use rand::Rng;
-
 use crate::isa::{AluOp, Cond};
 use crate::program::ProgramBuilder;
 
@@ -24,11 +22,11 @@ pub fn gcc(seed: u64) -> KernelSpec {
         let base = NODES + i * 4;
         // Payload: half small constants (tags/opcodes), half wide values.
         memory[base + 1] = if rng.gen_bool(0.5) {
-            rng.gen_range(0..64)
+            rng.below(64) as u32
         } else {
-            rng.gen::<u32>()
+            rng.next_u32()
         };
-        memory[base + 2] = rng.gen_range(0..8); // flags
+        memory[base + 2] = rng.below(8) as u32; // flags
     }
 
     let mut b = ProgramBuilder::new();
@@ -83,9 +81,9 @@ pub fn compress(seed: u64) -> KernelSpec {
     // English-ish byte skew: a few characters dominate.
     fill_with(&mut memory, TEXT, TEXT_LEN, &mut rng, |r| {
         if r.gen_bool(0.6) {
-            101 + r.gen_range(0..16) // "common letters"
+            101 + r.below(16) as u32 // "common letters"
         } else {
-            r.gen_range(0..256)
+            r.below(256) as u32
         }
     });
 
@@ -133,7 +131,7 @@ pub fn go(seed: u64) -> KernelSpec {
     const INFLUENCE: usize = 0x2000;
     let mut rng = kernel_rng("go", seed);
     let mut memory = blank_memory();
-    fill_with(&mut memory, BOARD, SIZE, &mut rng, |r| r.gen_range(0..3));
+    fill_with(&mut memory, BOARD, SIZE, &mut rng, |r| r.below(3) as u32);
 
     let mut b = ProgramBuilder::new();
     // r1: position, r30: LCG.
@@ -185,7 +183,7 @@ pub fn ijpeg(seed: u64) -> KernelSpec {
     // Smooth image: neighboring pixels correlate.
     let mut level = 128i32;
     fill_with(&mut memory, PIXELS, NPIX, &mut rng, |r| {
-        level += r.gen_range(-9..=9);
+        level += -9 + r.below(19) as i32;
         level = level.clamp(0, 255);
         level as u32
     });
@@ -241,8 +239,8 @@ pub fn li(seed: u64) -> KernelSpec {
     for i in 0..COUNT {
         let base = CELLS + i * 4;
         memory[base + 2] = memory[base];
-        memory[base] = rng.gen_range(0..5); // tag
-        memory[base + 1] = rng.gen_range(0..100); // small fixnum car
+        memory[base] = rng.below(5) as u32; // tag
+        memory[base + 1] = rng.below(100) as u32; // small fixnum car
     }
 
     let mut b = ProgramBuilder::new();
@@ -284,9 +282,9 @@ pub fn m88ksim(seed: u64) -> KernelSpec {
     const SIMREGS: usize = 0x100; // 32 simulated registers
     let mut rng = kernel_rng("m88ksim", seed);
     let mut memory = blank_memory();
-    fill_with(&mut memory, IMEM, ILEN, &mut rng, |r| r.gen());
+    fill_with(&mut memory, IMEM, ILEN, &mut rng, |r| r.next_u32());
     fill_with(&mut memory, SIMREGS, 32, &mut rng, |r| {
-        r.gen_range(0..0x1_0000)
+        r.below(0x1_0000) as u32
     });
 
     let mut b = ProgramBuilder::new();
@@ -339,7 +337,7 @@ pub fn perl(seed: u64) -> KernelSpec {
     let mut rng = kernel_rng("perl", seed);
     let mut memory = blank_memory();
     fill_with(&mut memory, STRINGS, NSTR * 16, &mut rng, |r| {
-        97 + r.gen_range(0..26)
+        97 + r.below(26) as u32
     });
 
     let mut b = ProgramBuilder::new();

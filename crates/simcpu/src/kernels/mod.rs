@@ -19,8 +19,7 @@ mod int;
 pub use fp::*;
 pub use int::*;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use bustrace::rng::SmallRng;
 
 use crate::program::Program;
 
@@ -73,7 +72,7 @@ pub(crate) fn fill_f32(
     hi: f32,
 ) {
     fill_with(mem, start, len, rng, |r| {
-        (lo + (hi - lo) * r.gen::<f32>()).to_bits()
+        (lo + (hi - lo) * r.next_f32()).to_bits()
     });
 }
 
@@ -104,11 +103,7 @@ pub(crate) fn fill_pointer_cycle(
     rng: &mut SmallRng,
 ) {
     let mut order: Vec<usize> = (0..entries).collect();
-    // Fisher-Yates.
-    for i in (1..entries).rev() {
-        let j = rng.gen_range(0..=i);
-        order.swap(i, j);
-    }
+    rng.shuffle(&mut order);
     for k in 0..entries {
         let from = start + order[k] * entry_words;
         let to = start + order[(k + 1) % entries] * entry_words;
@@ -130,8 +125,8 @@ mod tests {
     fn kernel_rngs_differ_by_name() {
         let mut a = kernel_rng("gcc", 1);
         let mut b = kernel_rng("perl", 1);
-        let xs: Vec<u32> = (0..8).map(|_| a.gen()).collect();
-        let ys: Vec<u32> = (0..8).map(|_| b.gen()).collect();
+        let xs: Vec<u32> = (0..8).map(|_| a.next_u32()).collect();
+        let ys: Vec<u32> = (0..8).map(|_| b.next_u32()).collect();
         assert_ne!(xs, ys);
     }
 

@@ -85,3 +85,37 @@ fn stored_sources_reject_hostile_names_too() {
     );
     assert_live(&service);
 }
+
+#[test]
+fn over_wide_inline_words_are_bad_requests() {
+    let service = service();
+    let request = EvalRequest::inline(width(8), vec![1, 4096, 1, 4096], vec!["identity".into()]);
+    let err = service
+        .handle("eval", &request.to_json())
+        .expect_err("an over-wide word must not be masked and evaluated");
+    assert_eq!(err.kind, "bad_request", "{}", err.message);
+    assert!(
+        err.message.contains("words[1]"),
+        "message must name the first over-wide word: {}",
+        err.message
+    );
+    assert_live(&service);
+}
+
+#[test]
+fn stored_lengths_above_the_word_cap_are_too_large() {
+    let service = service();
+    let request = EvalRequest::stored(Workload::Random, vec!["identity".into()]).len(1 << 40);
+    let err = service
+        .handle("eval", &request.to_json())
+        .expect_err("a 2^40-word trace must not be generated");
+    assert_eq!(err.kind, "too_large", "{}", err.message);
+    let words = err.detail.iter().find(|(k, _)| k == "words");
+    assert_eq!(
+        words.and_then(|(_, v)| v.as_u64()),
+        Some(1 << 40),
+        "{:?}",
+        err.detail
+    );
+    assert_live(&service);
+}
