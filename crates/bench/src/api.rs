@@ -253,24 +253,21 @@ impl EvalRequest {
             } => {
                 pairs.push(("workload".into(), JsonValue::Str(workload.name())));
                 if let Some(len) = len {
-                    pairs.push(("len".into(), int(*len as u64)));
+                    pairs.push(("len".into(), JsonValue::from(*len as u64)));
                 }
                 if let Some(cap) = cap {
-                    pairs.push(("cap".into(), int(*cap as u64)));
+                    pairs.push(("cap".into(), JsonValue::from(*cap as u64)));
                 }
                 if let Some(seed) = seed {
-                    pairs.push(("seed".into(), int(*seed)));
+                    pairs.push(("seed".into(), JsonValue::from(*seed)));
                 }
             }
             TraceSource::Inline { width, words } => {
                 pairs.push((
                     "trace".into(),
                     JsonValue::Obj(vec![
-                        ("width".into(), int(u64::from(width.bits()))),
-                        (
-                            "words".into(),
-                            JsonValue::Arr(words.iter().map(|&w| int(w)).collect()),
-                        ),
+                        ("width".into(), JsonValue::from(u64::from(width.bits()))),
+                        ("words".into(), JsonValue::Words(words.clone())),
                     ]),
                 ));
             }
@@ -359,14 +356,24 @@ fn parse_inline(trace: &JsonValue) -> Result<TraceSource, ApiError> {
     let bits = u32::try_from(bits)
         .map_err(|_| ApiError::BadRequest(format!("`trace.width` out of range: {bits}")))?;
     let width = Width::new(bits).map_err(|e| ApiError::BadRequest(format!("`trace.width`: {e}")))?;
+    let within_cap = |words: usize| {
+        if words > MAX_INLINE_WORDS {
+            return Err(ApiError::TooLarge {
+                words,
+                limit: MAX_INLINE_WORDS,
+            });
+        }
+        Ok(())
+    };
     let words = match trace.get("words") {
+        Some(JsonValue::Words(words)) => {
+            within_cap(words.len())?;
+            words.clone()
+        }
+        // Any other array, e.g. one holding `-0` or `[]`: each element
+        // must still be a non-negative integer.
         Some(JsonValue::Arr(items)) => {
-            if items.len() > MAX_INLINE_WORDS {
-                return Err(ApiError::TooLarge {
-                    words: items.len(),
-                    limit: MAX_INLINE_WORDS,
-                });
-            }
+            within_cap(items.len())?;
             items
                 .iter()
                 .map(|v| {
@@ -508,8 +515,8 @@ impl From<ApiError> for ServiceError {
                     ),
             },
             ApiError::TooLarge { words, limit } => ServiceError::new("too_large", message)
-                .with_detail("words", int(words as u64))
-                .with_detail("limit", int(limit as u64)),
+                .with_detail("words", JsonValue::from(words as u64))
+                .with_detail("limit", JsonValue::from(limit as u64)),
         }
     }
 }
@@ -590,10 +597,10 @@ impl EvalResponse {
         let scheme_result = |r: &SchemeResult| {
             let mut pairs = vec![
                 ("scheme".into(), JsonValue::Str(r.scheme.clone())),
-                ("lines".into(), int(u64::from(r.lines))),
-                ("tau".into(), int(r.tau)),
-                ("kappa".into(), int(r.kappa)),
-                ("steps".into(), int(r.steps)),
+                ("lines".into(), JsonValue::from(u64::from(r.lines))),
+                ("tau".into(), JsonValue::from(r.tau)),
+                ("kappa".into(), JsonValue::from(r.kappa)),
+                ("steps".into(), JsonValue::from(r.steps)),
                 ("weighted".into(), JsonValue::Num(r.weighted)),
                 ("percent_removed".into(), JsonValue::Num(r.percent_removed)),
             ];
@@ -603,10 +610,13 @@ impl EvalResponse {
             JsonValue::Obj(pairs)
         };
         let mut baseline = vec![
-            ("lines".into(), int(u64::from(self.baseline.lines))),
-            ("tau".into(), int(self.baseline.tau)),
-            ("kappa".into(), int(self.baseline.kappa)),
-            ("steps".into(), int(self.baseline.steps)),
+            (
+                "lines".into(),
+                JsonValue::from(u64::from(self.baseline.lines)),
+            ),
+            ("tau".into(), JsonValue::from(self.baseline.tau)),
+            ("kappa".into(), JsonValue::from(self.baseline.kappa)),
+            ("steps".into(), JsonValue::from(self.baseline.steps)),
             ("weighted".into(), JsonValue::Num(self.baseline.weighted)),
         ];
         if let Some(e) = self.baseline.energy_pj {
@@ -615,11 +625,11 @@ impl EvalResponse {
         JsonValue::Obj(vec![
             ("api".into(), JsonValue::Int(API_VERSION)),
             ("workload".into(), JsonValue::Str(self.workload.clone())),
-            ("values".into(), int(self.values as u64)),
+            ("values".into(), JsonValue::from(self.values as u64)),
             (
                 "seed".into(),
                 match self.seed {
-                    Some(s) => int(s),
+                    Some(s) => JsonValue::from(s),
                     None => JsonValue::Null,
                 },
             ),
@@ -632,11 +642,11 @@ impl EvalResponse {
             (
                 "provenance".into(),
                 JsonValue::Obj(vec![
-                    ("cached".into(), int(self.cached as u64)),
-                    ("computed".into(), int(self.computed as u64)),
+                    ("cached".into(), JsonValue::from(self.cached as u64)),
+                    ("computed".into(), JsonValue::from(self.computed as u64)),
                 ]),
             ),
-            ("wall_us".into(), int(self.wall_us)),
+            ("wall_us".into(), JsonValue::from(self.wall_us)),
         ])
     }
 }
@@ -823,8 +833,8 @@ impl ApiService {
             (
                 "activity".into(),
                 JsonValue::Obj(vec![
-                    ("hits".into(), int(hits)),
-                    ("misses".into(), int(misses)),
+                    ("hits".into(), JsonValue::from(hits)),
+                    ("misses".into(), JsonValue::from(misses)),
                     ("hit_rate".into(), JsonValue::Num(hit_rate)),
                 ]),
             ),
@@ -864,7 +874,7 @@ impl ApiService {
         let response = outcome.map_err(ServiceError::from)?;
         Ok(JsonValue::Obj(vec![
             ("eval".into(), response.to_json()),
-            ("spans".into(), int(spans.len() as u64)),
+            ("spans".into(), JsonValue::from(spans.len() as u64)),
             ("chrome_trace".into(), busprobe::trace::chrome_trace(&spans)),
         ]))
     }
@@ -919,10 +929,6 @@ impl Service for ApiService {
     }
 }
 
-fn int(v: u64) -> JsonValue {
-    JsonValue::Int(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -952,6 +958,40 @@ mod tests {
         let inline = EvalRequest::inline(Width::W32, vec![1, 2, 3], vec!["identity".into()]);
         let back = EvalRequest::from_json(&inline.to_json()).expect("parses");
         assert_eq!(back, inline);
+    }
+
+    #[test]
+    fn sixty_four_bit_requests_round_trip_exactly() {
+        let words = vec![1, u64::MAX, 1 << 63, i64::MAX as u64];
+        let inline = EvalRequest::inline(
+            Width::new(64).expect("a width"),
+            words,
+            vec!["identity".into()],
+        );
+        let stored = EvalRequest::stored(Workload::Random, vec!["identity".into()]).seed(u64::MAX);
+        for req in [inline, stored] {
+            assert_eq!(EvalRequest::from_json(&req.to_json()).as_ref(), Ok(&req));
+            let text = req.to_json().to_string();
+            let body = busprobe::json::parse(&text).expect("renders JSON");
+            assert_eq!(EvalRequest::from_json(&body).as_ref(), Ok(&req), "{text}");
+        }
+    }
+
+    #[test]
+    fn inline_words_keep_their_answers_off_the_words_path() {
+        let words = |raw: &str| {
+            let body = busprobe::json::parse(&format!(
+                r#"{{"schemes":["identity"],"trace":{{"width":8,"words":{raw}}}}}"#
+            ))
+            .expect("test json");
+            EvalRequest::from_json(&body).map(|r| match r.source {
+                TraceSource::Inline { words, .. } => words,
+                TraceSource::Stored { .. } => unreachable!("an inline body"),
+            })
+        };
+        assert_eq!(words("[-0, 3]"), Ok(vec![0, 3]));
+        assert_eq!(words("[]"), Ok(vec![]));
+        assert_eq!(words("[ 1 ,\n2 ]"), Ok(vec![1, 2]));
     }
 
     #[test]
@@ -1074,6 +1114,22 @@ mod tests {
                 "width",
             ),
             (
+                r#"{"schemes":["identity"],"trace":{"width":8,"words":[1, -1]}}"#,
+                "negative word",
+            ),
+            (
+                r#"{"schemes":["identity"],"trace":{"width":8,"words":[1.5, 2e3]}}"#,
+                "fractional word",
+            ),
+            (
+                r#"{"schemes":["identity"],"trace":{"width":64,"words":[18446744073709551616]}}"#,
+                "word above u64::MAX",
+            ),
+            (
+                r#"{"schemes":["identity"],"trace":{"width":8,"words":7}}"#,
+                "words not an array",
+            ),
+            (
                 r#"{"schemes":["identity"],"workload":"random","pricing":{"tech":"5um","length_mm":1}}"#,
                 "tech",
             ),
@@ -1116,6 +1172,13 @@ mod tests {
         assert!(a.is_some());
         // A different length is a different trace, hence a different key.
         assert_ne!(a, service.route("eval", &body(r#"{"workload":"random","len":100}"#)));
+        // A seed above i64::MAX is its own trace, not the session's.
+        let big = service.route(
+            "eval",
+            &body(r#"{"workload":"random","seed":18446744073709551615}"#),
+        );
+        assert!(big.is_some());
+        assert_ne!(a, big);
         // Inline sources and non-eval verbs round-robin.
         assert_eq!(service.route("eval", &body(r#"{"trace":{"width":32,"words":[]}}"#)), None);
         assert_eq!(service.route("metrics", &body(r#"{"workload":"random"}"#)), None);

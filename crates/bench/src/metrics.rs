@@ -59,9 +59,9 @@ pub fn emit_record(
     let record = JsonValue::Obj(vec![
         ("experiment".into(), JsonValue::Str(experiment.into())),
         ("wall_s".into(), JsonValue::Num(wall_s)),
-        ("values".into(), JsonValue::Int(session.values() as i64)),
-        ("seed".into(), JsonValue::Int(session.seed() as i64)),
-        ("rows".into(), JsonValue::Int(rows as i64)),
+        ("values".into(), JsonValue::from(session.values() as u64)),
+        ("seed".into(), JsonValue::from(session.seed())),
+        ("rows".into(), JsonValue::from(rows)),
         ("metrics".into(), metrics),
     ]);
     let file = path(session);

@@ -101,11 +101,6 @@ pub fn subtree(spans: &[busprobe::trace::TraceSpan], id: &str) -> Vec<busprobe::
 /// registry mixes experiments, but each span subtree is attributable.
 pub fn nodes_to_json(nodes: &[SpanNode]) -> busprobe::JsonValue {
     use busprobe::JsonValue;
-    let int = |v: u64| {
-        i64::try_from(v)
-            .map(JsonValue::Int)
-            .unwrap_or(JsonValue::Num(v as f64))
-    };
     JsonValue::Obj(
         nodes
             .iter()
@@ -113,10 +108,10 @@ pub fn nodes_to_json(nodes: &[SpanNode]) -> busprobe::JsonValue {
                 (
                     n.path.clone(),
                     JsonValue::Obj(vec![
-                        ("count".into(), int(n.count)),
-                        ("total_ns".into(), int(n.total_ns)),
-                        ("self_ns".into(), int(n.self_ns)),
-                        ("max_ns".into(), int(n.max_ns)),
+                        ("count".into(), JsonValue::from(n.count)),
+                        ("total_ns".into(), JsonValue::from(n.total_ns)),
+                        ("self_ns".into(), JsonValue::from(n.self_ns)),
+                        ("max_ns".into(), JsonValue::from(n.max_ns)),
                     ]),
                 )
             })

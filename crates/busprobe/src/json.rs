@@ -17,11 +17,20 @@ pub enum JsonValue {
     Bool(bool),
     /// A number without fractional part that fits `i64`.
     Int(i64),
+    /// An integer above `i64::MAX` that fits `u64`. Smaller integers
+    /// are always [`Int`](Self::Int), so each value has one form.
+    UInt(u64),
     /// Any other number.
     Num(f64),
     /// A string.
     Str(String),
-    /// An array.
+    /// An array of non-negative integers — a trace's words — held flat,
+    /// with no `JsonValue` per element. [`parse`] produces it for every
+    /// non-empty array whose elements are all non-negative integer
+    /// literals. It renders byte-identically to the equivalent
+    /// [`Arr`](Self::Arr).
+    Words(Vec<u64>),
+    /// Any other array.
     Arr(Vec<JsonValue>),
     /// An object; insertion order is preserved.
     Obj(Vec<(String, JsonValue)>),
@@ -36,19 +45,21 @@ impl JsonValue {
         }
     }
 
-    /// The value as an `f64`, for `Int` and `Num`.
+    /// The value as an `f64`, for `Int`, `UInt` and `Num`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Int(i) => Some(*i as f64),
+            JsonValue::UInt(u) => Some(*u as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The value as a `u64`, for non-negative `Int`.
+    /// The value as a `u64`, for non-negative `Int` and for `UInt`.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::Int(i) if *i >= 0 => Some(*i as u64),
+            JsonValue::UInt(u) => Some(*u),
             _ => None,
         }
     }
@@ -67,6 +78,14 @@ impl JsonValue {
             JsonValue::Obj(pairs) => Some(pairs),
             _ => None,
         }
+    }
+}
+
+impl From<u64> for JsonValue {
+    /// The exact integer, in its one canonical form: `Int` up to
+    /// `i64::MAX`, `UInt` above.
+    fn from(v: u64) -> Self {
+        i64::try_from(v).map_or(JsonValue::UInt(v), JsonValue::Int)
     }
 }
 
@@ -95,6 +114,7 @@ impl fmt::Display for JsonValue {
             JsonValue::Null => f.write_str("null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
             JsonValue::Int(i) => write!(f, "{i}"),
+            JsonValue::UInt(u) => write!(f, "{u}"),
             JsonValue::Num(n) => {
                 if n.is_finite() {
                     write!(f, "{n}")
@@ -105,16 +125,8 @@ impl fmt::Display for JsonValue {
                 }
             }
             JsonValue::Str(s) => write!(f, "\"{}\"", escape(s)),
-            JsonValue::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
+            JsonValue::Words(words) => write_array(f, words),
+            JsonValue::Arr(items) => write_array(f, items),
             JsonValue::Obj(pairs) => {
                 f.write_str("{")?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
@@ -127,6 +139,18 @@ impl fmt::Display for JsonValue {
             }
         }
     }
+}
+
+/// Writes `[a,b,…]`: the one array syntax `Words` and `Arr` share.
+fn write_array<T: fmt::Display>(f: &mut fmt::Formatter<'_>, items: &[T]) -> fmt::Result {
+    f.write_str("[")?;
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        write!(f, "{item}")?;
+    }
+    f.write_str("]")
 }
 
 /// The deepest array/object nesting [`parse`] accepts. The parser is
@@ -313,24 +337,51 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads the digit run at `pos` as a `u64` when it is a whole
+    /// integer literal that fits: at least one digit, no overflow, and
+    /// no fraction or exponent after it. Advances past it only then.
+    fn plain_u64(&mut self) -> Option<u64> {
+        let mut pos = self.pos;
+        let mut value = 0u64;
+        while let Some(&b) = self.bytes.get(pos) {
+            if !b.is_ascii_digit() {
+                break;
+            }
+            value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            pos += 1;
+        }
+        if pos == self.pos || matches!(self.bytes.get(pos), Some(b'.' | b'e' | b'E')) {
+            return None;
+        }
+        self.pos = pos;
+        Some(value)
+    }
+
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
+        // Integers are read exactly, digit by digit; only fractions,
+        // exponents and integers outside `i64`/`u64` take the text path.
+        if let Some(magnitude) = self.plain_u64() {
+            if !negative {
+                return Ok(JsonValue::from(magnitude));
+            }
+            if let Some(i) = 0i64.checked_sub_unsigned(magnitude) {
+                return Ok(JsonValue::Int(i));
+            }
         }
+        self.pos = start + usize::from(negative);
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        let mut fractional = false;
         if self.peek() == Some(b'.') {
-            fractional = true;
             self.pos += 1;
             while matches!(self.peek(), Some(b'0'..=b'9')) {
                 self.pos += 1;
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
-            fractional = true;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
@@ -340,11 +391,6 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        if !fractional {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(JsonValue::Int(i));
-            }
-        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err(format!("bad number `{text}`")))
@@ -352,12 +398,30 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(JsonValue::Arr(Vec::new()));
         }
+        // Read non-negative integers straight into a `Words` until an
+        // element is anything else; then carry on as a general array.
+        let mut words = Vec::new();
+        while let Some(w) = self.plain_u64() {
+            words.push(w);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                    self.skip_ws();
+                }
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Words(words));
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+        let mut items: Vec<JsonValue> = words.into_iter().map(JsonValue::from).collect();
         loop {
             self.skip_ws();
             items.push(self.value()?);
@@ -435,6 +499,21 @@ mod tests {
         assert_eq!(parse("-7").unwrap(), JsonValue::Int(-7));
         assert_eq!(parse("2.5").unwrap(), JsonValue::Num(2.5));
         assert_eq!(parse("1e3").unwrap(), JsonValue::Num(1000.0));
+        assert_eq!(
+            parse("18446744073709551615").unwrap(),
+            JsonValue::UInt(u64::MAX)
+        );
+        assert_eq!(JsonValue::from(i64::MAX as u64), JsonValue::Int(i64::MAX));
+        assert_eq!(JsonValue::from(1u64 << 63), JsonValue::UInt(1 << 63));
+    }
+
+    #[test]
+    fn integer_arrays_parse_flat_and_render_like_arrays() {
+        let v = parse("[1, 18446744073709551615,\n0]").unwrap();
+        assert_eq!(v, JsonValue::Words(vec![1, u64::MAX, 0]));
+        assert_eq!(v.to_string(), "[1,18446744073709551615,0]");
+        assert_eq!(parse("[]").unwrap(), JsonValue::Arr(vec![]));
+        assert_eq!(parse("[1,]").unwrap_err().offset, 3);
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub fn snapshot_to_json(snaps: &[MetricSnapshot]) -> JsonValue {
         match &s.kind {
             MetricKind::Counter { value } => {
                 if *value > 0 {
-                    pairs.push((s.name.clone(), int(*value)));
+                    pairs.push((s.name.clone(), JsonValue::from(*value)));
                 }
             }
             MetricKind::Histogram {
@@ -112,9 +112,12 @@ pub fn snapshot_to_json(snaps: &[MetricSnapshot]) -> JsonValue {
                         Some(b) => format!("le_{b}"),
                         None => "inf".to_string(),
                     };
-                    bucket_pairs.push((key, int(n)));
+                    bucket_pairs.push((key, JsonValue::from(n)));
                 }
-                let mut obj = vec![("count".into(), int(*count)), ("sum".into(), int(*sum))];
+                let mut obj = vec![
+                    ("count".into(), JsonValue::from(*count)),
+                    ("sum".into(), JsonValue::from(*sum)),
+                ];
                 for (label, q) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
                     if let Some(v) = histogram_percentile(bounds, buckets, q) {
                         obj.push((label.into(), JsonValue::Num(v)));
@@ -134,21 +137,15 @@ pub fn snapshot_to_json(snaps: &[MetricSnapshot]) -> JsonValue {
                 pairs.push((
                     s.name.clone(),
                     JsonValue::Obj(vec![
-                        ("count".into(), int(*count)),
-                        ("total_ns".into(), int(*total_ns)),
-                        ("max_ns".into(), int(*max_ns)),
+                        ("count".into(), JsonValue::from(*count)),
+                        ("total_ns".into(), JsonValue::from(*total_ns)),
+                        ("max_ns".into(), JsonValue::from(*max_ns)),
                     ]),
                 ));
             }
         }
     }
     JsonValue::Obj(pairs)
-}
-
-fn int(v: u64) -> JsonValue {
-    i64::try_from(v)
-        .map(JsonValue::Int)
-        .unwrap_or(JsonValue::Num(v as f64))
 }
 
 /// Appends one record as a single line to a JSON-lines file, creating

@@ -3,15 +3,29 @@
 //! (answered `internal`) or a process abort, and the service must keep
 //! answering afterwards.
 
-use bench::api::{ApiService, EvalRequest};
+use bench::api::{ApiService, EvalRequest, Evaluator};
 use bench::workloads::Workload;
 use bench::Session;
 use busprobe::json::JsonValue;
-use busserve::Service;
+use busserve::{Server, ServerConfig, Service};
 use bustrace::Width;
 
+fn session() -> Session {
+    Session::builder().values(500).seed(3).build()
+}
+
 fn service() -> ApiService {
-    ApiService::new(Session::builder().values(500).seed(3).build())
+    ApiService::new(session())
+}
+
+/// The deterministic half of an eval response, rendered: what must be
+/// byte-equal between the daemon and an in-process evaluation.
+fn deterministic_half(response: &JsonValue) -> String {
+    format!(
+        "{}{}",
+        response.get("baseline").expect("baseline"),
+        response.get("results").expect("results")
+    )
 }
 
 fn width(bits: u32) -> Width {
@@ -118,4 +132,62 @@ fn stored_lengths_above_the_word_cap_are_too_large() {
         err.detail
     );
     assert_live(&service);
+}
+
+#[test]
+fn stored_evals_take_the_largest_seed_exactly() {
+    let service = service();
+    let request = EvalRequest::stored(Workload::Random, vec!["window(8)".into()]).seed(u64::MAX);
+    let body = busprobe::json::parse(&request.to_json().to_string()).expect("renders JSON");
+    let reply = service
+        .handle("eval", &body)
+        .expect("a seed above i64::MAX is a seed");
+    assert_eq!(
+        reply.get("seed").and_then(JsonValue::as_u64),
+        Some(u64::MAX),
+        "{reply}"
+    );
+    let direct = session().evaluate(&request).expect("evaluates").to_json();
+    assert_eq!(deterministic_half(&reply), deterministic_half(&direct));
+    assert_live(&service);
+}
+
+#[test]
+fn sixty_four_bit_inline_words_are_exact_through_the_daemon() {
+    let server = Server::new(service(), ServerConfig::default());
+    // Python's `json.dumps` separates array items with `", "`.
+    let send = |bits: u32, words: [u64; 3]| {
+        let frame = format!(
+            r#"{{"v": 1, "verb": "eval", "schemes": ["identity"], "trace": {{"width": {bits}, "words": [{}]}}}}"#,
+            words.map(|w| w.to_string()).join(", ")
+        );
+        let reply = server.handle_frame(frame.as_bytes());
+        busprobe::json::parse(std::str::from_utf8(&reply).expect("UTF-8")).expect("JSON")
+    };
+    let words = [1, u64::MAX, 1 << 63];
+    let reply = send(64, words);
+    assert_eq!(reply.get("ok"), Some(&JsonValue::Bool(true)), "{reply}");
+    let result = reply.get("result").expect("result");
+    let request = EvalRequest::inline(width(64), words.to_vec(), vec!["identity".into()]);
+    let direct = session().evaluate(&request).expect("evaluates").to_json();
+    assert_eq!(deterministic_half(result), deterministic_half(&direct));
+    // 0 -> 1 -> 2^64-1 -> 2^63 toggles 1 + 63 + 63 lines; a word
+    // saturated to i64::MAX on the way would give 63.
+    let tau = result.get("baseline").and_then(|b| b.get("tau"));
+    assert_eq!(tau.and_then(JsonValue::as_u64), Some(127), "{result}");
+
+    // On a 63-bit bus, 2^63 is refused by name, not masked to 0.
+    let reply = send(63, [1, (1 << 63) - 1, 1 << 63]);
+    let error = reply.get("error").expect("an error envelope");
+    assert_eq!(
+        error.get("kind").and_then(JsonValue::as_str),
+        Some("bad_request"),
+        "{reply}"
+    );
+    let message = error
+        .get("message")
+        .and_then(JsonValue::as_str)
+        .unwrap_or_default();
+    assert!(message.contains("words[2]"), "{message}");
+    assert_live(server.service());
 }
