@@ -786,8 +786,8 @@ impl Evaluator for Session {
 
 /// The wire adapter: implements [`busserve::Service`] over an
 /// [`Evaluator`], exposing the `ping`, `eval`, `metrics`, and `profile`
-/// verbs. Both `repro serve` front ends (socket daemon and stdio
-/// single-shot) are this one struct behind different transports.
+/// verbs. The `repro serve` socket daemon hosts this struct behind the
+/// framed transport.
 pub struct ApiService {
     session: Session,
 }

@@ -10,41 +10,38 @@
 //! repro eval <file|->          # answer one eval request (JSON in, JSON out)
 //! repro train <corpus>         # fit predictor tables, write trained/<name>-v1.bin
 //! repro serve --socket <path>  # resident daemon over a unix socket
-//! repro serve --stdio          # single-shot framed server on stdin/stdout
 //! ```
 //!
 //! Environment: `REPRO_VALUES` (trace length, default 200000),
 //! `REPRO_SEED` (default 1), `REPRO_OUT` (CSV directory, default
 //! `results/`), `REPRO_METRICS=1` (same as `--metrics`),
 //! `REPRO_CACHE=1` (persist generated traces under `<out>/cache/` and
-//! reload them on later runs), `REPRO_SERIAL=1` (disable
-//! cross-experiment parallelism). Figure-class experiments additionally
+//! reload them on later runs). Figure-class experiments additionally
 //! render SVG charts into `<out>/plots/`.
 //!
-//! Experiments share one [`Session`]: every trace is generated at most
-//! once per run no matter how many experiments ask for it, and
-//! independent experiments run concurrently on the worker pool. Output
-//! (console tables, CSVs, plots, timing lines) is always emitted in
-//! registry order, so a parallel run is byte-identical to a serial one.
+//! Every selection runs through one runner ([`run`]): the experiments
+//! share one [`Session`], so every trace is generated at most once per
+//! run no matter how many experiments ask for it, and they run
+//! concurrently on the worker pool, each under a root trace span named
+//! by its id (a single experiment is a one-item map). Console tables
+//! and timing lines are always emitted in registry order, so a joint
+//! run is byte-identical to separate solo runs.
 //!
 //! With metrics on, each experiment appends one JSON record to
-//! `<out>/metrics.jsonl` and prints a per-probe summary table on
-//! stderr; see `docs/OBSERVABILITY.md`. Metrics no longer force serial
-//! execution: under the parallel runner each experiment runs inside a
-//! root trace span, its record carries that span subtree (exactly
-//! attributable even with siblings in flight), and a final `_run`
-//! record carries the whole-process registry snapshot. `REPRO_SERIAL=1`
-//! (or selecting a single experiment) restores the old one-registry-
-//! reset-per-experiment records.
+//! `<out>/metrics.jsonl` carrying its span subtree, prints that subtree
+//! as a summary table on stderr, and the run ends with one `_run`
+//! record holding the whole-process registry snapshot; see
+//! `docs/OBSERVABILITY.md`.
 //!
-//! `repro profile <exp>` runs experiments serially with the
-//! hierarchical trace recorder on and writes `<out>/trace-<id>.json`
-//! (Chrome trace-event format — load in `chrome://tracing` or
-//! <https://ui.perfetto.dev>) plus `<out>/trace-<id>.folded` (folded
-//! stacks for flamegraph tooling), and prints a per-phase breakdown.
-//! See the profiling section of `docs/OBSERVABILITY.md`. Benchmarks are
-//! not a subcommand: `perfbench/` times this binary and its daemon from
-//! outside (see `perfbench/README.md`).
+//! `repro profile <exp>` calls the same runner once per experiment with
+//! the hierarchical trace recorder and counter capture on, and writes
+//! `<out>/trace-<id>.json` (Chrome trace-event format — load in
+//! `chrome://tracing` or <https://ui.perfetto.dev>) plus
+//! `<out>/trace-<id>.folded` (folded stacks for flamegraph tooling),
+//! and prints a per-phase breakdown. See the profiling section of
+//! `docs/OBSERVABILITY.md`. Benchmarks are not a subcommand:
+//! `perfbench/` times this binary and its daemon from outside (see
+//! `perfbench/README.md`).
 //!
 //! `repro eval` and `repro serve` are the two service front ends over
 //! [`bench::api`]: `eval` answers one request body in-process (the
@@ -60,15 +57,52 @@ use std::time::Instant;
 use bench::experiments::{par_map, registry, Experiment};
 use bench::report::Table;
 use bench::{env_flag, metrics, profile, Session};
-use busprobe::trace;
+use busprobe::trace::{self, TraceSpan};
 
-/// Outcome of one experiment: its tables (or the panic message) and the
-/// wall-clock seconds it took.
-type RunResult = (Result<Vec<Table>, String>, f64);
+/// What one experiment left for the in-order emit: its console text
+/// (its CSVs and plots are already written) with table and row counts,
+/// or the panic message; and the wall-clock seconds it ran.
+struct Ran {
+    id: &'static str,
+    output: Result<Output, String>,
+    wall_s: f64,
+}
 
-/// Runs one experiment, converting a panic into an error message so a
-/// failing experiment cannot take the rest of the run down with it.
-fn execute(e: &Experiment, session: &Session) -> RunResult {
+/// A finished experiment's rendered tables.
+struct Output {
+    console: String,
+    tables: usize,
+    rows: u64,
+}
+
+/// The one experiment runner behind `repro <ids>`, `repro all`,
+/// `--metrics` and `profile`. Runs `selected` on the worker pool, each
+/// under a root span named by its id, so everything an experiment's
+/// threads record lands under `<id>/...` (par_map workers adopt the
+/// caller's span context). With `traced`, the run starts from a fresh
+/// registry and span buffer and returns the spans it recorded. Results
+/// come back in selection order.
+fn run(selected: &[&Experiment], session: &Session, traced: bool) -> (Vec<Ran>, Vec<TraceSpan>) {
+    if traced {
+        busprobe::reset();
+        trace::clear();
+        trace::set_enabled(true);
+    }
+    let ran = par_map(selected.to_vec(), |e| execute(e, session));
+    let spans = if traced {
+        trace::set_enabled(false);
+        trace::drain()
+    } else {
+        Vec::new()
+    };
+    (ran, spans)
+}
+
+/// Runs one experiment under its root span and writes its CSVs and
+/// plots, converting a panic into an error message so a failing
+/// experiment cannot take the rest of the run down with it.
+fn execute(e: &Experiment, session: &Session) -> Ran {
+    let _root = busprobe::span(e.id);
     let start = Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| (e.run)(session))).map_err(|payload| {
         payload
@@ -77,16 +111,20 @@ fn execute(e: &Experiment, session: &Session) -> RunResult {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string())
     });
-    (result, start.elapsed().as_secs_f64())
+    let wall_s = start.elapsed().as_secs_f64();
+    Ran {
+        id: e.id,
+        output: result.map(|tables| write_output(&tables, session)),
+        wall_s,
+    }
 }
 
-/// Prints an experiment's tables, writes its CSVs and plots, and emits
-/// the timing line. Returns the row count.
-fn emit_output(id: &str, tables: &[Table], wall_s: f64, session: &Session) -> u64 {
+/// Writes an experiment's CSVs and plots and renders its console text.
+fn write_output(tables: &[Table], session: &Session) -> Output {
     let _span = busprobe::span("bench.report.emit");
-    let rows: u64 = tables.iter().map(|t| t.rows.len() as u64).sum();
+    let mut console = String::new();
     for table in tables {
-        print!("{}", table.to_console());
+        console.push_str(&table.to_console());
         if let Err(err) = table.write_csv(session.out_dir()) {
             eprintln!("warning: could not write {}.csv: {err}", table.id);
         }
@@ -101,24 +139,59 @@ fn emit_output(id: &str, tables: &[Table], wall_s: f64, session: &Session) -> u6
             }
         }
     }
-    eprintln!(
-        "[{}] done in {:.1}s: {} table(s), {} row(s)",
-        id,
-        wall_s,
-        tables.len(),
-        rows
-    );
-    rows
+    Output {
+        console,
+        tables: tables.len(),
+        rows: tables.iter().map(|t| t.rows.len() as u64).sum(),
+    }
+}
+
+/// Prints one experiment's tables and timing line (or its failure), in
+/// the order the caller walks the results.
+fn emit(ran: &Ran) -> Option<&Output> {
+    match &ran.output {
+        Ok(out) => {
+            print!("{}", out.console);
+            eprintln!(
+                "[{}] done in {:.1}s: {} table(s), {} row(s)",
+                ran.id, ran.wall_s, out.tables, out.rows
+            );
+            Some(out)
+        }
+        Err(msg) => {
+            eprintln!("[{}] FAILED: experiment panicked: {msg}", ran.id);
+            None
+        }
+    }
+}
+
+/// Resolves experiment arguments: `all` selects the whole registry,
+/// anything else must be an experiment id.
+fn select<'a>(
+    experiments: &'a [Experiment],
+    args: &[String],
+) -> Result<Vec<&'a Experiment>, String> {
+    if args.iter().any(|a| a == "all") {
+        return Ok(experiments.iter().collect());
+    }
+    args.iter()
+        .map(|a| {
+            experiments
+                .iter()
+                .find(|e| e.id == a.as_str())
+                .ok_or_else(|| format!("unknown experiment `{a}` (try `repro list`)"))
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut metrics_on = busprobe::init_from_env();
+    let mut metrics_on = env_flag("REPRO_METRICS");
     if let Some(pos) = args.iter().position(|a| a == "--metrics") {
         args.remove(pos);
-        busprobe::set_enabled(true);
         metrics_on = true;
     }
+    busprobe::set_enabled(metrics_on);
 
     let experiments = registry();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
@@ -160,27 +233,11 @@ fn main() -> ExitCode {
         };
     }
 
-    let selected: Vec<&Experiment> = if args.iter().any(|a| a == "all") {
-        experiments.iter().collect()
-    } else {
-        let mut sel = Vec::new();
-        for a in &args {
-            match experiments.iter().find(|e| e.id == a.as_str()) {
-                Some(e) => sel.push(e),
-                None => {
-                    eprintln!("unknown experiment `{a}` (try `repro list`)");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        sel
+    let selected = match select(&experiments, &args) {
+        Ok(s) => s,
+        Err(e) => return usage_error(&e),
     };
-
     let session = Session::from_env();
-    // Metrics no longer force serial execution: parallel mode records
-    // every experiment under a root trace span and attributes metrics
-    // from the span subtrees instead of registry resets.
-    let parallel = selected.len() > 1 && !env_flag("REPRO_SERIAL");
     eprintln!(
         "running {} experiment(s): {} values/trace, seed {}, output {}{}{}{}",
         selected.len(),
@@ -193,129 +250,38 @@ fn main() -> ExitCode {
         } else {
             ""
         },
-        if parallel { ", parallel" } else { "" }
+        if selected.len() > 1 { ", parallel" } else { "" }
     );
-    let total = selected.len();
     let grand_start = Instant::now();
+    let (ran, spans) = run(&selected, &session, metrics_on);
     let mut grand_tables = 0usize;
     let mut grand_rows = 0u64;
     let mut failed: Vec<&str> = Vec::new();
-
-    // Run. In parallel mode the results are collected first and emitted
-    // afterwards in registry order; serial mode emits as it goes (so
-    // metrics summaries interleave with their experiments).
-    let emit = |e: &Experiment,
-                result: Result<Vec<Table>, String>,
-                wall_s: f64,
-                failed: &mut Vec<&'static str>,
-                grand_tables: &mut usize,
-                grand_rows: &mut u64|
-     -> Option<u64> {
-        match result {
-            Ok(tables) => {
-                let rows = emit_output(e.id, &tables, wall_s, &session);
-                *grand_tables += tables.len();
-                *grand_rows += rows;
-                Some(rows)
-            }
-            Err(msg) => {
-                eprintln!("[{}] FAILED: experiment panicked: {msg}", e.id);
-                failed.push(e.id);
-                None
-            }
-        }
-    };
-
-    if parallel {
-        if metrics_on {
-            // Fresh window: counters cover this run, spans this drain.
-            busprobe::reset();
-            trace::clear();
-            trace::set_enabled(true);
-        }
-        let results = par_map(selected.clone(), |e| {
-            // The root span names the experiment; everything the
-            // experiment's own threads record lands under `<id>/...`
-            // (par_map workers adopt the caller's span context).
-            let _root = busprobe::span(e.id);
-            execute(e, &session)
-        });
-        let spans = if metrics_on {
-            trace::set_enabled(false);
-            trace::drain()
-        } else {
-            Vec::new()
+    for r in &ran {
+        let Some(out) = emit(r) else {
+            failed.push(r.id);
+            continue;
         };
-        for (e, (result, wall_s)) in selected.iter().zip(results) {
-            let rows = emit(
-                e,
-                result,
-                wall_s,
-                &mut failed,
-                &mut grand_tables,
-                &mut grand_rows,
-            );
-            if let (true, Some(rows)) = (metrics_on, rows) {
-                busprobe::counter("bench.experiment.rows").add(rows);
-                busprobe::histogram("bench.experiment.wall_ms", busprobe::DEFAULT_BOUNDS)
-                    .observe((wall_s * 1000.0) as u64);
-                let nodes = trace::aggregate(&profile::subtree(&spans, e.id));
-                let snaps = profile::nodes_to_snapshots(&nodes);
-                eprint!(
-                    "--- metrics [{}] (span subtree) ---\n{}",
-                    e.id,
-                    busprobe::render_summary(&snaps)
-                );
-                match metrics::emit_record(&session, e.id, wall_s, rows, profile::nodes_to_json(&nodes))
-                {
-                    Ok(file) => eprintln!("[{}] metrics appended to {}", e.id, file.display()),
-                    Err(err) => eprintln!("warning: could not write metrics for {}: {err}", e.id),
-                }
-            }
-        }
+        grand_tables += out.tables;
+        grand_rows += out.rows;
         if metrics_on {
-            // The whole-process registry view: counters cannot be
-            // attributed per experiment while siblings run, so they are
-            // published once, honestly, for the run.
-            let run_wall = grand_start.elapsed().as_secs_f64();
-            eprint!("{}", metrics::summary("_run"));
-            match metrics::emit(&session, "_run", run_wall, grand_rows) {
-                Ok(file) => eprintln!("[_run] metrics appended to {}", file.display()),
-                Err(err) => eprintln!("warning: could not write run metrics: {err}"),
-            }
-        }
-    } else {
-        for e in &selected {
-            if metrics_on {
-                // Each record carries only its own experiment's counts.
-                busprobe::reset();
-            }
-            let (result, wall_s) = execute(e, &session);
-            let rows = emit(
-                e,
-                result,
-                wall_s,
-                &mut failed,
-                &mut grand_tables,
-                &mut grand_rows,
-            );
-            if let (true, Some(rows)) = (metrics_on, rows) {
-                busprobe::counter("bench.experiment.rows").add(rows);
-                busprobe::histogram("bench.experiment.wall_ms", busprobe::DEFAULT_BOUNDS)
-                    .observe((wall_s * 1000.0) as u64);
-                eprint!("{}", metrics::summary(e.id));
-                match metrics::emit(&session, e.id, wall_s, rows) {
-                    Ok(file) => eprintln!("[{}] metrics appended to {}", e.id, file.display()),
-                    Err(err) => eprintln!("warning: could not write metrics for {}: {err}", e.id),
-                }
-            }
+            busprobe::counter("bench.experiment.rows").add(out.rows);
+            busprobe::histogram("bench.experiment.wall_ms", busprobe::DEFAULT_BOUNDS)
+                .observe((r.wall_s * 1000.0) as u64);
+            metrics::publish_subtree(&session, &spans, r.id, r.wall_s, out.rows);
         }
     }
+    if metrics_on {
+        // Counters cannot be attributed per experiment while siblings
+        // run, so the registry is published once, honestly, for the run.
+        let run_wall = grand_start.elapsed().as_secs_f64();
+        metrics::publish_registry(&session, "_run", run_wall, grand_rows);
+    }
 
-    if total > 1 {
+    if selected.len() > 1 {
         eprintln!(
             "[all] {} experiment(s) done in {:.1}s: {} table(s), {} row(s), {} trace(s) generated",
-            total,
+            selected.len(),
             grand_start.elapsed().as_secs_f64(),
             grand_tables,
             grand_rows,
@@ -338,20 +304,18 @@ fn usage_error(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// `repro serve`: the resident evaluation daemon (or its stdio
-/// single-shot twin). The session, its trace store, and the coded
-/// activity store stay warm across requests, so a client sweeping one
-/// workload pays for each trace and activity once — exactly the batch
-/// binary's economics, held across process boundaries.
+/// `repro serve`: the resident evaluation daemon. The session, its
+/// trace store, and the coded activity store stay warm across requests,
+/// so a client sweeping one workload pays for each trace and activity
+/// once — exactly the batch binary's economics, held across process
+/// boundaries.
 ///
-/// Flags: `--socket <path>` (unix-socket daemon; drains on
-/// SIGTERM/SIGINT and exits 0), `--stdio` (serve frames on
-/// stdin/stdout until EOF), `--shards N`, `--queue N` (per-shard
-/// in-flight bound; overload answers typed `busy`), `--quota N`
-/// (requests per connection).
+/// Flags: `--socket <path>` (required; drains on SIGTERM/SIGINT and
+/// exits 0), `--shards N`, `--queue N` (per-shard in-flight bound;
+/// overload answers typed `busy`), `--quota N` (requests per
+/// connection).
 fn run_serve(args: &[String]) -> ExitCode {
     let mut socket: Option<std::path::PathBuf> = None;
-    let mut stdio = false;
     let mut config = busserve::ServerConfig::default();
     let mut it = args.iter();
     fn flag_value<'a>(
@@ -380,7 +344,6 @@ fn run_serve(args: &[String]) -> ExitCode {
                 Ok(v) => socket = Some(std::path::PathBuf::from(v)),
                 Err(e) => return usage_error(&e),
             },
-            "--stdio" => stdio = true,
             "--shards" => match flag_usize(&mut it, "--shards") {
                 Ok(n) => config.shards = n,
                 Err(e) => return usage_error(&e),
@@ -396,9 +359,9 @@ fn run_serve(args: &[String]) -> ExitCode {
             other => return usage_error(&format!("serve: unknown flag `{other}`")),
         }
     }
-    if stdio == socket.is_some() {
-        return usage_error("serve: pass exactly one of --socket <path> or --stdio");
-    }
+    let Some(path) = socket else {
+        return usage_error("serve: pass --socket <path>");
+    };
     // Metrics on so the `metrics` verb (and the activity hit-rate
     // headline) reflect live counters.
     busprobe::set_enabled(true);
@@ -413,22 +376,15 @@ fn run_serve(args: &[String]) -> ExitCode {
             ""
         }
     );
-    let server = busserve::Server::new(bench::api::ApiService::new(session), config.clone());
-    let stats = if stdio {
-        server.serve_stdio()
-    } else {
-        let path = socket.expect("checked above");
-        let shutdown = busserve::signal::install();
-        eprintln!(
-            "[serve] listening on {} ({} shard(s), queue {}, quota {}/conn)",
-            path.display(),
-            config.shards,
-            config.queue_depth,
-            config.client_quota
-        );
-        server.serve_unix(&path, shutdown)
-    };
-    match stats {
+    eprintln!(
+        "[serve] listening on {} ({} shard(s), queue {}, quota {}/conn)",
+        path.display(),
+        config.shards,
+        config.queue_depth,
+        config.client_quota
+    );
+    let server = busserve::Server::new(bench::api::ApiService::new(session), config);
+    match server.serve_unix(&path, busserve::signal::install()) {
         Ok(s) => {
             eprintln!(
                 "[serve] drained: {} connection(s), {} request(s), {} busy, {} over quota, {} protocol error(s)",
@@ -489,13 +445,15 @@ fn run_eval(args: &[String]) -> ExitCode {
 
 /// `repro train <corpus>`: fits predictor tables over the corpus's
 /// train split and persists them as a versioned artifact under
-/// `<out>/trained/`. The corpus is a built-in name (`demo`,
-/// `generalize`) or a manifest file path; the resulting artifact is
-/// addressable as scheme `trained:<name>` everywhere schemes are
-/// named — experiments, `eval` bodies, and the daemon. Prints the
-/// artifact path on stdout.
+/// `<out>/trained/` — the directory `trained:<name>` schemes load from
+/// (`buscoding::predict::trained::artifact_dir`). The corpus is a
+/// built-in name (`demo`, `generalize`) or a manifest file path; the
+/// resulting artifact is addressable as scheme `trained:<name>`
+/// everywhere schemes are named — experiments, `eval` bodies, and the
+/// daemon. Prints the artifact path on stdout.
 fn run_train(args: &[String], metrics_on: bool) -> ExitCode {
-    use bench::training::{artifact_dir_for, resolve_corpus, train_with_session};
+    use bench::training::{resolve_corpus, train_with_session};
+    use buscoding::predict::trained::artifact_dir;
     let Some(arg) = args.first() else {
         return usage_error("train: name a corpus (demo, generalize, or a manifest file)");
     };
@@ -513,7 +471,7 @@ fn run_train(args: &[String], metrics_on: bool) -> ExitCode {
         corpus.entries().len(),
         session.values(),
         session.seed(),
-        artifact_dir_for(&session).display()
+        artifact_dir().display()
     );
     let start = Instant::now();
     let tables = match train_with_session(&session, &corpus) {
@@ -523,7 +481,7 @@ fn run_train(args: &[String], metrics_on: bool) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let path = match bustrain::save_trained(&tables, &artifact_dir_for(&session)) {
+    let path = match bustrain::save_trained(&tables, &artifact_dir()) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("train: {e}");
@@ -547,44 +505,29 @@ fn run_train(args: &[String], metrics_on: bool) -> ExitCode {
     );
     println!("{}", path.display());
     if metrics_on {
-        eprint!("{}", metrics::summary("train"));
-        match metrics::emit(&session, "train", wall_s, tables.total_entries() as u64) {
-            Ok(file) => eprintln!("[train] metrics appended to {}", file.display()),
-            Err(err) => eprintln!("warning: could not write train metrics: {err}"),
-        }
+        metrics::publish_registry(&session, "train", wall_s, tables.total_entries() as u64);
     }
     ExitCode::SUCCESS
 }
 
-/// `repro profile <experiment>...`: serial runs with the hierarchical
-/// trace recorder and per-span counter capture on. Per experiment,
-/// writes the Chrome trace (`<out>/trace-<id>.json`, validated before
-/// writing) and folded stacks (`<out>/trace-<id>.folded`), then prints
-/// the phase breakdown and the largest self-time spans.
+/// `repro profile <experiment>...`: the [`run`]ner, called once per
+/// experiment with the hierarchical trace recorder and per-span counter
+/// capture on — one at a time, because per-span counter deltas come
+/// from the global registry and concurrent experiments would bleed into
+/// each other's args. Per experiment, writes the Chrome trace
+/// (`<out>/trace-<id>.json`, validated before writing) and folded
+/// stacks (`<out>/trace-<id>.folded`), then prints the phase breakdown
+/// and the largest self-time spans.
 fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
-    let selected: Vec<&Experiment> = if args.iter().any(|a| a == "all") {
-        experiments.iter().collect()
-    } else {
-        let mut sel = Vec::new();
-        for a in args {
-            match experiments.iter().find(|e| e.id == a.as_str()) {
-                Some(e) => sel.push(e),
-                None => {
-                    return usage_error(&format!("unknown experiment `{a}` (try `repro list`)"))
-                }
-            }
+    let selected = match select(experiments, args) {
+        Ok(s) if s.is_empty() => {
+            return usage_error("profile: name at least one experiment (or `all`)")
         }
-        sel
+        Ok(s) => s,
+        Err(e) => return usage_error(&e),
     };
-    if selected.is_empty() {
-        return usage_error("profile: name at least one experiment (or `all`)");
-    }
     let session = Session::from_env();
-    // Serial on purpose: per-span counter deltas come from the global
-    // registry, so concurrent experiments would bleed into each other's
-    // args. Metrics on so the counters move; trace on so spans record.
     busprobe::set_enabled(true);
-    trace::set_enabled(true);
     trace::set_capture_counters(true);
     eprintln!(
         "profiling {} experiment(s): {} values/trace, seed {}, output {}",
@@ -594,79 +537,18 @@ fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
         session.out_dir().display()
     );
     let mut failed: Vec<&str> = Vec::new();
-    for e in &selected {
-        busprobe::reset();
-        trace::clear();
-        let ok = {
-            let _root = busprobe::span(e.id);
-            let (result, wall_s) = execute(e, &session);
-            match result {
-                Ok(tables) => {
-                    emit_output(e.id, &tables, wall_s, &session);
-                    true
-                }
-                Err(msg) => {
-                    eprintln!("[{}] FAILED: experiment panicked: {msg}", e.id);
-                    false
-                }
-            }
-        };
-        let spans = trace::drain();
-        if !ok {
+    for e in selected {
+        let (ran, spans) = run(&[e], &session, true);
+        if emit(&ran[0]).is_none() {
             failed.push(e.id);
             continue;
         }
-        let doc = trace::chrome_trace(&spans);
-        let pairs = match trace::validate_chrome(&doc) {
-            Ok(n) => n,
-            Err(err) => {
-                eprintln!("[{}] FAILED: emitted trace is invalid: {err}", e.id);
-                failed.push(e.id);
-                continue;
-            }
-        };
-        let trace_path = session.out_dir().join(format!("trace-{}.json", e.id));
-        let folded_path = session.out_dir().join(format!("trace-{}.folded", e.id));
-        let write = std::fs::create_dir_all(session.out_dir())
-            .and_then(|()| std::fs::write(&trace_path, format!("{doc}\n")))
-            .and_then(|()| std::fs::write(&folded_path, trace::folded_stacks(&spans)));
-        if let Err(err) = write {
-            eprintln!("[{}] FAILED: could not write trace files: {err}", e.id);
+        if let Err(err) = write_profile(e.id, &spans, &session) {
+            eprintln!("[{}] FAILED: {err}", e.id);
             failed.push(e.id);
-            continue;
-        }
-        eprintln!(
-            "[{}] profile: {} span(s) -> {} and {}",
-            e.id,
-            pairs,
-            trace_path.display(),
-            folded_path.display()
-        );
-        let root_wall_s = spans
-            .iter()
-            .find(|s| s.path == e.id)
-            .map_or(0.0, |s| s.dur_ns() as f64 / 1e9);
-        let nodes = trace::aggregate(&profile::subtree(&spans, e.id));
-        let breakdown = profile::phase_breakdown(&nodes, root_wall_s);
-        let line: Vec<String> = breakdown
-            .iter()
-            .map(|(p, s)| format!("{p} {s:.2}s"))
-            .collect();
-        eprintln!("[{}] phases: {}", e.id, line.join("  "));
-        let mut by_self = nodes;
-        by_self.sort_by_key(|n| std::cmp::Reverse(n.self_ns));
-        eprintln!("[{}] top self-time:", e.id);
-        for node in by_self.iter().take(8).filter(|n| n.self_ns > 0) {
-            eprintln!(
-                "  {:>8.3}s  {} (n={})",
-                node.self_ns as f64 / 1e9,
-                node.path,
-                node.count
-            );
         }
     }
     trace::set_capture_counters(false);
-    trace::set_enabled(false);
     if !failed.is_empty() {
         eprintln!(
             "{} experiment(s) FAILED to profile: {}",
@@ -678,13 +560,54 @@ fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Validates and writes one experiment's trace files, then prints its
+/// phase breakdown and largest self-time spans.
+fn write_profile(id: &str, spans: &[TraceSpan], session: &Session) -> Result<(), String> {
+    let doc = trace::chrome_trace(spans);
+    let pairs =
+        trace::validate_chrome(&doc).map_err(|err| format!("emitted trace is invalid: {err}"))?;
+    let trace_path = session.out_dir().join(format!("trace-{id}.json"));
+    let folded_path = session.out_dir().join(format!("trace-{id}.folded"));
+    std::fs::create_dir_all(session.out_dir())
+        .and_then(|()| std::fs::write(&trace_path, format!("{doc}\n")))
+        .and_then(|()| std::fs::write(&folded_path, trace::folded_stacks(spans)))
+        .map_err(|err| format!("could not write trace files: {err}"))?;
+    eprintln!(
+        "[{id}] profile: {pairs} span(s) -> {} and {}",
+        trace_path.display(),
+        folded_path.display()
+    );
+    let root_wall_s = spans
+        .iter()
+        .find(|s| s.path == id)
+        .map_or(0.0, |s| s.dur_ns() as f64 / 1e9);
+    let nodes = trace::aggregate(&profile::subtree(spans, id));
+    let line: Vec<String> = profile::phase_breakdown(&nodes, root_wall_s)
+        .iter()
+        .map(|(p, s)| format!("{p} {s:.2}s"))
+        .collect();
+    eprintln!("[{id}] phases: {}", line.join("  "));
+    let mut by_self = nodes;
+    by_self.sort_by_key(|n| std::cmp::Reverse(n.self_ns));
+    eprintln!("[{id}] top self-time:");
+    for node in by_self.iter().take(8).filter(|n| n.self_ns > 0) {
+        eprintln!(
+            "  {:>8.3}s  {} (n={})",
+            node.self_ns as f64 / 1e9,
+            node.path,
+            node.count
+        );
+    }
+    Ok(())
+}
+
 fn print_usage(experiments: &[Experiment]) {
     println!(
         "usage: repro [--metrics] <experiment>... | all | list | metrics-check [file] \
          | profile <experiment>... | eval <file|-> | train <corpus> \
-         | serve (--socket <path> | --stdio) [--shards N] [--queue N] [--quota N]"
+         | serve --socket <path> [--shards N] [--queue N] [--quota N]"
     );
-    println!("env: REPRO_VALUES, REPRO_SEED, REPRO_OUT, REPRO_METRICS, REPRO_CACHE, REPRO_SERIAL");
+    println!("env: REPRO_VALUES, REPRO_SEED, REPRO_OUT, REPRO_METRICS, REPRO_CACHE");
     println!("experiments:");
     for e in experiments {
         println!("  {:<22} {}", e.id, e.title);

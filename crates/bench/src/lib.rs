@@ -49,9 +49,9 @@ where
 }
 
 /// Whether an environment variable is set to a truthy value (anything
-/// except empty, `0`, `false`, `off`, `no`) — the convention `repro`
-/// flags like `REPRO_CACHE` and `REPRO_SERIAL` follow, matching
-/// `busprobe::init_from_env`.
+/// except empty, `0`, `false`, `off`, `no`, in any case) — the one
+/// convention the `repro` flags `REPRO_METRICS` and `REPRO_CACHE`
+/// follow.
 pub fn env_flag(var: &str) -> bool {
     match std::env::var(var) {
         Ok(v) => {
@@ -59,5 +59,27 @@ pub fn env_flag(var: &str) -> bool {
             !v.is_empty() && v != "0" && v != "false" && v != "off" && v != "no"
         }
         Err(_) => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::env_flag;
+
+    #[test]
+    fn env_flag_recognizes_truthy_values() {
+        // A variable no other test reads, so setting it races nothing.
+        const VAR: &str = "BENCH_ENV_FLAG_TEST";
+        std::env::remove_var(VAR);
+        assert!(!env_flag(VAR), "unset is false");
+        for falsy in ["", "  ", "0", "false", "off", "no", " OFF ", "False"] {
+            std::env::set_var(VAR, falsy);
+            assert!(!env_flag(VAR), "{falsy:?} must be false");
+        }
+        for truthy in ["1", "true", "on", "yes", " YES ", "2"] {
+            std::env::set_var(VAR, truthy);
+            assert!(env_flag(VAR), "{truthy:?} must be true");
+        }
+        std::env::remove_var(VAR);
     }
 }

@@ -1,55 +1,31 @@
-//! Metrics emission and validation for the experiment runner.
+//! Metrics records for the experiment runner.
 //!
 //! With metrics enabled (`--metrics` or `REPRO_METRICS=1`), `repro`
 //! appends one JSON object per experiment to `<out>/metrics.jsonl` and
-//! prints a human-readable summary table on stderr. The registry is
-//! reset between experiments, so each line carries that experiment's
-//! own counts. See `docs/OBSERVABILITY.md` for the line format and the
-//! metric naming convention.
+//! prints a human-readable summary table on stderr. An experiment's
+//! record carries its span subtree (`path → {count, total_ns, self_ns,
+//! max_ns}`), whether it ran alone or with others; every run ends with
+//! one `_run` record holding the whole-process registry snapshot, and
+//! `repro train` writes one registry record of its own. See
+//! `docs/OBSERVABILITY.md` for the line format and the metric naming
+//! convention.
 
 use std::path::{Path, PathBuf};
 
-use busprobe::JsonValue;
+use busprobe::trace::{self, TraceSpan};
+use busprobe::{JsonValue, MetricKind, MetricSnapshot};
 
-use crate::Session;
+use crate::{profile, Session};
 
 /// Where the runner streams metric records for this configuration.
 pub fn path(session: &Session) -> PathBuf {
     session.out_dir().join("metrics.jsonl")
 }
 
-/// Snapshots the probe registry and appends one record for `experiment`
+/// Appends one record for `experiment` with the given `metrics` object
 /// to [`path`], creating directories as needed. Returns the file
 /// written.
-///
-/// # Errors
-///
-/// Propagates I/O failures from creating or appending to the file.
-pub fn emit(
-    session: &Session,
-    experiment: &str,
-    wall_s: f64,
-    rows: u64,
-) -> std::io::Result<PathBuf> {
-    let snaps = busprobe::snapshot();
-    emit_record(
-        session,
-        experiment,
-        wall_s,
-        rows,
-        busprobe::snapshot_to_json(&snaps),
-    )
-}
-
-/// [`emit`] with a caller-supplied `metrics` object instead of a
-/// registry snapshot — the parallel runner uses this to attach an
-/// experiment's span-subtree metrics, which stay attributable while
-/// sibling experiments run concurrently.
-///
-/// # Errors
-///
-/// Propagates I/O failures from creating or appending to the file.
-pub fn emit_record(
+fn emit(
     session: &Session,
     experiment: &str,
     wall_s: f64,
@@ -69,14 +45,64 @@ pub fn emit_record(
     Ok(file)
 }
 
-/// Renders the current registry as the stderr summary block shown after
-/// each experiment.
-pub fn summary(experiment: &str) -> String {
-    let snaps = busprobe::snapshot();
-    format!(
+/// Prints the stderr summary of `snaps` and appends the record; a write
+/// failure is a warning, never fatal to the run.
+fn publish(
+    session: &Session,
+    experiment: &str,
+    wall_s: f64,
+    rows: u64,
+    snaps: &[MetricSnapshot],
+    metrics: JsonValue,
+) {
+    eprint!(
         "--- metrics [{experiment}] ---\n{}",
-        busprobe::render_summary(&snaps)
-    )
+        busprobe::render_summary(snaps)
+    );
+    match emit(session, experiment, wall_s, rows, metrics) {
+        Ok(file) => eprintln!("[{experiment}] metrics appended to {}", file.display()),
+        Err(err) => eprintln!("warning: could not write metrics for {experiment}: {err}"),
+    }
+}
+
+/// Publishes experiment `id`'s record: the subtree of `spans` under its
+/// root span, which stays attributable while sibling experiments run.
+pub fn publish_subtree(session: &Session, spans: &[TraceSpan], id: &str, wall_s: f64, rows: u64) {
+    let nodes = trace::aggregate(&profile::subtree(spans, id));
+    let snaps: Vec<MetricSnapshot> = nodes
+        .iter()
+        .map(|n| MetricSnapshot {
+            name: n.path.clone(),
+            kind: MetricKind::Span {
+                count: n.count,
+                total_ns: n.total_ns,
+                max_ns: n.max_ns,
+            },
+        })
+        .collect();
+    let json = JsonValue::Obj(
+        nodes
+            .iter()
+            .map(|n| {
+                let node = JsonValue::Obj(vec![
+                    ("count".into(), JsonValue::from(n.count)),
+                    ("total_ns".into(), JsonValue::from(n.total_ns)),
+                    ("self_ns".into(), JsonValue::from(n.self_ns)),
+                    ("max_ns".into(), JsonValue::from(n.max_ns)),
+                ]);
+                (n.path.clone(), node)
+            })
+            .collect(),
+    );
+    publish(session, id, wall_s, rows, &snaps, json);
+}
+
+/// Publishes a whole-process registry snapshot under `experiment` (the
+/// runner's `_run` record, `repro train`'s `train` record).
+pub fn publish_registry(session: &Session, experiment: &str, wall_s: f64, rows: u64) {
+    let snaps = busprobe::snapshot();
+    let json = busprobe::snapshot_to_json(&snaps);
+    publish(session, experiment, wall_s, rows, &snaps, json);
 }
 
 /// Validates a metrics.jsonl file: every non-empty line must be a JSON
@@ -162,7 +188,7 @@ mod tests {
             .seed(3)
             .out_dir(dir.clone())
             .build();
-        let file = emit(&session, "figX", 0.5, 4).unwrap();
+        let file = emit(&session, "figX", 0.5, 4, JsonValue::Obj(Vec::new())).unwrap();
         let n = check_file(&file).unwrap();
         assert_eq!(n, 1);
         std::fs::remove_dir_all(&dir).ok();

@@ -80,8 +80,8 @@ pub fn phase_breakdown(nodes: &[SpanNode], wall_s: f64) -> Vec<(&'static str, f6
 
 /// Restricts a drained span list to one experiment's subtree: spans at
 /// or under the root span named `id`, with the `id/` prefix stripped
-/// (the root itself maps to an empty path and is dropped — its wall
-/// time is the record's `wall_s`). Order is preserved.
+/// (the root itself maps to an empty path and is dropped). Order is
+/// preserved.
 pub fn subtree(spans: &[busprobe::trace::TraceSpan], id: &str) -> Vec<busprobe::trace::TraceSpan> {
     let prefix = format!("{id}/");
     spans
@@ -91,47 +91,6 @@ pub fn subtree(spans: &[busprobe::trace::TraceSpan], id: &str) -> Vec<busprobe::
             let mut s = s.clone();
             s.path = s.path[prefix.len()..].to_string();
             s
-        })
-        .collect()
-}
-
-/// Renders aggregated subtree nodes as a `metrics`-shaped JSON object
-/// (`path → {count, total_ns, self_ns, max_ns}`), the parallel-mode
-/// replacement for a registry snapshot: under concurrency the global
-/// registry mixes experiments, but each span subtree is attributable.
-pub fn nodes_to_json(nodes: &[SpanNode]) -> busprobe::JsonValue {
-    use busprobe::JsonValue;
-    JsonValue::Obj(
-        nodes
-            .iter()
-            .map(|n| {
-                (
-                    n.path.clone(),
-                    JsonValue::Obj(vec![
-                        ("count".into(), JsonValue::from(n.count)),
-                        ("total_ns".into(), JsonValue::from(n.total_ns)),
-                        ("self_ns".into(), JsonValue::from(n.self_ns)),
-                        ("max_ns".into(), JsonValue::from(n.max_ns)),
-                    ]),
-                )
-            })
-            .collect(),
-    )
-}
-
-/// Converts aggregated span nodes into registry-style snapshots so the
-/// stderr summary renderer can show a per-experiment table in parallel
-/// metrics mode.
-pub fn nodes_to_snapshots(nodes: &[SpanNode]) -> Vec<busprobe::MetricSnapshot> {
-    nodes
-        .iter()
-        .map(|n| busprobe::MetricSnapshot {
-            name: n.path.clone(),
-            kind: busprobe::MetricKind::Span {
-                count: n.count,
-                total_ns: n.total_ns,
-                max_ns: n.max_ns,
-            },
         })
         .collect()
 }

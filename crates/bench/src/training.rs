@@ -7,7 +7,6 @@
 //! "train a named corpus with this session" flow the `repro train`
 //! subcommand and the `generalize` experiment share.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use bustrace::Trace;
@@ -26,12 +25,6 @@ impl TraceProvider for Session {
             .ok_or_else(|| format!("unknown workload {workload:?} (expected the Workload grammar, e.g. gcc/register or mixed/gcc+perl/register/64)"))?;
         Ok(self.store().get(&TraceKey::new(workload, values, seed)))
     }
-}
-
-/// The session's trained-artifact directory: `<out_dir>/trained`, next
-/// to the `<out_dir>/cache` trace store.
-pub fn artifact_dir_for(session: &Session) -> PathBuf {
-    session.out_dir().join("trained")
 }
 
 /// Resolves a corpus argument the way `repro train <corpus>` does: a

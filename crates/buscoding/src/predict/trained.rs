@@ -605,21 +605,22 @@ pub fn save_artifact(tables: &TrainedTables, dir: &Path) -> Result<PathBuf, Arti
 // Artifact directory resolution
 // ---------------------------------------------------------------------
 
-/// Process-wide artifact directory override (tests and the `repro`
-/// binary set it; everything else falls back to the environment).
+/// Process-wide artifact directory override (in-process harnesses set
+/// it; everything else falls back to the environment).
 static ARTIFACT_DIR: RwLock<Option<PathBuf>> = RwLock::new(None);
 
 /// Pins the artifact directory for this process, overriding the
-/// environment-derived default. The `repro` front ends call this with
-/// `<out>/trained` so the registry and the CLI agree on one location.
+/// environment-derived default. Tests and in-process benchmark
+/// harnesses call this to point the registry at artifacts they wrote
+/// outside `$REPRO_OUT`.
 pub fn set_artifact_dir(dir: impl Into<PathBuf>) {
     *ARTIFACT_DIR.write().unwrap_or_else(|e| e.into_inner()) = Some(dir.into());
 }
 
-/// Where `trained:<name>` schemes look for artifacts: the explicit
-/// [`set_artifact_dir`] override if set, else `$BUSTRAIN_DIR`, else
-/// `$REPRO_OUT/trained`, else `results/trained` — i.e. next to the
-/// `REPRO_CACHE` trace store by default.
+/// Where `trained:<name>` schemes look for artifacts, and where
+/// `repro train` writes them: the explicit [`set_artifact_dir`]
+/// override if set, else `$REPRO_OUT/trained`, else `results/trained`
+/// — i.e. next to the `REPRO_CACHE` trace store.
 pub fn artifact_dir() -> PathBuf {
     if let Some(dir) = ARTIFACT_DIR
         .read()
@@ -627,9 +628,6 @@ pub fn artifact_dir() -> PathBuf {
         .clone()
     {
         return dir;
-    }
-    if let Ok(dir) = std::env::var("BUSTRAIN_DIR") {
-        return PathBuf::from(dir);
     }
     let out = std::env::var("REPRO_OUT").unwrap_or_else(|_| "results".into());
     Path::new(&out).join("trained")

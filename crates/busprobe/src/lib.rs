@@ -64,22 +64,6 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Enables metrics when `REPRO_METRICS` or `BUSPROBE` is set to a
-/// truthy value (anything except empty, `0`, `false`, `off`, `no`).
-/// Returns the resulting enabled state without disabling an already
-/// enabled process.
-pub fn init_from_env() -> bool {
-    for var in ["REPRO_METRICS", "BUSPROBE"] {
-        if let Ok(v) = std::env::var(var) {
-            let v = v.trim().to_ascii_lowercase();
-            if !v.is_empty() && v != "0" && v != "false" && v != "off" && v != "no" {
-                set_enabled(true);
-            }
-        }
-    }
-    enabled()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -232,27 +216,5 @@ pub(crate) mod tests {
     fn kind_conflicts_panic() {
         let _ = counter("test.conflict.metric");
         let _ = histogram("test.conflict.metric", &[1]);
-    }
-
-    #[test]
-    fn env_init_recognizes_truthy_values() {
-        // Uses a child-free check: manipulate the vars and restore them.
-        let _g = guard();
-        let prior = std::env::var("BUSPROBE").ok();
-        let prior_repro = std::env::var("REPRO_METRICS").ok();
-        std::env::remove_var("REPRO_METRICS");
-        set_enabled(false);
-        std::env::set_var("BUSPROBE", "0");
-        assert!(!init_from_env());
-        std::env::set_var("BUSPROBE", "1");
-        assert!(init_from_env());
-        set_enabled(false);
-        match prior {
-            Some(v) => std::env::set_var("BUSPROBE", v),
-            None => std::env::remove_var("BUSPROBE"),
-        }
-        if let Some(v) = prior_repro {
-            std::env::set_var("REPRO_METRICS", v);
-        }
     }
 }

@@ -3,8 +3,8 @@
 //! The batch `repro` binary answers "what does scheme X cost on trace
 //! Y" by rebuilding the world per run; this crate is the long-running
 //! half of that question. It speaks a hand-rolled, length-prefixed
-//! JSON frame protocol (see [`frame`]) over a unix socket or
-//! stdin/stdout, shards requests across bounded worker queues, rejects
+//! JSON frame protocol (see [`frame`]) over a unix socket, shards
+//! requests across bounded worker queues, rejects
 //! overload with typed `busy` responses instead of blocking, enforces
 //! per-connection quotas, and drains cleanly on SIGTERM (see
 //! [`signal`]).

@@ -130,8 +130,6 @@ pub struct ServerConfig {
     /// Requests one connection may issue before a typed `quota` error
     /// closes it.
     pub client_quota: u64,
-    /// Per-frame payload cap (bytes) for reads and writes.
-    pub max_frame: usize,
 }
 
 impl Default for ServerConfig {
@@ -141,12 +139,11 @@ impl Default for ServerConfig {
             shards: cores.clamp(1, 4),
             queue_depth: 16,
             client_quota: 1024,
-            max_frame: frame::MAX_FRAME_BYTES,
         }
     }
 }
 
-/// What one serving run did — returned by the serve entry points so
+/// What one serving run did — returned by [`Server::serve_unix`] so
 /// the daemon can log an honest exit line.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ServeStats {
@@ -193,8 +190,7 @@ struct Job {
     reply: mpsc::Sender<JsonValue>,
 }
 
-/// The daemon: a [`Service`] plus its [`ServerConfig`]. One `Server`
-/// value can serve a socket or stdio (not both at once).
+/// The daemon: a [`Service`] plus its [`ServerConfig`].
 pub struct Server<S: Service> {
     service: S,
     config: ServerConfig,
@@ -206,14 +202,14 @@ impl<S: Service> Server<S> {
         Server { service, config }
     }
 
-    /// The service, for in-process callers (tests, single-shot mode).
+    /// The service, for in-process callers.
     pub fn service(&self) -> &S {
         &self.service
     }
 
     /// Processes one raw request payload into one raw response payload
-    /// — the single-threaded core shared by stdio mode and tests. The
-    /// response is always a well-formed envelope, whatever the input.
+    /// — the single-threaded core tests drive directly. The response
+    /// is always a well-formed envelope, whatever the input.
     pub fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
         let response = match parse_request(bytes) {
             Ok((verb, body)) => dispatch(&self.service, &verb, &body),
@@ -223,44 +219,6 @@ impl<S: Service> Server<S> {
             }
         };
         response.to_string().into_bytes()
-    }
-
-    /// Single-shot mode: serves frames from stdin to stdout until EOF.
-    /// No sharding and no quota — the caller owns both ends of the
-    /// pipe. A framing error is answered with a typed `protocol` error
-    /// frame and ends the stream (there is no way to resynchronize).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures on stdin/stdout.
-    pub fn serve_stdio(&self) -> io::Result<ServeStats> {
-        let stdin = io::stdin();
-        let stdout = io::stdout();
-        let mut input = stdin.lock();
-        let mut output = stdout.lock();
-        let mut stats = ServeStats::default();
-        loop {
-            match frame::read_frame(&mut input, self.config.max_frame) {
-                Ok(None) => break,
-                Ok(Some(bytes)) => {
-                    REQUESTS.inc();
-                    stats.requests += 1;
-                    let response = self.handle_frame(&bytes);
-                    write_response(&mut output, &response, self.config.max_frame)?;
-                }
-                Err(FrameError::Io(e)) => return Err(e),
-                Err(e) => {
-                    PROTOCOL_ERRORS.inc();
-                    stats.protocol_errors += 1;
-                    let response = error_envelope(&ServiceError::new("protocol", e.to_string()))
-                        .to_string()
-                        .into_bytes();
-                    write_response(&mut output, &response, self.config.max_frame)?;
-                    break;
-                }
-            }
-        }
-        Ok(stats)
     }
 
     /// Binds `path` and serves until `shutdown` goes true, then drains:
@@ -370,18 +328,14 @@ fn serve_connection<S: Service>(
         if stream.set_read_timeout(Some(FRAME_TIMEOUT)).is_err() {
             return;
         }
-        let bytes = match frame::read_frame_after(&mut stream, first[0], config.max_frame) {
+        let bytes = match frame::read_frame_after(&mut stream, first[0], frame::MAX_FRAME_BYTES) {
             Ok(b) => b,
             Err(e @ (FrameError::Truncated { .. } | FrameError::Oversize { .. })) => {
                 // The stream is out of sync; answer once, then hang up.
                 PROTOCOL_ERRORS.inc();
                 tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let response = error_envelope(&ServiceError::new("protocol", e.to_string()));
-                let _ = write_response(
-                    &mut stream,
-                    response.to_string().as_bytes(),
-                    config.max_frame,
-                );
+                let _ = write_response(&mut stream, response.to_string().as_bytes());
                 return;
             }
             Err(FrameError::Io(_)) => return,
@@ -395,9 +349,7 @@ fn serve_connection<S: Service>(
             &mut served,
             tally,
         );
-        if write_response(&mut stream, response.to_string().as_bytes(), config.max_frame).is_err()
-            || close
-        {
+        if write_response(&mut stream, response.to_string().as_bytes()).is_err() || close {
             return;
         }
     }
@@ -544,16 +496,16 @@ fn error_envelope(e: &ServiceError) -> JsonValue {
     ])
 }
 
-fn write_response<W: Write>(w: &mut W, payload: &[u8], max: usize) -> io::Result<()> {
+fn write_response<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     // A response the codec refuses (oversize) still must not leave the
     // client hanging mid-protocol: degrade to a minimal typed error.
-    match frame::write_frame(w, payload, max) {
+    match frame::write_frame(w, payload, frame::MAX_FRAME_BYTES) {
         Ok(()) => Ok(()),
         Err(FrameError::Io(e)) => Err(e),
         Err(_) => {
             let fallback =
                 error_envelope(&ServiceError::new("oversize", "response exceeded the frame cap"));
-            match frame::write_frame(w, fallback.to_string().as_bytes(), max) {
+            match frame::write_frame(w, fallback.to_string().as_bytes(), frame::MAX_FRAME_BYTES) {
                 Ok(()) => Ok(()),
                 Err(FrameError::Io(e)) => Err(e),
                 Err(_) => Ok(()),

@@ -1,7 +1,8 @@
 //! End-to-end determinism of `repro adaptive`: the emitted CSVs must be
-//! byte-identical between a serial and a parallel run, and between a
-//! cold and a warm (`REPRO_CACHE=1`) run — the property that makes the
-//! adaptive baselines in EXPERIMENTS.md re-checkable.
+//! byte-identical between a solo run and a run sharing the worker pool
+//! with another experiment, and between a cold and a warm
+//! (`REPRO_CACHE=1`) run — the property that makes the adaptive
+//! baselines in EXPERIMENTS.md re-checkable.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -15,22 +16,27 @@ fn out_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the `repro` binary and returns the adaptive CSVs it wrote.
-fn run_repro(out: &Path, args: &[&str], extra_env: &[(&str, &str)]) -> BTreeMap<String, String> {
+/// Runs the `repro` binary and returns the CSVs named by `tables` that
+/// it wrote.
+fn run_repro(
+    out: &Path,
+    args: &[&str],
+    extra_env: &[(&str, &str)],
+    tables: &[&str],
+) -> BTreeMap<String, String> {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.args(args)
         .env("REPRO_VALUES", "3000")
         .env("REPRO_SEED", "7")
         .env("REPRO_OUT", out)
         .env_remove("REPRO_CACHE")
-        .env_remove("REPRO_SERIAL")
         .env_remove("REPRO_METRICS");
     for (k, v) in extra_env {
         cmd.env(k, v);
     }
     let status = cmd.status().expect("repro binary runs");
     assert!(status.success(), "repro {args:?} failed");
-    TABLES
+    tables
         .iter()
         .map(|id| {
             let path = out.join(format!("{id}.csv"));
@@ -44,31 +50,31 @@ fn run_repro(out: &Path, args: &[&str], extra_env: &[(&str, &str)]) -> BTreeMap<
 
 #[test]
 fn serial_and_parallel_runs_are_byte_identical() {
-    // `table1` rides along so the parallel run actually fans out (the
-    // runner stays serial for a single experiment).
-    let serial_dir = out_dir("serial");
-    let parallel_dir = out_dir("parallel");
-    let serial = run_repro(
-        &serial_dir,
-        &["table1", "adaptive"],
-        &[("REPRO_SERIAL", "1")],
-    );
-    let parallel = run_repro(&parallel_dir, &["table1", "adaptive"], &[]);
-    assert_eq!(serial, parallel, "serial vs parallel CSVs diverged");
-    std::fs::remove_dir_all(&serial_dir).ok();
-    std::fs::remove_dir_all(&parallel_dir).ok();
+    // Solo runs of `table1` then `adaptive`, one after the other into
+    // one directory, must write the same CSVs, byte for byte, as one
+    // joint run in which the two run in parallel and share the session.
+    let mut tables = TABLES.to_vec();
+    tables.push("table1");
+    let solo_dir = out_dir("solo");
+    run_repro(&solo_dir, &["table1"], &[], &["table1"]);
+    let solo = run_repro(&solo_dir, &["adaptive"], &[], &tables);
+    let joint_dir = out_dir("joint");
+    let joint = run_repro(&joint_dir, &["table1", "adaptive"], &[], &tables);
+    assert_eq!(solo, joint, "solo vs joint CSVs diverged");
+    std::fs::remove_dir_all(&solo_dir).ok();
+    std::fs::remove_dir_all(&joint_dir).ok();
 }
 
 #[test]
 fn warm_trace_cache_rerun_is_byte_identical() {
     let dir = out_dir("cache");
-    let cold = run_repro(&dir, &["adaptive"], &[("REPRO_CACHE", "1")]);
+    let cold = run_repro(&dir, &["adaptive"], &[("REPRO_CACHE", "1")], &TABLES);
     let cache = dir.join("cache");
     let entries = std::fs::read_dir(&cache)
         .unwrap_or_else(|e| panic!("no trace cache at {}: {e}", cache.display()))
         .count();
     assert!(entries > 0, "cold run persisted no traces");
-    let warm = run_repro(&dir, &["adaptive"], &[("REPRO_CACHE", "1")]);
+    let warm = run_repro(&dir, &["adaptive"], &[("REPRO_CACHE", "1")], &TABLES);
     assert_eq!(cold, warm, "warm-cache rerun diverged from cold run");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,8 +1,9 @@
 //! End-to-end check of the metrics pipeline: running `repro` with
 //! `--metrics` must produce a parseable `metrics.jsonl` whose records
-//! carry the expected keys and at least one probe from the harness.
+//! carry the expected keys and at least one probe from the harness, in
+//! one record shape however many experiments ran.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use busprobe::JsonValue;
@@ -11,6 +12,19 @@ fn out_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("repro-metrics-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     dir
+}
+
+/// The non-empty lines of `<out>/metrics.jsonl`, parsed.
+fn records(out: &Path) -> Vec<JsonValue> {
+    let text = std::fs::read_to_string(out.join("metrics.jsonl")).expect("metrics.jsonl written");
+    text.lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| busprobe::json::parse(l).expect("line parses as JSON"))
+        .collect()
+}
+
+fn experiment(record: &JsonValue) -> Option<&str> {
+    record.get("experiment").and_then(JsonValue::as_str)
 }
 
 fn run_repro(out: &PathBuf, args: &[&str]) -> std::process::Output {
@@ -39,15 +53,15 @@ fn fig5_metrics_jsonl_is_valid_and_complete() {
         "missing stderr summary table:\n{stderr}"
     );
 
-    let text = std::fs::read_to_string(out.join("metrics.jsonl")).expect("metrics.jsonl written");
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    assert_eq!(lines.len(), 1, "one experiment, one record: {text:?}");
-
-    let record = busprobe::json::parse(lines[0]).expect("line parses as JSON");
+    let records = records(&out);
+    let ids: Vec<Option<&str>> = records.iter().map(experiment).collect();
     assert_eq!(
-        record.get("experiment").and_then(JsonValue::as_str),
-        Some("fig5")
+        ids,
+        [Some("fig5"), Some("_run")],
+        "one experiment record, then the run's registry record"
     );
+
+    let record = &records[0];
     for key in ["wall_s", "values", "seed", "rows"] {
         assert!(
             record.get(key).and_then(JsonValue::as_f64).is_some(),
@@ -61,18 +75,18 @@ fn fig5_metrics_jsonl_is_valid_and_complete() {
         .and_then(JsonValue::entries)
         .expect("metrics object");
     assert!(!metrics.is_empty(), "metrics object is empty");
-    // The harness itself must contribute a counter, whatever the
-    // experiment exercised.
-    let rows = record
-        .get("metrics")
-        .and_then(|m| m.get("bench.experiment.rows"))
+    // Counters live in the `_run` registry record. The harness itself
+    // must contribute one, whatever the experiment exercised.
+    let run = records[1].get("metrics").expect("_run metrics object");
+    let rows = run
+        .get("bench.experiment.rows")
         .and_then(JsonValue::as_u64)
         .expect("bench.experiment.rows counter present");
     assert!(rows > 0, "fig5 produced rows");
     // fig5 sweeps wire lengths, so the wiremodel probes must have fired.
     assert!(
-        metrics.iter().any(|(k, _)| k == "wiremodel.wire.builds"),
-        "expected wiremodel.wire.builds in {metrics:?}"
+        run.get("wiremodel.wire.builds").is_some(),
+        "expected wiremodel.wire.builds in {run}"
     );
 
     let check = run_repro(&out, &["metrics-check"]);
@@ -114,4 +128,58 @@ fn metrics_check_fails_on_malformed_file() {
         "metrics-check must reject records without the required keys"
     );
     std::fs::remove_dir_all(&out).ok();
+}
+
+/// An experiment's record keys with the field names of each node.
+fn shape(record: &JsonValue) -> Vec<(String, Vec<String>)> {
+    record
+        .get("metrics")
+        .and_then(JsonValue::entries)
+        .expect("metrics object")
+        .iter()
+        .map(|(key, node)| {
+            let fields = node
+                .entries()
+                .unwrap_or_else(|| panic!("`{key}` is not a span node: {node}"))
+                .iter()
+                .map(|(field, _)| field.clone())
+                .collect();
+            (key.clone(), fields)
+        })
+        .collect()
+}
+
+#[test]
+fn an_experiment_record_has_one_shape_alone_or_with_others() {
+    let mut shapes = Vec::new();
+    for (tag, args) in [
+        ("solo", &["--metrics", "fig5"][..]),
+        ("joint", &["--metrics", "fig5", "table1"][..]),
+    ] {
+        let out = out_dir(tag);
+        let result = run_repro(&out, args);
+        assert!(result.status.success(), "repro {args:?} failed");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert!(stderr.contains("--- metrics [fig5] ---\n"), "{stderr}");
+        let records = records(&out);
+        let runs: Vec<usize> = (0..records.len())
+            .filter(|&i| experiment(&records[i]) == Some("_run"))
+            .collect();
+        assert_eq!(runs, [records.len() - 1], "exactly one `_run`, last");
+        let fig5 = records
+            .iter()
+            .find(|r| experiment(r) == Some("fig5"))
+            .expect("fig5 record");
+        shapes.push(shape(fig5));
+        std::fs::remove_dir_all(&out).ok();
+    }
+    assert!(
+        shapes[0]
+            .iter()
+            .any(|(key, fields)| key == "wiremodel.repeater.plan"
+                && fields == &["count", "total_ns", "self_ns", "max_ns"]),
+        "{:?}",
+        shapes[0]
+    );
+    assert_eq!(shapes[0], shapes[1], "fig5's record depends on its company");
 }

@@ -21,7 +21,6 @@ fn run_repro(out: &PathBuf, values: &str, args: &[&str]) -> std::process::Output
         .env("REPRO_SEED", "1")
         .env("REPRO_OUT", out)
         .env_remove("REPRO_METRICS")
-        .env_remove("REPRO_SERIAL")
         .output()
         .expect("repro should launch")
 }

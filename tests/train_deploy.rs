@@ -5,18 +5,21 @@
 //! [`bench::api`] service surface — while an absent artifact surfaces
 //! as the typed `artifact_missing` wire error, never a panic.
 //!
-//! One test function on purpose: the trained-artifact directory is
-//! process-global state (`set_artifact_dir`), so the missing-artifact
-//! and deployed-artifact halves must run in sequence, not as racing
-//! `#[test]` siblings.
+//! One in-process test function on purpose: the trained-artifact
+//! directory is process-global state (`set_artifact_dir`), so the
+//! missing-artifact and deployed-artifact halves must run in sequence,
+//! not as racing `#[test]` siblings. The `repro` round trip below runs
+//! in child processes and never touches that state.
 
 use std::sync::Arc;
 
 use bench::api::{ApiService, EvalRequest, Evaluator};
-use bench::training::{artifact_dir_for, resolve_corpus, train_with_session};
+use bench::training::{resolve_corpus, train_with_session};
 use bench::workloads::Workload;
 use bench::{ActivityQuery, Session, TraceKey};
-use buscoding::predict::trained::{artifact_file_name, set_artifact_dir, ArtifactError};
+use buscoding::predict::trained::{
+    artifact_dir, artifact_file_name, set_artifact_dir, ArtifactError,
+};
 use buscoding::predict::trained_codec;
 use buscoding::{evaluate_blocks, scheme_by_name, scheme_candidates, CostModel};
 use busprobe::json::JsonValue;
@@ -47,8 +50,8 @@ fn trained_artifacts_deploy_through_every_front_end() {
     let out = std::env::temp_dir().join(format!("train-deploy-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&out);
     let session = make_session(&out);
-    let dir = artifact_dir_for(&session);
-    set_artifact_dir(dir.clone());
+    set_artifact_dir(out.join("trained"));
+    let dir = artifact_dir();
 
     let workload = Workload::parse("mixed/gcc+perl/register/64").expect("mixed workload parses");
     let request = EvalRequest::stored(workload, vec!["trained:demo".into()]);
@@ -113,6 +116,49 @@ fn trained_artifacts_deploy_through_every_front_end() {
         .handle("eval", &request.to_json())
         .expect("warm eval");
     assert_eq!(deterministic_bytes(&served), deterministic_bytes(&warm));
+
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+/// `repro train` must write where `trained:` schemes read: the
+/// artifact lands in `$REPRO_OUT/trained` and a later `repro eval`
+/// finds it there, whatever stray environment (here `BUSTRAIN_DIR`,
+/// which nothing reads) points elsewhere.
+#[test]
+fn repro_train_then_eval_round_trips_through_one_directory() {
+    let out = std::env::temp_dir().join(format!("train-eval-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&out);
+    let repro = |args: &[&str]| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .env("REPRO_VALUES", VALUES.to_string())
+            .env("REPRO_SEED", SEED.to_string())
+            .env("REPRO_OUT", &out)
+            .env("BUSTRAIN_DIR", out.join("elsewhere"))
+            .env_remove("REPRO_CACHE")
+            .env_remove("REPRO_METRICS")
+            .output()
+            .expect("repro runs");
+        assert!(
+            output.status.success(),
+            "repro {args:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        String::from_utf8(output.stdout).expect("UTF-8 stdout")
+    };
+
+    let saved = repro(&["train", "demo"]);
+    assert_eq!(
+        std::path::Path::new(saved.trim()),
+        out.join("trained").join(artifact_file_name("demo"))
+    );
+    let body = out.join("request.json");
+    let request = r#"{"schemes":["trained:demo"],"workload":"mixed/gcc+perl/register/64"}"#;
+    std::fs::write(&body, request).expect("request written");
+    let answer = repro(&["eval", body.to_str().expect("UTF-8 temp path")]);
+    let response = busprobe::json::parse(answer.trim()).expect("eval answers JSON");
+    assert!(response.get("results").is_some(), "{response}");
+    assert!(!out.join("elsewhere").exists());
 
     let _ = std::fs::remove_dir_all(&out);
 }
