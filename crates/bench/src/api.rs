@@ -1,9 +1,7 @@
 //! The versioned evaluation API: one request/response surface shared by
 //! every front end.
 //!
-//! Historically each experiment called ad-hoc `Session` methods and the
-//! only way to evaluate a scheme was to link against `bench` and write
-//! Rust. This module names that operation: an [`EvalRequest`] describes
+//! This module names one operation: an [`EvalRequest`] describes
 //! *what* to evaluate (a stored workload or an inline trace, one or
 //! more schemes, the lambda weighting, optional circuit pricing), an
 //! [`EvalResponse`] carries *what came out* (per-scheme transition
@@ -25,12 +23,11 @@ use buscoding::predict::trained::ArtifactError;
 use buscoding::{percent_energy_removed, Activity, UnknownScheme, SCHEME_PATTERNS};
 use busprobe::JsonValue;
 use busserve::{Service, ServiceError};
-use bustrace::fnv::fnv1a;
 use bustrace::{Trace, Width};
 use wiremodel::{BusEnergyModel, Technology, TechnologyKind, Wire, WireStyle};
 
 use crate::schemes::baseline_activity;
-use crate::session::{ActivityQuery, Session};
+use crate::session::{Session, BASELINE_SCHEME};
 use crate::workloads::Workload;
 
 /// Version of the eval request/response schema. Bump on any change that
@@ -48,8 +45,8 @@ static EVAL_SCHEMES: busprobe::StaticCounter = busprobe::StaticCounter::new("ben
 /// Where the words under evaluation come from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceSource {
-    /// A workload the session can regenerate deterministically, with
-    /// optional overrides mirroring [`ActivityQuery`]'s knobs.
+    /// A workload the session can regenerate deterministically; the
+    /// optional knobs resolve through [`Session::trace_key`].
     Stored {
         /// The workload, addressed by [`Workload::name`].
         workload: Workload,
@@ -542,8 +539,8 @@ pub struct SchemeResult {
     /// Wire energy in picojoules under the request's pricing, when
     /// pricing was supplied.
     pub energy_pj: Option<f64>,
-    /// Whether the activity was already resident in the session store
-    /// before this request (never true for inline sources).
+    /// Whether the session store served the activity rather than this
+    /// request encoding it (never true for inline sources).
     pub cached: bool,
 }
 
@@ -690,26 +687,13 @@ impl Evaluator for Session {
                         limit: MAX_INLINE_WORDS,
                     });
                 }
-                let mut evaluated = Vec::with_capacity(request.schemes.len());
-                let mut key = None;
-                for scheme in &request.schemes {
-                    let mut query = ActivityQuery::new(scheme.clone(), *workload);
-                    if let Some(len) = len {
-                        query = query.len(*len);
-                    }
-                    if let Some(cap) = cap {
-                        query = query.cap(*cap);
-                    }
-                    if let Some(seed) = seed {
-                        query = query.seed(*seed);
-                    }
-                    let cached = self.activity_cached(&query);
-                    let activity = self.try_activity(&query)?;
-                    key.get_or_insert_with(|| query.trace_key(self));
-                    evaluated.push((activity, cached));
-                }
-                let key = key.expect("schemes is non-empty");
-                let baseline = self.baseline_for(&key);
+                let key = self.trace_key(*workload, *len, *cap, *seed);
+                let evaluated = request
+                    .schemes
+                    .iter()
+                    .map(|scheme| self.try_activity(scheme, &key))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let (baseline, _) = self.try_activity(BASELINE_SCHEME, &key)?;
                 (
                     baseline,
                     evaluated,
@@ -796,11 +780,6 @@ impl ApiService {
     /// Wraps a session for serving.
     pub fn new(session: Session) -> Self {
         ApiService { session }
-    }
-
-    /// The resident session.
-    pub fn session(&self) -> &Session {
-        &self.session
     }
 
     fn eval(&self, body: &JsonValue) -> Result<JsonValue, ServiceError> {
@@ -905,59 +884,17 @@ impl Service for ApiService {
             )),
         }
     }
-
-    /// Routes stored-source evaluations by their resolved trace key so
-    /// repeated requests for one trace serialize onto one shard and hit
-    /// its warm activity store. Inline sources and other verbs
-    /// round-robin.
-    fn route(&self, verb: &str, body: &JsonValue) -> Option<u64> {
-        if verb != "eval" && verb != "profile" {
-            return None;
-        }
-        let name = body.get("workload")?.as_str()?;
-        let len = body.get("len").and_then(JsonValue::as_u64);
-        let cap = body.get("cap").and_then(JsonValue::as_u64);
-        let seed = body
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or_else(|| self.session.seed());
-        let mut values = len.unwrap_or_else(|| self.session.values() as u64);
-        if let Some(cap) = cap {
-            values = values.min(cap);
-        }
-        Some(fnv1a(format!("{name}|{values}|{seed}").as_bytes()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::ActivityQuery;
+    use proptest::prelude::*;
+    use simcpu::{Benchmark, BusKind};
 
     fn session() -> Session {
         Session::builder().values(400).seed(7).build()
-    }
-
-    #[test]
-    fn request_json_round_trips() {
-        let req = EvalRequest::stored(
-            Workload::Random,
-            vec!["window(8)".into(), "inversion(1ch l1.0)".into()],
-        )
-        .cap(100)
-        .seed(9)
-        .lambda(2.0)
-        .pricing(Pricing {
-            tech: TechnologyKind::Tech010,
-            style: WireStyle::Repeated,
-            length_mm: 10.0,
-            vdd: Some(1.0),
-        });
-        let back = EvalRequest::from_json(&req.to_json()).expect("parses");
-        assert_eq!(back, req);
-
-        let inline = EvalRequest::inline(Width::W32, vec![1, 2, 3], vec!["identity".into()]);
-        let back = EvalRequest::from_json(&inline.to_json()).expect("parses");
-        assert_eq!(back, inline);
     }
 
     #[test]
@@ -1161,26 +1098,141 @@ mod tests {
         assert_eq!(err.kind, "unknown_verb");
     }
 
-    #[test]
-    fn routing_keys_depend_on_the_resolved_trace() {
-        let service = ApiService::new(session());
-        let body = |raw: &str| busprobe::json::parse(raw).expect("test json");
-        let a = service.route("eval", &body(r#"{"workload":"random"}"#));
-        // len equal to the session default resolves to the same key.
-        let b = service.route("eval", &body(r#"{"workload":"random","len":400}"#));
-        assert_eq!(a, b);
-        assert!(a.is_some());
-        // A different length is a different trace, hence a different key.
-        assert_ne!(a, service.route("eval", &body(r#"{"workload":"random","len":100}"#)));
-        // A seed above i64::MAX is its own trace, not the session's.
-        let big = service.route(
-            "eval",
-            &body(r#"{"workload":"random","seed":18446744073709551615}"#),
-        );
-        assert!(big.is_some());
-        assert_ne!(a, big);
-        // Inline sources and non-eval verbs round-robin.
-        assert_eq!(service.route("eval", &body(r#"{"trace":{"width":32,"words":[]}}"#)), None);
-        assert_eq!(service.route("metrics", &body(r#"{"workload":"random"}"#)), None);
+    /// The keys the decoder reads and some of the names it accepts:
+    /// object keys and strings in arbitrary bodies, so they reach the
+    /// decoder's branches.
+    const NAMES: &str = "schemes workload trace width words len cap seed lambda pricing tech \
+        style length_mm vdd identity phased/0 0.13um";
+
+    /// An arbitrary JSON value nested at most `.0` deep.
+    struct AnyJson(u32);
+
+    impl Strategy for AnyJson {
+        type Value = JsonValue;
+        fn sample(&self, rng: &mut TestRng) -> JsonValue {
+            let inner = AnyJson(self.0.saturating_sub(1));
+            let names: Vec<&str> = NAMES.split_whitespace().collect();
+            let pick = |rng: &mut TestRng| names[rng.below(names.len() as u64) as usize];
+            let count = |rng: &mut TestRng| 0..rng.below(6);
+            match rng.below(if self.0 == 0 { 7 } else { 9 }) {
+                0 => JsonValue::Null,
+                1 => JsonValue::Bool(rng.next_u64() & 1 == 1),
+                2 => JsonValue::Int((rng.next_u64() as i64) >> rng.below(64)),
+                3 => JsonValue::UInt(rng.next_u64() | 1 << 63),
+                4 => JsonValue::Num(f64::from_bits(rng.next_u64())),
+                5 => JsonValue::Str(pick(rng).into()),
+                6 => JsonValue::Words(count(rng).map(|_| rng.next_u64() >> 40).collect()),
+                7 => JsonValue::Arr(count(rng).map(|_| inner.sample(rng)).collect()),
+                _ => {
+                    let pairs = count(rng).map(|_| (pick(rng).into(), inner.sample(rng)));
+                    JsonValue::Obj(pairs.collect())
+                }
+            }
+        }
+    }
+
+    /// Any finite non-negative `f64`, from the bits of a `u64`.
+    fn finite(bits: u64) -> f64 {
+        f64::from_bits(bits % f64::INFINITY.to_bits())
+    }
+
+    /// Stored requests with optional `len`/`cap`/`seed` anywhere in
+    /// `u64`, and inline requests at every width with in-range words;
+    /// either may carry pricing.
+    fn request() -> impl Strategy<Value = EvalRequest> {
+        let opt = || (any::<bool>(), any::<u64>()).prop_map(|(some, v)| some.then_some(v));
+        let stored = (0..19usize, any::<usize>(), opt(), opt(), opt());
+        let stored = stored.prop_map(|(w, n, len, cap, seed)| {
+            let workload = match w {
+                17 => Workload::Random,
+                18 => Workload::Phased { phase: n.max(1) },
+                b => Workload::Bench(Benchmark::ALL[b], BusKind::Memory),
+            };
+            let (len, cap) = (len.map(|n| n as usize), cap.map(|n| n as usize));
+            TraceSource::Stored {
+                workload,
+                len,
+                cap,
+                seed,
+            }
+        });
+        let inline = (1..=64u32, prop::collection::vec(any::<u64>(), 0..32));
+        let inline = inline.prop_map(|(bits, words)| {
+            let width = Width::new(bits).expect("a width");
+            let words = words.into_iter().map(|w| width.truncate(w)).collect();
+            TraceSource::Inline { width, words }
+        });
+        let pricing = (0..4usize, any::<bool>(), any::<u64>(), opt());
+        let pricing = pricing.prop_map(|(t, repeated, mm, vdd)| {
+            use TechnologyKind::*;
+            Some(Pricing {
+                tech: *[Tech013, Tech010, Tech007].get(t)?,
+                style: [WireStyle::Unbuffered, WireStyle::Repeated][usize::from(repeated)],
+                length_mm: finite(mm),
+                vdd: vdd.map(finite),
+            })
+        });
+        let name = prop::collection::vec(any::<u8>(), 0..12)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned());
+        let schemes = prop::collection::vec(name, 1..4);
+        let parts = (schemes, prop_oneof![stored, inline], any::<u64>(), pricing);
+        parts.prop_map(|(schemes, source, lambda, pricing)| EvalRequest {
+            schemes,
+            source,
+            lambda: finite(lambda),
+            pricing,
+        })
+    }
+
+    /// Replaces (or, with `delete`, removes) the field of `body` that `at`
+    /// picks, possibly inside a nested object.
+    fn mutate(body: &mut JsonValue, at: usize, delete: bool, with: JsonValue) {
+        let JsonValue::Obj(pairs) = body else { return };
+        let (i, rest) = (at % pairs.len().max(1), at / pairs.len().max(1));
+        match pairs.get_mut(i) {
+            Some((_, obj @ JsonValue::Obj(_))) if rest % 2 == 1 => {
+                mutate(obj, rest / 2, delete, with);
+            }
+            Some(_) if delete => drop(pairs.remove(i)),
+            Some((_, value)) => *value = with,
+            None => {}
+        }
+    }
+
+    /// The decoder's answer is a request or one of its typed errors.
+    fn assert_decodes_or_is_typed(body: &JsonValue) {
+        if let Err(e) = EvalRequest::from_json(body) {
+            let kind = ServiceError::from(e).kind;
+            let typed = ["bad_request", "unknown_workload", "too_large"].contains(&kind.as_str());
+            assert!(typed, "{kind}: {body}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_bodies_decode_or_are_typed_errors(body in AnyJson(3)) {
+            assert_decodes_or_is_typed(&body);
+        }
+
+        #[test]
+        fn mutated_bodies_decode_or_are_typed_errors(
+            request in request(),
+            with in AnyJson(2),
+            (at, delete) in (any::<usize>(), any::<bool>()),
+        ) {
+            let mut body = request.to_json();
+            mutate(&mut body, at, delete, with);
+            assert_decodes_or_is_typed(&body);
+        }
+
+        #[test]
+        fn request_json_round_trips(request in request()) {
+            prop_assert_eq!(EvalRequest::from_json(&request.to_json()).as_ref(), Ok(&request));
+            let text = request.to_json().to_string();
+            let body = busprobe::json::parse(&text).expect("renders JSON");
+            prop_assert_eq!(EvalRequest::from_json(&body).as_ref(), Ok(&request));
+        }
     }
 }

@@ -258,11 +258,6 @@ pub fn headline(session: &Session) -> Vec<Table> {
     vec![t]
 }
 
-/// Shared check used by trend figures' tests and `paper_claims`.
-pub fn activity_ratio(coded: &Activity, baseline: &Activity) -> f64 {
-    coded.weighted(1.0) / baseline.weighted(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

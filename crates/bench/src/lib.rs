@@ -3,8 +3,8 @@
 //! The `repro` binary regenerates every table and figure of the paper's
 //! evaluation (see DESIGN.md for the per-experiment index); this library
 //! holds the pieces the experiments share: the evaluation [`Session`]
-//! (configuration plus the content-addressed trace store and memoized
-//! baselines — see [`session`]), workload acquisition, scheme evaluation
+//! (configuration plus the content-addressed trace and activity stores
+//! — see [`session`]), workload acquisition, scheme evaluation
 //! (behavioral activity plus circuit-level transcoder energy), and
 //! CSV/console reporting. The [`api`] module is the versioned
 //! request/response surface the `repro` batch binary and the

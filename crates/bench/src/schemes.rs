@@ -118,20 +118,6 @@ pub fn window_outcome_from_parts(
     CodingOutcome::new(baseline, coded, values, transcoder)
 }
 
-/// Full measurement of the Context design on a trace.
-pub fn context_outcome(trace: &Trace, cfg: ContextHwConfig, tech: Technology) -> CodingOutcome {
-    let scheme = SchemeSpec::ContextValue {
-        table: cfg.table,
-        shift: cfg.shift,
-        divide: cfg.divide_period,
-    };
-    let mut pair = scheme.build(trace.width()).expect("context fits");
-    let coded = evaluate_blocks(pair.encoder_mut(), trace);
-    let baseline = baseline_activity(trace);
-    let transcoder = context_transcoder_pj_per_value(trace, cfg, tech);
-    CodingOutcome::new(baseline, coded, trace.len() as u64, transcoder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

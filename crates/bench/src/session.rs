@@ -1,24 +1,27 @@
 //! The shared evaluation session.
 //!
-//! A full `repro` run executes dozens of experiments, and before this
-//! module existed each one regenerated the *same* simcpu kernel traces
-//! from scratch — the dominant cost of the run was redundant trace
-//! synthesis, not the coding schemes under study. A [`Session`] is the
-//! configuration the old `Ctx` carried (`values`, `seed`, `out_dir`)
-//! plus two process-wide caches every experiment shares:
+//! A full `repro` run executes dozens of experiments over the same
+//! traces. A [`Session`] is their shared configuration (`values`,
+//! `seed`, `out_dir`) plus two process-wide stores:
 //!
 //! * a content-addressed [`TraceStore`] — traces keyed by
 //!   `(workload, values, seed)`, generated exactly once per run and
 //!   held behind `Arc<Trace>`, with an optional on-disk cache in
 //!   `<out>/cache/` using the `bustrace::io` text format (validated on
 //!   load, regenerated on mismatch);
-//! * a memoized baseline-activity table, since nearly every experiment
-//!   re-derives the un-encoded bus activity per workload.
+//! * a coded-activity store keyed by `(scheme, trace key)`. The
+//!   un-encoded baseline is no special case: it is the
+//!   [`BASELINE_SCHEME`] (`identity`) activity of the same trace.
 //!
-//! Both caches are safe to share across the worker threads of
-//! [`par_map`](crate::experiments::par_map): per-key `OnceLock` cells
-//! guarantee the generator runs once even when two experiments request
-//! the same trace concurrently.
+//! Which trace a request addresses is decided in one place,
+//! [`Session::trace_key`]: an explicit length (default: the session's
+//! `values`) bounded by an optional cap, at an explicit seed (default:
+//! the session's).
+//!
+//! Both stores are safe to share across the worker threads of
+//! [`par_map`](crate::experiments::par_map) and the daemon's shards:
+//! per-key `OnceLock` cells guarantee each trace and activity is
+//! computed once even when two callers request it concurrently.
 //!
 //! Construction goes through [`Session::from_env`] (the canonical entry
 //! for the `repro` binary) or [`Session::builder`] for tests and
@@ -29,8 +32,9 @@
 //!
 //! Store behaviour is observable through `busprobe` counters:
 //! `bench.session.trace_hits`, `bench.session.trace_misses`,
-//! `bench.session.disk_loads`, `bench.session.disk_rejects`, and
-//! `bench.session.baseline_misses`. See `docs/PERFORMANCE.md`.
+//! `bench.session.disk_loads`, `bench.session.disk_rejects`,
+//! `bench.session.activity_hits` and `bench.session.activity_misses`
+//! (baseline lookups included). See `docs/PERFORMANCE.md`.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -38,24 +42,19 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use buscoding::{Activity, UnknownScheme};
+use busprobe::StaticCounter;
 use bustrace::fnv::Fnv1a;
 use bustrace::{io as trace_io, Trace};
 
-use crate::schemes::baseline_activity;
 use crate::workloads::Workload;
 
+/// The scheme whose activity is the un-encoded baseline every coder is
+/// priced against.
+pub const BASELINE_SCHEME: &str = "identity";
+
 /// One coded-activity request against a [`Session`]: which scheme over
-/// which workload, plus the optional knobs the old
-/// `activity`/`activity_capped`/`activity_with_len` trio spread across
-/// three signatures.
-///
-/// * [`len`](Self::len) — evaluate at an explicit trace length instead
-///   of the session's `values`;
-/// * [`cap`](Self::cap) — bound the (possibly overridden) length, the
-///   idiom of experiments that limit their own cost;
-/// * [`seed`](Self::seed) — evaluate at a different data seed than the
-///   session's (the daemon serving mixed-seed clients needs this; batch
-///   experiments never set it).
+/// which workload, optionally [`cap`](Self::cap)ped below the session
+/// length — the idiom of experiments that limit their own cost.
 ///
 /// ```
 /// # use bench::{ActivityQuery, Session};
@@ -69,9 +68,7 @@ use crate::workloads::Workload;
 pub struct ActivityQuery {
     scheme: String,
     workload: Workload,
-    len: Option<usize>,
     cap: Option<usize>,
-    seed: Option<u64>,
 }
 
 impl ActivityQuery {
@@ -82,9 +79,7 @@ impl ActivityQuery {
         ActivityQuery {
             scheme: scheme.into(),
             workload,
-            len: None,
             cap: None,
-            seed: None,
         }
     }
 
@@ -92,20 +87,6 @@ impl ActivityQuery {
     #[must_use]
     pub fn cap(mut self, cap: usize) -> Self {
         self.cap = Some(cap);
-        self
-    }
-
-    /// Evaluates at an explicit trace length instead of the session's.
-    #[must_use]
-    pub fn len(mut self, len: usize) -> Self {
-        self.len = Some(len);
-        self
-    }
-
-    /// Evaluates at an explicit data seed instead of the session's.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
         self
     }
 
@@ -121,11 +102,7 @@ impl ActivityQuery {
 
     /// The trace this query addresses under `session`'s defaults.
     pub fn trace_key(&self, session: &Session) -> TraceKey {
-        let mut values = self.len.unwrap_or(session.values);
-        if let Some(cap) = self.cap {
-            values = values.min(cap);
-        }
-        TraceKey::new(self.workload, values, self.seed.unwrap_or(session.seed))
+        session.trace_key(self.workload, None, self.cap, None)
     }
 }
 
@@ -192,46 +169,59 @@ impl TraceKey {
 }
 
 /// A map of lazily initialized, shareable cells: the get-or-create
-/// pattern both session caches use. The outer mutex is held only long
+/// pattern both session stores use. The outer mutex is held only long
 /// enough to find or insert the cell; initialization happens on the
 /// cell's own `OnceLock`, so concurrent requests for the *same* key
 /// block each other (the generator runs once) while requests for
-/// different keys proceed in parallel.
+/// different keys proceed in parallel. Each map counts its own hits
+/// and misses.
 struct CellMap<K, V> {
     cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    hits: &'static StaticCounter,
+    misses: &'static StaticCounter,
 }
 
 impl<K: Eq + Hash + Clone, V> CellMap<K, V> {
-    fn new() -> Self {
+    fn new(hits: &'static StaticCounter, misses: &'static StaticCounter) -> Self {
         CellMap {
             cells: Mutex::new(HashMap::new()),
+            hits,
+            misses,
         }
     }
 
     /// Returns the initialized value for `key`, running `init` exactly
     /// once per key across all threads. The second tuple field reports
     /// whether *this* call did the initialization (a miss).
-    fn get_or_init<F: FnOnce() -> V>(&self, key: &K, init: F) -> (Arc<OnceLock<V>>, bool) {
+    fn get_or_init<F: FnOnce() -> V>(&self, key: &K, init: F) -> (V, bool)
+    where
+        V: Clone,
+    {
         let cell = {
             let mut map = self.cells.lock().unwrap_or_else(|e| e.into_inner());
             Arc::clone(map.entry(key.clone()).or_default())
         };
         let mut missed = false;
-        cell.get_or_init(|| {
+        let value = cell.get_or_init(|| {
             missed = true;
             init()
         });
-        (cell, missed)
+        if missed { self.misses } else { self.hits }.inc();
+        (value.clone(), missed)
     }
 
     /// The initialized value for `key` if some call already built it —
-    /// a cache probe that never triggers initialization.
+    /// a probe that never triggers initialization.
     fn peek(&self, key: &K) -> Option<V>
     where
         V: Copy,
     {
         let map = self.cells.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(key).and_then(|cell| cell.get().copied())
+        let value = map.get(key).and_then(|cell| cell.get().copied());
+        if value.is_some() {
+            self.hits.inc();
+        }
+        value
     }
 
     fn len(&self) -> usize {
@@ -239,20 +229,12 @@ impl<K: Eq + Hash + Clone, V> CellMap<K, V> {
     }
 }
 
-static TRACE_HITS: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("bench.session.trace_hits");
-static TRACE_MISSES: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("bench.session.trace_misses");
-static DISK_LOADS: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("bench.session.disk_loads");
-static DISK_REJECTS: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("bench.session.disk_rejects");
-static BASELINE_MISSES: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("bench.session.baseline_misses");
-static ACTIVITY_HITS: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("bench.session.activity_hits");
-static ACTIVITY_MISSES: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("bench.session.activity_misses");
+static TRACE_HITS: StaticCounter = StaticCounter::new("bench.session.trace_hits");
+static TRACE_MISSES: StaticCounter = StaticCounter::new("bench.session.trace_misses");
+static DISK_LOADS: StaticCounter = StaticCounter::new("bench.session.disk_loads");
+static DISK_REJECTS: StaticCounter = StaticCounter::new("bench.session.disk_rejects");
+static ACTIVITY_HITS: StaticCounter = StaticCounter::new("bench.session.activity_hits");
+static ACTIVITY_MISSES: StaticCounter = StaticCounter::new("bench.session.activity_misses");
 
 /// The content-addressed trace cache a [`Session`] owns.
 ///
@@ -271,17 +253,14 @@ pub struct TraceStore {
 impl TraceStore {
     /// A purely in-memory store.
     pub fn in_memory() -> Self {
-        TraceStore {
-            disk_dir: None,
-            cells: CellMap::new(),
-        }
+        TraceStore::new(None)
     }
 
-    /// A store that additionally persists traces under `dir`.
-    pub fn with_disk_cache(dir: PathBuf) -> Self {
+    /// A store that also persists traces under `disk_dir`, if given.
+    fn new(disk_dir: Option<PathBuf>) -> Self {
         TraceStore {
-            disk_dir: Some(dir),
-            cells: CellMap::new(),
+            disk_dir,
+            cells: CellMap::new(&TRACE_HITS, &TRACE_MISSES),
         }
     }
 
@@ -293,13 +272,8 @@ impl TraceStore {
     /// The shared trace for `key`, generating (or loading) it on first
     /// request.
     pub fn get(&self, key: &TraceKey) -> Arc<Trace> {
-        let (cell, missed) = self.cells.get_or_init(key, || Arc::new(self.acquire(key)));
-        if missed {
-            TRACE_MISSES.inc();
-        } else {
-            TRACE_HITS.inc();
-        }
-        Arc::clone(cell.get().expect("cell initialized by get_or_init"))
+        let (trace, _) = self.cells.get_or_init(key, || Arc::new(self.acquire(key)));
+        trace
     }
 
     /// Distinct keys resident in memory.
@@ -349,14 +323,13 @@ impl TraceStore {
     }
 }
 
-/// Shared experiment configuration plus the run-wide caches — the
+/// Shared experiment configuration plus the run-wide stores — the
 /// redesigned `Ctx`. See the [module docs](self) for the design.
 pub struct Session {
     values: usize,
     seed: u64,
     out_dir: PathBuf,
     store: TraceStore,
-    baselines: CellMap<TraceKey, Activity>,
     activities: CellMap<(String, TraceKey), Activity>,
 }
 
@@ -404,61 +377,48 @@ impl Session {
         &self.store
     }
 
+    /// The trace a request addresses — the one resolution rule every
+    /// front end shares: `len` (default: the session's `values`)
+    /// bounded by `cap`, at `seed` (default: the session's).
+    pub fn trace_key(
+        &self,
+        workload: Workload,
+        len: Option<usize>,
+        cap: Option<usize>,
+        seed: Option<u64>,
+    ) -> TraceKey {
+        let values = len.unwrap_or(self.values).min(cap.unwrap_or(usize::MAX));
+        TraceKey::new(workload, values, seed.unwrap_or(self.seed))
+    }
+
     /// The shared trace of `workload` at the session's full length.
     pub fn trace(&self, workload: Workload) -> Arc<Trace> {
-        self.trace_with_len(workload, self.values)
+        self.store.get(&self.trace_key(workload, None, None, None))
     }
 
     /// The shared trace of `workload` at `min(values, cap)` — the
     /// idiom of experiments that bound their own cost below the
     /// session length.
     pub fn trace_capped(&self, workload: Workload, cap: usize) -> Arc<Trace> {
-        self.trace_with_len(workload, self.values.min(cap))
-    }
-
-    /// The shared trace of `workload` at an explicit length.
-    pub fn trace_with_len(&self, workload: Workload, values: usize) -> Arc<Trace> {
-        self.store.get(&TraceKey::new(workload, values, self.seed))
+        let key = self.trace_key(workload, None, Some(cap), None);
+        self.store.get(&key)
     }
 
     /// The memoized un-encoded bus activity of `workload` at the
-    /// session's full length.
+    /// session's full length: its [`BASELINE_SCHEME`] activity.
     pub fn baseline(&self, workload: Workload) -> Activity {
-        self.baseline_with_len(workload, self.values)
+        self.activity(&ActivityQuery::new(BASELINE_SCHEME, workload))
     }
 
     /// The memoized baseline at `min(values, cap)`.
     pub fn baseline_capped(&self, workload: Workload, cap: usize) -> Activity {
-        self.baseline_with_len(workload, self.values.min(cap))
+        self.activity(&ActivityQuery::new(BASELINE_SCHEME, workload).cap(cap))
     }
 
-    /// The memoized baseline at an explicit length.
-    pub fn baseline_with_len(&self, workload: Workload, values: usize) -> Activity {
-        self.baseline_for(&TraceKey::new(workload, values, self.seed))
-    }
-
-    /// The memoized baseline of an explicit trace key — the entry point
-    /// the service API uses when a request overrides the session seed.
-    pub fn baseline_for(&self, key: &TraceKey) -> Activity {
-        let (cell, _) = self.baselines.get_or_init(key, || {
-            BASELINE_MISSES.inc();
-            baseline_activity(&self.store.get(key))
-        });
-        *cell.get().expect("cell initialized by get_or_init")
-    }
-
-    /// The memoized coded activity for `query` — the session-level
-    /// coded-activity store, and the single entry point the old
-    /// `activity`/`activity_capped`/`activity_with_len` trio collapsed
-    /// into. The store key is `(scheme-name, workload, values, seed)`:
-    /// everything that determines the counts and nothing else, so every
-    /// experiment that sweeps the same (scheme, trace) pair shares one
-    /// evaluation. A miss builds the scheme through
-    /// [`buscoding::scheme_by_name`] and runs the block-batched
-    /// [`buscoding::evaluate_blocks`] engine.
-    ///
-    /// Observable via `bench.session.activity_hits` /
-    /// `bench.session.activity_misses`.
+    /// The memoized coded activity for `query`. The store key is
+    /// `(scheme-name, workload, values, seed)`: everything that
+    /// determines the counts and nothing else, so every experiment that
+    /// sweeps the same (scheme, trace) pair shares one evaluation.
     ///
     /// # Panics
     ///
@@ -466,50 +426,40 @@ impl Session {
     /// does not fit the trace's width; [`try_activity`](Self::try_activity)
     /// is the non-panicking form.
     pub fn activity(&self, query: &ActivityQuery) -> Activity {
-        self.try_activity(query)
+        self.try_activity(query.scheme(), &query.trace_key(self))
+            .map(|(activity, _)| activity)
             .unwrap_or_else(|e| panic!("activity store: {e}"))
     }
 
-    /// The memoized coded activity for `query`, with an unknown scheme
-    /// name surfaced as a typed error instead of a panic — what the
-    /// service front ends use so a client typo cannot take a worker
-    /// down.
+    /// The one activity-store lookup: `scheme` over the trace at `key`,
+    /// plus whether the store served it (`true`) rather than this call
+    /// encoding it. A miss builds the scheme through
+    /// [`buscoding::scheme_by_name`] and runs the block-batched
+    /// [`buscoding::evaluate_blocks`] engine. Observable via
+    /// `bench.session.activity_hits` / `bench.session.activity_misses`.
     ///
     /// # Errors
     ///
-    /// [`UnknownScheme`] when the query's scheme is not a canonical
-    /// registry name or does not fit the trace's width; the error's
-    /// `Display` lists the accepted patterns.
-    pub fn try_activity(&self, query: &ActivityQuery) -> Result<Activity, UnknownScheme> {
-        let trace_key = query.trace_key(self);
-        let key = (query.scheme().to_string(), trace_key);
+    /// [`UnknownScheme`] when `scheme` is not a canonical registry name
+    /// or does not fit the trace's width — a typed error, so a client
+    /// typo cannot take a daemon worker down.
+    pub fn try_activity(
+        &self,
+        scheme: &str,
+        key: &TraceKey,
+    ) -> Result<(Activity, bool), UnknownScheme> {
+        let key = (scheme.to_string(), *key);
         if let Some(cached) = self.activities.peek(&key) {
-            ACTIVITY_HITS.inc();
-            return Ok(cached);
+            return Ok((cached, true));
         }
         // Validate the name (and fetch the trace) before touching the
         // cell, so a bad query is an error — never a poisoned entry.
-        let trace = self.store.get(&trace_key);
-        let mut pair = buscoding::scheme_by_name(query.scheme(), trace.width())?;
-        let (cell, missed) = self
-            .activities
-            .get_or_init(&key, || buscoding::evaluate_blocks(pair.encoder_mut(), &trace));
-        if missed {
-            ACTIVITY_MISSES.inc();
-        } else {
-            ACTIVITY_HITS.inc();
-        }
-        Ok(*cell.get().expect("cell initialized by get_or_init"))
-    }
-
-    /// Whether `query`'s activity is already resident (a probe that
-    /// never evaluates) — the cache-provenance bit `bench::api` reports
-    /// per scheme result.
-    pub fn activity_cached(&self, query: &ActivityQuery) -> bool {
-        let trace_key = query.trace_key(self);
-        self.activities
-            .peek(&(query.scheme().to_string(), trace_key))
-            .is_some()
+        let trace = self.store.get(&key.1);
+        let mut pair = buscoding::scheme_by_name(scheme, trace.width())?;
+        let (activity, missed) = self.activities.get_or_init(&key, || {
+            buscoding::evaluate_blocks(pair.encoder_mut(), &trace)
+        });
+        Ok((activity, !missed))
     }
 
     /// Distinct coded activities resident in the activity store.
@@ -582,18 +532,12 @@ impl SessionBuilder {
 
     /// Builds the session with empty caches.
     pub fn build(self) -> Session {
-        let store = if self.disk_cache {
-            TraceStore::with_disk_cache(self.out_dir.join("cache"))
-        } else {
-            TraceStore::in_memory()
-        };
         Session {
+            store: TraceStore::new(self.disk_cache.then(|| self.out_dir.join("cache"))),
             values: self.values,
             seed: self.seed,
             out_dir: self.out_dir,
-            store,
-            baselines: CellMap::new(),
-            activities: CellMap::new(),
+            activities: CellMap::new(&ACTIVITY_HITS, &ACTIVITY_MISSES),
         }
     }
 }
@@ -639,10 +583,11 @@ mod tests {
     fn baseline_matches_direct_computation() {
         let s = Session::builder().values(3_000).seed(4).build();
         let w = Workload::Random;
-        let direct = baseline_activity(&w.trace(3_000, 4));
+        let direct = crate::schemes::baseline_activity(&w.trace(3_000, 4));
         assert_eq!(s.baseline(w), direct);
-        // Second request is served from the memo (same value).
-        assert_eq!(s.baseline(w), direct);
+        // One store entry: the baseline and `identity` are one activity.
+        assert_eq!(s.activity(&ActivityQuery::new(BASELINE_SCHEME, w)), direct);
+        assert_eq!(s.activity_store_len(), 1);
     }
 
     #[test]
@@ -663,9 +608,9 @@ mod tests {
         let mut pair = buscoding::scheme_by_name("window(8)", trace.width()).unwrap();
         let direct = buscoding::evaluate(pair.encoder_mut(), &trace);
         let q = ActivityQuery::new("window(8)", w);
-        assert!(!s.activity_cached(&q));
-        assert_eq!(s.activity(&q), direct);
-        assert!(s.activity_cached(&q));
+        let key = q.trace_key(&s);
+        assert_eq!(s.try_activity("window(8)", &key), Ok((direct, false)));
+        assert_eq!(s.try_activity("window(8)", &key), Ok((direct, true)));
         assert_eq!(s.activity(&q), direct);
         assert_eq!(s.activity_store_len(), 1);
         // A different scheme, length or workload is its own entry.
@@ -678,33 +623,39 @@ mod tests {
     fn activity_query_knobs_compose() {
         let s = Session::builder().values(3_000).seed(4).build();
         let w = Workload::Random;
-        // len overrides the session length; cap bounds it; both
-        // together evaluate min(len, cap); seed overrides the seed.
-        let key = ActivityQuery::new("identity", w).len(700).trace_key(&s);
-        assert_eq!((key.values(), key.seed()), (700, 4));
-        let key = ActivityQuery::new("identity", w).cap(500).trace_key(&s);
-        assert_eq!(key.values(), 500);
-        let key = ActivityQuery::new("identity", w)
-            .len(700)
-            .cap(500)
-            .trace_key(&s);
-        assert_eq!(key.values(), 500);
-        let key = ActivityQuery::new("identity", w).seed(9).trace_key(&s);
-        assert_eq!(key.seed(), 9);
-        // And the seed override addresses a genuinely different trace.
-        let a = s.activity(&ActivityQuery::new("identity", w).cap(500));
-        let b = s.activity(&ActivityQuery::new("identity", w).cap(500).seed(9));
-        assert_ne!(a, b);
+        let query = ActivityQuery::new("identity", w).cap(500);
+        assert_eq!(query.trace_key(&s), s.trace_key(w, Some(500), None, None));
+        // A seed override addresses a genuinely different trace.
+        let other = s.trace_key(w, None, Some(500), Some(9));
+        let (seeded, _) = s.try_activity("identity", &other).unwrap();
+        assert_ne!(s.activity(&query), seeded);
+    }
+
+    #[test]
+    fn trace_key_resolves_len_cap_and_seed() {
+        let s = Session::builder().values(400).seed(7).build();
+        let w = Workload::Random;
+        let default = s.trace_key(w, None, None, None);
+        assert_eq!((default.values(), default.seed()), (400, 7));
+        // `len 400` and `cap 400` are the session's own trace.
+        assert_eq!(s.trace_key(w, Some(400), None, None), default);
+        assert_eq!(s.trace_key(w, None, Some(400), None), default);
+        // A different length is a different trace; `cap` bounds `len`.
+        assert_ne!(s.trace_key(w, Some(100), None, None), default);
+        assert_eq!(s.trace_key(w, Some(700), Some(100), None).values(), 100);
+        // A seed above i64::MAX resolves exactly.
+        assert_eq!(s.trace_key(w, None, None, Some(u64::MAX)).seed(), u64::MAX);
     }
 
     #[test]
     fn try_activity_surfaces_unknown_schemes_without_poisoning() {
         let s = Session::builder().values(100).build();
-        let bad = ActivityQuery::new("windoww(8)", Workload::Random);
-        let err = s.try_activity(&bad).unwrap_err();
+        let key = s.trace_key(Workload::Random, None, None, None);
+        let err = s.try_activity("windoww(8)", &key).unwrap_err();
         assert!(err.to_string().contains("unknown coding scheme"));
         assert_eq!(s.activity_store_len(), 0, "a typo must not leave an entry");
-        assert!(s.try_activity(&bad.clone()).is_err(), "still an error on retry");
+        let retry = s.try_activity("windoww(8)", &key);
+        assert!(retry.is_err(), "still an error on retry");
     }
 
     #[test]

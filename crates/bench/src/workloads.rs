@@ -81,14 +81,21 @@ impl Workload {
 
     /// The inverse of [`name`](Self::name): parses `gcc/register`,
     /// `random`, `phased/4096`, … back into a workload. This is how
-    /// service requests address workloads, so `parse(w.name())`
-    /// round-trips for every constructible workload.
+    /// service requests address workloads. Each workload has exactly
+    /// one spelling: `parse(s) == Some(w)` only when `w.name() == s`
+    /// (so `phased/+5` and `phased/007` are rejected), and phase and
+    /// quantum lengths must be positive.
     pub fn parse(name: &str) -> Option<Workload> {
+        Self::parse_any_spelling(name).filter(|w| w.name() == name)
+    }
+
+    fn parse_any_spelling(name: &str) -> Option<Workload> {
         if name == "random" {
             return Some(Workload::Random);
         }
         if let Some(phase) = name.strip_prefix("phased/") {
-            return phase.parse().ok().map(|phase| Workload::Phased { phase });
+            let phase = phase.parse().ok().filter(|&p| p > 0)?;
+            return Some(Workload::Phased { phase });
         }
         if let Some(rest) = name.strip_prefix("mixed/") {
             let (programs, rest) = rest.split_once('/')?;
@@ -185,6 +192,60 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const BUSES: [BusKind; 3] = [BusKind::Register, BusKind::Memory, BusKind::Address];
+
+    /// Every workload family with arbitrary in-range parameters.
+    fn workload() -> impl Strategy<Value = Workload> {
+        let (n, buses) = (Benchmark::ALL.len(), BUSES.len());
+        prop_oneof![
+            Just(Workload::Random),
+            (0..n, 0..buses).prop_map(|(b, bus)| Workload::Bench(Benchmark::ALL[b], BUSES[bus])),
+            (1..=usize::MAX).prop_map(|phase| Workload::Phased { phase }),
+            (0..n, 0..n, 0..buses, 1..=usize::MAX).prop_map(|(a, b, bus, quantum)| {
+                Workload::Mixed {
+                    a: Benchmark::ALL[a],
+                    b: Benchmark::ALL[b],
+                    bus: BUSES[bus],
+                    quantum,
+                }
+            }),
+        ]
+    }
+
+    /// Strings glued from pieces of workload names, so most reach a
+    /// parser branch and some spell a workload, canonically or not.
+    fn name_soup() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 14] = [
+            "random", "phased/", "mixed/", "gcc", "perl", "+", "/", "register", "0", "7", "+5",
+            "-", " ", "\u{e9}",
+        ];
+        prop::collection::vec(0..PIECES.len(), 0..10)
+            .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_inverts_name_for_every_workload(w in workload()) {
+            prop_assert_eq!(Workload::parse(&w.name()), Some(w));
+        }
+
+        #[test]
+        fn parse_accepts_only_canonical_names(
+            soup in name_soup(),
+            bytes in prop::collection::vec(any::<u8>(), 0..16),
+        ) {
+            for name in [soup, String::from_utf8_lossy(&bytes).into_owned()] {
+                if let Some(w) = Workload::parse(&name) {
+                    prop_assert_eq!(w.name(), name);
+                    prop_assert_eq!(w.trace(3, 1).len(), 3);
+                }
+            }
+        }
+    }
 
     #[test]
     fn names_are_stable() {
@@ -207,24 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_inverts_name_for_every_workload() {
-        let mut all = vec![
-            Workload::Random,
-            Workload::PHASED,
-            Workload::PHASED_FAST,
-            Workload::Mixed {
-                a: Benchmark::Gcc,
-                b: Benchmark::M88ksim,
-                bus: BusKind::Memory,
-                quantum: 256,
-            },
-        ];
-        for bus in [BusKind::Register, BusKind::Memory, BusKind::Address] {
-            all.extend(Workload::all_benchmarks(bus));
-        }
-        for w in all {
-            assert_eq!(Workload::parse(&w.name()), Some(w), "{}", w.name());
-        }
+    fn parse_rejects_non_canonical_names() {
         for bad in [
             "",
             "gcc",
@@ -232,6 +276,10 @@ mod tests {
             "nope/register",
             "phased/x",
             "phased/",
+            "phased/0",
+            "phased/+5",
+            "phased/007",
+            "mixed/gcc+perl/register/+64",
             "mixed/gcc/register/64",
             "mixed/gcc+nope/register/64",
             "mixed/gcc+perl/register/0",

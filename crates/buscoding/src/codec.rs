@@ -27,10 +27,10 @@ pub trait Encoder {
 
     /// Encodes a block of words, appending one absolute bus state per
     /// word to `out`. Semantically identical to calling
-    /// [`encode`](Self::encode) once per word, in order — implementors
-    /// override it so the FSM update loop runs monomorphically inside
-    /// the block, paying virtual dispatch once per block instead of once
-    /// per word when driven through `dyn Encoder`.
+    /// [`encode`](Self::encode) once per word, in order. This default
+    /// is already instantiated per implementor, so through `dyn Encoder`
+    /// the FSM loop runs monomorphically and pays virtual dispatch once
+    /// per block; override it only to beat one `encode` per word.
     fn encode_block(&mut self, words: &[Word], out: &mut Vec<u64>) {
         out.reserve(words.len());
         for &value in words {

@@ -186,14 +186,6 @@ impl Encoder for InversionEncoder {
         best.1
     }
 
-    fn encode_block(&mut self, words: &[Word], out: &mut Vec<u64>) {
-        // Monomorphic candidate-scan loop: one dispatch per block.
-        out.reserve(words.len());
-        for &value in words {
-            out.push(self.encode(value));
-        }
-    }
-
     fn reset(&mut self) {
         self.state.data = 0;
         self.state.control = 0;

@@ -184,14 +184,6 @@ impl Encoder for WorkZoneEncoder {
         }
     }
 
-    fn encode_block(&mut self, words: &[Word], out: &mut Vec<u64>) {
-        // Monomorphic zone-tracking loop: one dispatch per block.
-        out.reserve(words.len());
-        for &value in words {
-            out.push(self.encode(value));
-        }
-    }
-
     fn reset(&mut self) {
         self.state.reset();
     }

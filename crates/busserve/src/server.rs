@@ -2,7 +2,7 @@
 //! quotas, and graceful drain.
 //!
 //! `busserve` knows nothing about traces or coding schemes — it speaks
-//! the frame protocol and routes requests to a [`Service`]
+//! the frame protocol and hands requests to a [`Service`]
 //! implementation (the evaluation service lives in `bench::api`, which
 //! keeps the dependency arrow pointing one way). Each request frame is
 //! one JSON object `{"v":1,"verb":"...", ...}`; each response frame is
@@ -13,10 +13,10 @@
 //! *bounded* `sync_channel`. Connection threads submit with `try_send`
 //! — a full shard answers immediately with a typed `busy` error
 //! instead of blocking, so the accept loop and every other client stay
-//! live no matter how slow one evaluation is. Requests carrying a
-//! routing key (the trace key) always land on the same shard, so two
-//! clients asking for the same trace serialize onto one worker and the
-//! second hits the session cache instead of racing the first.
+//! live no matter how slow one evaluation is. Requests go to the
+//! shards round-robin; every shard serves the one shared service, so
+//! work two requests have in common (for `bench::api`, a trace or an
+//! activity) is deduplicated there, not by shard choice.
 //!
 //! Drain: when the shutdown flag is set (see [`crate::signal`]) the
 //! accept loop stops accepting, connection threads finish the request
@@ -54,8 +54,8 @@ static QUOTA: busprobe::StaticCounter = busprobe::StaticCounter::new("busserve.q
 static PROTOCOL_ERRORS: busprobe::StaticCounter =
     busprobe::StaticCounter::new("busserve.protocol_errors");
 
-/// What a daemon serves: one verb dispatcher plus an optional routing
-/// key. Implementations must be callable from many threads at once.
+/// What a daemon serves: one verb dispatcher. Implementations must be
+/// callable from many threads at once.
 pub trait Service: Send + Sync {
     /// Handles one request. `body` is the whole request object (the
     /// envelope fields `v` and `verb` included), so a service can keep
@@ -66,13 +66,6 @@ pub trait Service: Send + Sync {
     /// A [`ServiceError`] becomes the typed `error` object of the
     /// response frame.
     fn handle(&self, verb: &str, body: &JsonValue) -> Result<JsonValue, ServiceError>;
-
-    /// A stable routing key for this request, if it has one. Equal
-    /// keys are served by the same shard worker, which turns
-    /// same-trace races into cache hits.
-    fn route(&self, _verb: &str, _body: &JsonValue) -> Option<u64> {
-        None
-    }
 }
 
 /// A typed service-level failure: a short machine-readable `kind`, a
@@ -264,11 +257,10 @@ impl<S: Service> Server<S> {
                         CONNECTIONS.inc();
                         tally.connections.fetch_add(1, Ordering::Relaxed);
                         let senders = senders.clone();
-                        let service = &self.service;
                         let config = &self.config;
                         let (tally, rr) = (&tally, &rr);
                         conns.push(scope.spawn(move || {
-                            serve_connection(stream, service, config, &senders, rr, shutdown, tally);
+                            serve_connection(stream, config, &senders, rr, shutdown, tally);
                         }));
                         conns.retain(|h| !h.is_finished());
                     }
@@ -295,9 +287,8 @@ impl<S: Service> Server<S> {
 /// One connection: poll for a header byte (so shutdown is noticed
 /// between frames), complete the frame, submit to a shard, relay the
 /// response.
-fn serve_connection<S: Service>(
+fn serve_connection(
     mut stream: UnixStream,
-    service: &S,
     config: &ServerConfig,
     shards: &[mpsc::SyncSender<Job>],
     rr: &AtomicUsize,
@@ -340,15 +331,7 @@ fn serve_connection<S: Service>(
             }
             Err(FrameError::Io(_)) => return,
         };
-        let (response, close) = process_request(
-            &bytes,
-            service,
-            config,
-            shards,
-            rr,
-            &mut served,
-            tally,
-        );
+        let (response, close) = process_request(&bytes, config, shards, rr, &mut served, tally);
         if write_response(&mut stream, response.to_string().as_bytes()).is_err() || close {
             return;
         }
@@ -358,9 +341,8 @@ fn serve_connection<S: Service>(
 /// Envelope-validates one request and runs it through quota check and
 /// shard submission. Returns the response and whether the connection
 /// must close afterwards (quota exhausted).
-fn process_request<S: Service>(
+fn process_request(
     bytes: &[u8],
-    service: &S,
     config: &ServerConfig,
     shards: &[mpsc::SyncSender<Job>],
     rr: &AtomicUsize,
@@ -388,10 +370,7 @@ fn process_request<S: Service>(
         return (error_envelope(&e), true);
     }
     *served += 1;
-    let shard = match service.route(&verb, &body) {
-        Some(key) => (key % shards.len() as u64) as usize,
-        None => rr.fetch_add(1, Ordering::Relaxed) % shards.len(),
-    };
+    let shard = rr.fetch_add(1, Ordering::Relaxed) % shards.len();
     let (reply_tx, reply_rx) = mpsc::channel();
     let job = Job {
         verb,

@@ -4,7 +4,7 @@
 #![cfg(unix)]
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,14 +24,11 @@ fn request(verb: &str, extra: Vec<(String, JsonValue)>) -> JsonValue {
     JsonValue::Obj(pairs)
 }
 
-/// A service that can echo, sleep, and count invocations.
-struct Toy {
-    calls: AtomicUsize,
-}
+/// A service that can echo and sleep.
+struct Toy;
 
 impl Service for Toy {
     fn handle(&self, verb: &str, body: &JsonValue) -> Result<JsonValue, ServiceError> {
-        self.calls.fetch_add(1, Ordering::Relaxed);
         match verb {
             "echo" => Ok(body.get("payload").cloned().unwrap_or(JsonValue::Null)),
             "sleep" => {
@@ -44,10 +41,6 @@ impl Service for Toy {
                 format!("no such verb `{other}`"),
             )),
         }
-    }
-
-    fn route(&self, _verb: &str, body: &JsonValue) -> Option<u64> {
-        body.get("key").and_then(JsonValue::as_u64)
     }
 }
 
@@ -67,15 +60,7 @@ fn spawn_server(
     let handle = {
         let path = path.clone();
         let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            let server = Server::new(
-                Toy {
-                    calls: AtomicUsize::new(0),
-                },
-                config,
-            );
-            server.serve_unix(&path, &shutdown)
-        })
+        std::thread::spawn(move || Server::new(Toy, config).serve_unix(&path, &shutdown))
     };
     // Wait for the socket to exist before clients connect.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -224,15 +209,14 @@ fn drain_finishes_in_flight_requests_and_exits_clean() {
 }
 
 #[test]
-fn same_key_requests_land_on_one_shard() {
-    // Not directly observable from outside, but routing must at least
-    // be deterministic: equal keys → equal responses with no errors
-    // under concurrency.
+fn identical_requests_over_four_shards_are_all_answered() {
+    // Round-robin spreads one client's identical requests over every
+    // shard; each must still be answered exactly and counted once.
     let config = ServerConfig {
         shards: 4,
         ..ServerConfig::default()
     };
-    let (path, shutdown, handle) = spawn_server("route", config);
+    let (path, shutdown, handle) = spawn_server("shards", config);
     let workers: Vec<_> = (0..4)
         .map(|_| {
             let path = path.clone();
@@ -242,10 +226,7 @@ fn same_key_requests_land_on_one_shard() {
                     let resp = client
                         .call(&request(
                             "echo",
-                            vec![
-                                ("key".into(), JsonValue::Int(7)),
-                                ("payload".into(), JsonValue::Int(7)),
-                            ],
+                            vec![("payload".into(), JsonValue::Int(7))],
                         ))
                         .unwrap();
                     assert_eq!(resp.get("result"), Some(&JsonValue::Int(7)), "{resp}");

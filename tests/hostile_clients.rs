@@ -191,3 +191,17 @@ fn sixty_four_bit_inline_words_are_exact_through_the_daemon() {
     assert!(message.contains("words[2]"), "{message}");
     assert_live(server.service());
 }
+
+#[test]
+fn workload_names_have_one_spelling() {
+    // `phased/0` used to panic in the generator (answered `internal`);
+    // the others were aliases of `phased/5`, `phased/7` and `.../64`.
+    let service = service();
+    for name in "phased/0 phased/+5 phased/007 mixed/gcc+perl/register/+64".split(' ') {
+        let raw = format!(r#"{{"schemes":["identity"],"workload":"{name}"}}"#);
+        let body = busprobe::json::parse(&raw).expect("test JSON");
+        let err = service.handle("eval", &body).expect_err(name);
+        assert_eq!(err.kind, "unknown_workload", "{name}: {}", err.message);
+    }
+    assert_live(&service);
+}
