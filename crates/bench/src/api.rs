@@ -664,7 +664,7 @@ pub trait Evaluator {
 impl Evaluator for Session {
     /// Schemes are evaluated in request order, serially: request-level
     /// parallelism belongs to the caller (the batch runner fans out
-    /// over workloads; the daemon over shards), and keeping this leaf
+    /// over workloads; the daemon over connections), and keeping this leaf
     /// serial keeps thread fan-out bounded and results deterministic.
     fn evaluate(&self, request: &EvalRequest) -> Result<EvalResponse, ApiError> {
         let _span = busprobe::span("bench.api.evaluate");

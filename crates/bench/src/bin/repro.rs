@@ -311,9 +311,9 @@ fn usage_error(msg: &str) -> ExitCode {
 /// boundaries.
 ///
 /// Flags: `--socket <path>` (required; drains on SIGTERM/SIGINT and
-/// exits 0), `--shards N`, `--queue N` (per-shard in-flight bound;
-/// overload answers typed `busy`), `--quota N` (requests per
-/// connection).
+/// exits 0), `--shards N` (evaluations run at once), `--queue N`
+/// (requests per slot that may wait for one; past that, overload
+/// answers typed `busy`), `--quota N` (requests per connection).
 fn run_serve(args: &[String]) -> ExitCode {
     let mut socket: Option<std::path::PathBuf> = None;
     let mut config = busserve::ServerConfig::default();
@@ -377,7 +377,7 @@ fn run_serve(args: &[String]) -> ExitCode {
         }
     );
     eprintln!(
-        "[serve] listening on {} ({} shard(s), queue {}, quota {}/conn)",
+        "[serve] listening on {} ({} evaluation slot(s), queue {}/slot, quota {}/conn)",
         path.display(),
         config.shards,
         config.queue_depth,

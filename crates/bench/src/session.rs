@@ -19,7 +19,7 @@
 //! the session's).
 //!
 //! Both stores are safe to share across the worker threads of
-//! [`par_map`](crate::experiments::par_map) and the daemon's shards:
+//! [`par_map`](crate::experiments::par_map) and the daemon's connections:
 //! per-key `OnceLock` cells guarantee each trace and activity is
 //! computed once even when two callers request it concurrently.
 //!

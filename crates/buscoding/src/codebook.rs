@@ -63,41 +63,33 @@ impl CodeBook {
             );
         }
 
-        // Enumerate codewords weight class by weight class. Cost is not
-        // monotone in weight once λ > 0 (a run of adjacent toggling wires
-        // couples less than an isolated interior toggle), so classes are
-        // gathered until the cheapest *possible* cost of the next class —
-        // its weight, since κ ≥ 0 — exceeds the count-th smallest cost
-        // seen so far; a global sort then finishes the job.
-        let mut pool: Vec<u64> = Vec::with_capacity(count * 2);
+        // Enumerate and score codewords weight class by weight class. Cost
+        // is not monotone in weight once λ > 0 (a run of adjacent toggling
+        // wires couples less than an isolated interior toggle), so classes
+        // are gathered until the cheapest *possible* cost of the next
+        // class — its weight, since κ ≥ 0 — exceeds the count-th smallest
+        // cost so far; selecting that one puts the winners first.
+        let by_cost = |a: &(f64, u64), b: &(f64, u64)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let mut scored: Vec<(f64, u64)> = Vec::with_capacity(count * 2);
         let mut weight = 0u32;
-        while weight <= lines {
-            Self::push_weight_class(lines, weight, &mut pool, count);
-            if pool.len() >= count {
-                let mut costs: Vec<f64> =
-                    pool.iter().map(|&c| cost.vector_cost(c, lines)).collect();
-                costs.sort_by(|a, b| a.partial_cmp(b).expect("costs are finite"));
-                if f64::from(weight + 1) > costs[count - 1] {
+        loop {
+            Self::push_weight_class(lines, weight, &mut scored, count, cost);
+            if scored.len() >= count {
+                scored.select_nth_unstable_by(count - 1, by_cost);
+                if weight == lines || f64::from(weight + 1) > scored[count - 1].0 {
                     break;
                 }
             }
+            assert!(
+                weight < lines,
+                "internal enumeration produced {} < {count} codewords",
+                scored.len()
+            );
             weight += 1;
         }
-        let mut scored: Vec<(f64, u64)> = pool
-            .into_iter()
-            .map(|c| (cost.vector_cost(c, lines), c))
-            .collect();
-        scored.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("costs are finite")
-                .then(a.1.cmp(&b.1))
-        });
-        let codes: Vec<u64> = scored.into_iter().take(count).map(|(_, c)| c).collect();
-        assert!(
-            codes.len() == count,
-            "internal enumeration produced {} < {count} codewords",
-            codes.len()
-        );
+        scored.truncate(count);
+        scored.sort_unstable_by(by_cost);
+        let codes: Vec<u64> = scored.into_iter().map(|(_, c)| c).collect();
         let ranks = codes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         CodeBook {
             lines,
@@ -106,13 +98,20 @@ impl CodeBook {
         }
     }
 
-    /// Pushes all codewords of the given weight, stopping early once the
-    /// pool is comfortably larger than needed (the class is generated in
-    /// ascending numeric order so the prefix is deterministic).
-    fn push_weight_class(lines: u32, weight: u32, pool: &mut Vec<u64>, count: usize) {
+    /// Pushes all codewords of the given weight with their costs,
+    /// stopping early once the pool is comfortably larger than needed
+    /// (the class is generated in ascending numeric order so the prefix
+    /// is deterministic).
+    fn push_weight_class(
+        lines: u32,
+        weight: u32,
+        pool: &mut Vec<(f64, u64)>,
+        count: usize,
+        cost: CostModel,
+    ) {
         let budget = count.saturating_mul(4).max(1024);
         if weight == 0 {
-            pool.push(0);
+            pool.push((cost.vector_cost(0, lines), 0));
             return;
         }
         if weight > lines {
@@ -130,7 +129,7 @@ impl CodeBook {
             (1u64 << lines) - 1
         };
         loop {
-            pool.push(v);
+            pool.push((cost.vector_cost(v, lines), v));
             if pool.len() >= budget {
                 return;
             }
@@ -306,6 +305,54 @@ mod tests {
     fn display_formats() {
         let book = CodeBook::new(8, 5, CostModel::default());
         assert_eq!(book.to_string(), "5-entry codebook on 8 lines");
+    }
+
+    /// The construction before selection: re-costs and re-sorts the
+    /// whole pool after every weight class, then sorts the whole pool by
+    /// (cost, code) and keeps the first `count`.
+    fn sort_everything(lines: u32, count: usize, cost: CostModel) -> Vec<u64> {
+        let mut pool = Vec::new();
+        let mut weight = 0u32;
+        while weight <= lines {
+            CodeBook::push_weight_class(lines, weight, &mut pool, count, cost);
+            if pool.len() >= count {
+                let mut costs: Vec<f64> = pool
+                    .iter()
+                    .map(|&(_, c)| cost.vector_cost(c, lines))
+                    .collect();
+                costs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                if f64::from(weight + 1) > costs[count - 1] {
+                    break;
+                }
+            }
+            weight += 1;
+        }
+        let mut scored: Vec<(f64, u64)> = pool
+            .into_iter()
+            .map(|(_, c)| (cost.vector_cost(c, lines), c))
+            .collect();
+        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
+        scored.into_iter().take(count).map(|(_, c)| c).collect()
+    }
+
+    #[test]
+    fn selection_matches_sorting_everything() {
+        // Every width and count; λ rotates over the grid so that each
+        // value meets every width.
+        for lines in 1..=64u32 {
+            for count in 1..=129usize {
+                if lines < 64 && count as u128 > 1u128 << lines {
+                    break;
+                }
+                let lambda = [0.0, 1.0, 2.8][(lines as usize + count) % 3];
+                let cost = CostModel::new(lambda);
+                assert_eq!(
+                    CodeBook::new(lines, count, cost).codes(),
+                    sort_everything(lines, count, cost),
+                    "lines={lines} count={count} lambda={lambda}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! The batch `repro` binary answers "what does scheme X cost on trace
 //! Y" by rebuilding the world per run; this crate is the long-running
 //! half of that question. It speaks a hand-rolled, length-prefixed
-//! JSON frame protocol (see [`frame`]) over a unix socket, shards
-//! requests across bounded worker queues, rejects
-//! overload with typed `busy` responses instead of blocking, enforces
-//! per-connection quotas, and drains cleanly on SIGTERM (see
+//! JSON frame protocol (see [`frame`]) over a unix socket, evaluates
+//! requests behind one admission gate of bounded slots and waiters,
+//! rejects overload with typed `busy` responses instead of blocking,
+//! enforces per-connection quotas, and drains cleanly on SIGTERM (see
 //! [`signal`]).
 //!
 //! The crate is domain-free on purpose: it depends only on `busprobe`

@@ -1,4 +1,4 @@
-//! The daemon runtime: accept loop, shard workers, backpressure,
+//! The daemon runtime: accept loop, admission gate, backpressure,
 //! quotas, and graceful drain.
 //!
 //! `busserve` knows nothing about traces or coding schemes — it speaks
@@ -9,26 +9,26 @@
 //! `{"v":1,"ok":true,"result":...}` or
 //! `{"v":1,"ok":false,"error":{"kind","message",...}}`.
 //!
-//! Concurrency model: one worker thread per shard, each behind a
-//! *bounded* `sync_channel`. Connection threads submit with `try_send`
-//! — a full shard answers immediately with a typed `busy` error
-//! instead of blocking, so the accept loop and every other client stay
-//! live no matter how slow one evaluation is. Requests go to the
-//! shards round-robin; every shard serves the one shared service, so
+//! Concurrency model: each connection's thread evaluates its requests
+//! itself, behind one admission gate: at most [`ServerConfig::shards`]
+//! evaluations run at once, at most `shards × queue_depth` more wait
+//! for a slot, and past that the reply is a typed `busy` error at once,
+//! so the accept loop and every other client stay live no matter how
+//! slow one evaluation is. All connections share the one service, so
 //! work two requests have in common (for `bench::api`, a trace or an
-//! activity) is deduplicated there, not by shard choice.
+//! activity) is deduplicated there.
 //!
 //! Drain: when the shutdown flag is set (see [`crate::signal`]) the
-//! accept loop stops accepting, connection threads finish the request
-//! they are reading or serving and close, workers drain their queues,
-//! and `serve_unix` returns `Ok` — exit code 0 for the daemon.
+//! accept loop stops accepting (connects are refused), each connection
+//! finishes the request it is reading, waiting on or serving and
+//! closes, and `serve_unix` returns `Ok` — exit code 0 for the daemon.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use busprobe::json::{self, JsonValue};
@@ -50,6 +50,7 @@ const FRAME_TIMEOUT: Duration = Duration::from_secs(30);
 static CONNECTIONS: busprobe::StaticCounter = busprobe::StaticCounter::new("busserve.connections");
 static REQUESTS: busprobe::StaticCounter = busprobe::StaticCounter::new("busserve.requests");
 static BUSY: busprobe::StaticCounter = busprobe::StaticCounter::new("busserve.busy");
+static WAITED: busprobe::StaticCounter = busprobe::StaticCounter::new("busserve.waited");
 static QUOTA: busprobe::StaticCounter = busprobe::StaticCounter::new("busserve.quota");
 static PROTOCOL_ERRORS: busprobe::StaticCounter =
     busprobe::StaticCounter::new("busserve.protocol_errors");
@@ -115,10 +116,12 @@ impl std::error::Error for ServiceError {}
 /// Tunables for one serving run.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads (and bounded queues) requests are sharded over.
+    /// Evaluation slots: at most this many requests are evaluated at
+    /// once.
     pub shards: usize,
-    /// In-flight + queued requests a shard holds before `try_send`
-    /// fails and the client gets a typed `busy` response.
+    /// Requests per slot that may wait for a slot to free; a request
+    /// that finds `shards × queue_depth` already waiting gets a typed
+    /// `busy` response.
     pub queue_depth: usize,
     /// Requests one connection may issue before a typed `quota` error
     /// closes it.
@@ -142,7 +145,8 @@ impl Default for ServerConfig {
 pub struct ServeStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Requests admitted to a shard (busy/quota rejections excluded).
+    /// Requests admitted through the gate and evaluated (busy/quota
+    /// rejections excluded).
     pub requests: u64,
     /// Requests rejected with `busy`.
     pub busy: u64,
@@ -175,12 +179,55 @@ impl Tally {
     }
 }
 
-/// One queued request: the parsed envelope plus the channel the
-/// connection thread is blocked on.
-struct Job {
-    verb: String,
-    body: JsonValue,
-    reply: mpsc::Sender<JsonValue>,
+/// The admission gate of one serving run: `slots` evaluations at once,
+/// `max_waiting` more requests waiting for a slot, the rest refused.
+struct Gate {
+    slots: usize,
+    max_waiting: usize,
+    /// `(running, waiting)`.
+    state: Mutex<(usize, usize)>,
+    freed: Condvar,
+}
+
+/// A held evaluation slot; dropping it frees the slot.
+struct Slot<'a>(&'a Gate);
+
+impl Gate {
+    fn new(config: &ServerConfig) -> Self {
+        let slots = config.shards.max(1);
+        Gate {
+            slots,
+            max_waiting: slots.saturating_mul(config.queue_depth.max(1)),
+            state: Mutex::new((0, 0)),
+            freed: Condvar::new(),
+        }
+    }
+
+    /// Takes a slot, waiting for one if every slot is taken and the
+    /// wait line has room; `None` means the daemon is full.
+    fn enter(&self) -> Option<Slot<'_>> {
+        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if state.0 >= self.slots {
+            if state.1 >= self.max_waiting {
+                return None;
+            }
+            WAITED.inc();
+            state.1 += 1;
+            while state.0 >= self.slots {
+                state = self.freed.wait(state).unwrap_or_else(|e| e.into_inner());
+            }
+            state.1 -= 1;
+        }
+        state.0 += 1;
+        Some(Slot(self))
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().unwrap_or_else(|e| e.into_inner()).0 -= 1;
+        self.0.freed.notify_one();
+    }
 }
 
 /// The daemon: a [`Service`] plus its [`ServerConfig`].
@@ -216,9 +263,8 @@ impl<S: Service> Server<S> {
 
     /// Binds `path` and serves until `shutdown` goes true, then drains:
     /// stops accepting, lets every connection finish its in-flight
-    /// request, joins the shard workers, removes the socket file, and
-    /// returns the tally. A stale socket file from a previous run is
-    /// replaced.
+    /// request, removes the socket file, and returns the tally. A stale
+    /// socket file from a previous run is replaced.
     ///
     /// # Errors
     ///
@@ -231,22 +277,8 @@ impl<S: Service> Server<S> {
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
         let tally = Tally::default();
-        let rr = AtomicUsize::new(0);
+        let gate = Gate::new(&self.config);
         let result: io::Result<()> = std::thread::scope(|scope| {
-            let mut senders: Vec<mpsc::SyncSender<Job>> = Vec::with_capacity(self.config.shards);
-            for _ in 0..self.config.shards.max(1) {
-                let (tx, rx) = mpsc::sync_channel::<Job>(self.config.queue_depth.max(1));
-                senders.push(tx);
-                let service = &self.service;
-                scope.spawn(move || {
-                    for job in rx {
-                        let response = dispatch(service, &job.verb, &job.body);
-                        // A vanished requester is not the worker's
-                        // problem; keep draining the queue.
-                        let _ = job.reply.send(response);
-                    }
-                });
-            }
             let mut conns = Vec::new();
             loop {
                 if shutdown.load(Ordering::Acquire) {
@@ -256,11 +288,9 @@ impl<S: Service> Server<S> {
                     Ok((stream, _)) => {
                         CONNECTIONS.inc();
                         tally.connections.fetch_add(1, Ordering::Relaxed);
-                        let senders = senders.clone();
-                        let config = &self.config;
-                        let (tally, rr) = (&tally, &rr);
+                        let (gate, tally) = (&gate, &tally);
                         conns.push(scope.spawn(move || {
-                            serve_connection(stream, config, &senders, rr, shutdown, tally);
+                            serve_connection(stream, self, gate, shutdown, tally);
                         }));
                         conns.retain(|h| !h.is_finished());
                     }
@@ -275,8 +305,6 @@ impl<S: Service> Server<S> {
             for h in conns {
                 let _ = h.join();
             }
-            // Workers exit once the queues empty and the senders drop.
-            drop(senders);
             Ok(())
         });
         let _ = std::fs::remove_file(path);
@@ -285,13 +313,12 @@ impl<S: Service> Server<S> {
 }
 
 /// One connection: poll for a header byte (so shutdown is noticed
-/// between frames), complete the frame, submit to a shard, relay the
+/// between frames), complete the frame, evaluate it, relay the
 /// response.
-fn serve_connection(
+fn serve_connection<S: Service>(
     mut stream: UnixStream,
-    config: &ServerConfig,
-    shards: &[mpsc::SyncSender<Job>],
-    rr: &AtomicUsize,
+    server: &Server<S>,
+    gate: &Gate,
     shutdown: &AtomicBool,
     tally: &Tally,
 ) {
@@ -331,21 +358,20 @@ fn serve_connection(
             }
             Err(FrameError::Io(_)) => return,
         };
-        let (response, close) = process_request(&bytes, config, shards, rr, &mut served, tally);
+        let (response, close) = process_request(&bytes, server, gate, &mut served, tally);
         if write_response(&mut stream, response.to_string().as_bytes()).is_err() || close {
             return;
         }
     }
 }
 
-/// Envelope-validates one request and runs it through quota check and
-/// shard submission. Returns the response and whether the connection
-/// must close afterwards (quota exhausted).
-fn process_request(
+/// Envelope-validates one request and runs it through the quota check
+/// and the admission gate. Returns the response and whether the
+/// connection must close afterwards (quota exhausted).
+fn process_request<S: Service>(
     bytes: &[u8],
-    config: &ServerConfig,
-    shards: &[mpsc::SyncSender<Job>],
-    rr: &AtomicUsize,
+    server: &Server<S>,
+    gate: &Gate,
     served: &mut u64,
     tally: &Tally,
 ) -> (JsonValue, bool) {
@@ -357,55 +383,28 @@ fn process_request(
             return (error_envelope(&e), false);
         }
     };
-    if *served >= config.client_quota {
+    if *served >= server.config.client_quota {
         QUOTA.inc();
         tally.quota.fetch_add(1, Ordering::Relaxed);
         let e = ServiceError::new(
             "quota",
             format!(
                 "per-client quota of {} request(s) exhausted; reconnect for a fresh allowance",
-                config.client_quota
+                server.config.client_quota
             ),
         );
         return (error_envelope(&e), true);
     }
     *served += 1;
-    let shard = rr.fetch_add(1, Ordering::Relaxed) % shards.len();
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let job = Job {
-        verb,
-        body,
-        reply: reply_tx,
+    let Some(_slot) = gate.enter() else {
+        BUSY.inc();
+        tally.busy.fetch_add(1, Ordering::Relaxed);
+        let e = ServiceError::new("busy", "every slot and wait place is taken; retry later");
+        return (error_envelope(&e), false);
     };
-    match shards[shard].try_send(job) {
-        Ok(()) => {
-            REQUESTS.inc();
-            tally.requests.fetch_add(1, Ordering::Relaxed);
-            let response = reply_rx.recv().unwrap_or_else(|_| {
-                error_envelope(&ServiceError::new(
-                    "internal",
-                    "worker dropped the reply channel",
-                ))
-            });
-            (response, false)
-        }
-        Err(mpsc::TrySendError::Full(_)) => {
-            BUSY.inc();
-            tally.busy.fetch_add(1, Ordering::Relaxed);
-            let e = ServiceError::new(
-                "busy",
-                format!(
-                    "shard {shard} has {} request(s) in flight; retry later",
-                    config.queue_depth
-                ),
-            );
-            (error_envelope(&e), false)
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => {
-            let e = ServiceError::new("shutting_down", "server is draining; reconnect later");
-            (error_envelope(&e), true)
-        }
-    }
+    REQUESTS.inc();
+    tally.requests.fetch_add(1, Ordering::Relaxed);
+    (dispatch(&server.service, &verb, &body), false)
 }
 
 /// Runs the service, converting a panic into a typed `internal` error

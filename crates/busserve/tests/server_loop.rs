@@ -4,7 +4,7 @@
 #![cfg(unix)]
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,12 +24,19 @@ fn request(verb: &str, extra: Vec<(String, JsonValue)>) -> JsonValue {
     JsonValue::Obj(pairs)
 }
 
-/// A service that can echo and sleep.
-struct Toy;
+/// A service that can echo and sleep, and records the most `handle`
+/// calls it saw running at once.
+#[derive(Clone, Default)]
+struct Toy {
+    running: Arc<AtomicUsize>,
+    peak: Arc<AtomicUsize>,
+}
 
 impl Service for Toy {
     fn handle(&self, verb: &str, body: &JsonValue) -> Result<JsonValue, ServiceError> {
-        match verb {
+        let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        let result = match verb {
             "echo" => Ok(body.get("payload").cloned().unwrap_or(JsonValue::Null)),
             "sleep" => {
                 let ms = body.get("ms").and_then(JsonValue::as_u64).unwrap_or(50);
@@ -40,7 +47,9 @@ impl Service for Toy {
                 "unknown_verb",
                 format!("no such verb `{other}`"),
             )),
-        }
+        };
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        result
     }
 }
 
@@ -54,13 +63,26 @@ fn spawn_server(
     Arc<AtomicBool>,
     std::thread::JoinHandle<std::io::Result<busserve::ServeStats>>,
 ) {
+    spawn_toy(tag, config, Toy::default())
+}
+
+/// As [`spawn_server`], serving the given `toy`.
+fn spawn_toy(
+    tag: &str,
+    config: ServerConfig,
+    toy: Toy,
+) -> (
+    PathBuf,
+    Arc<AtomicBool>,
+    std::thread::JoinHandle<std::io::Result<busserve::ServeStats>>,
+) {
     let path = temp_socket(tag);
     let _ = std::fs::remove_file(&path);
     let shutdown = Arc::new(AtomicBool::new(false));
     let handle = {
         let path = path.clone();
         let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || Server::new(Toy, config).serve_unix(&path, &shutdown))
+        std::thread::spawn(move || Server::new(toy, config).serve_unix(&path, &shutdown))
     };
     // Wait for the socket to exist before clients connect.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -155,6 +177,39 @@ fn overload_yields_typed_busy_not_blocking() {
 }
 
 #[test]
+fn requests_past_the_slots_wait_instead_of_failing() {
+    // Two slots, room for eight waiters: six concurrent slow calls
+    // never run more than two at a time, and every one is served.
+    let config = ServerConfig {
+        shards: 2,
+        queue_depth: 4,
+        ..ServerConfig::default()
+    };
+    let toy = Toy::default();
+    let (path, shutdown, handle) = spawn_toy("gate", config, toy.clone());
+    let handles: Vec<_> = (0..6)
+        .map(|_| {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&path).unwrap();
+                client
+                    .call(&request("sleep", vec![("ms".into(), JsonValue::Int(150))]))
+                    .unwrap()
+            })
+        })
+        .collect();
+    for h in handles {
+        let resp = h.join().unwrap();
+        assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(true)), "{resp}");
+    }
+    let peak = toy.peak.load(Ordering::SeqCst);
+    assert!(peak <= 2, "{peak} evaluations ran at once on two slots");
+    let stats = stop(&shutdown, handle);
+    assert_eq!(stats.busy, 0);
+    assert_eq!(stats.requests, 6);
+}
+
+#[test]
 fn quota_closes_the_connection_with_a_typed_error() {
     let config = ServerConfig {
         client_quota: 3,
@@ -210,8 +265,8 @@ fn drain_finishes_in_flight_requests_and_exits_clean() {
 
 #[test]
 fn identical_requests_over_four_shards_are_all_answered() {
-    // Round-robin spreads one client's identical requests over every
-    // shard; each must still be answered exactly and counted once.
+    // Four clients' identical requests run on up to four slots at
+    // once; each must still be answered exactly and counted once.
     let config = ServerConfig {
         shards: 4,
         ..ServerConfig::default()

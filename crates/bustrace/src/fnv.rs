@@ -1,8 +1,8 @@
 //! 64-bit FNV-1a: the one stable, dependency-free hash of the workspace.
 //!
-//! Everything that persists or routes by a hash uses it: trace-cache
+//! Everything that persists or indexes by a hash uses it: trace-cache
 //! file names, trained-artifact section checksums and signature tables,
-//! FCM table indices, daemon shard keys and kernel RNG seeds. Unlike
+//! FCM table indices and kernel RNG seeds. Unlike
 //! `DefaultHasher`, whose keys are randomized per process, its output is
 //! stable across runs and platforms, so those names and tables are too.
 //!

@@ -209,7 +209,8 @@ impl Corpus {
         corpus.ok_or_else(|| CorpusError::new("empty manifest"))
     }
 
-    /// Renders the manifest form; `parse` inverts it exactly.
+    /// Renders the manifest form; `parse` inverts it exactly when every
+    /// workload name is non-empty and whitespace-free (`push` does not check).
     pub fn manifest(&self) -> String {
         let mut out = format!("# bustrain corpus v{MANIFEST_VERSION} name={}\n", self.name);
         for e in &self.entries {
@@ -257,6 +258,73 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Strings glued from manifest pieces, so most reach a parser
+    /// branch and some spell a valid manifest.
+    fn manifest_soup() -> impl Strategy<Value = String> {
+        const PIECES: [&str; 24] = [
+            "# bustrain corpus v1 name=",
+            "# bustrain corpus v2 name=",
+            "demo",
+            "Bad",
+            "#",
+            "\n",
+            "\r\n",
+            " ",
+            "\t",
+            "\ntrain ",
+            "\ntest ",
+            "\ntrain gcc/register",
+            "\ntest #x seed=+5",
+            "\ntest mixed/gcc+perl/register/64 seed=18446744073709551615",
+            "gcc/register",
+            " seed=",
+            "seed=",
+            "1",
+            "18446744073709551616",
+            " cap=9",
+            "\u{e9}",
+            "\u{2028}",
+            "\u{85}",
+            "validate ",
+        ];
+        // Half the soups start with a valid header, so the body reaches
+        // the entry parser.
+        let header = prop_oneof![Just(""), Just("# bustrain corpus v1 name=x\n")];
+        (header, prop::collection::vec(0..PIECES.len(), 0..10)).prop_map(|(start, picks)| {
+            picks
+                .into_iter()
+                .fold(start.to_string(), |s, i| s + PIECES[i])
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn parse_is_total_and_manifest_inverts_it(
+            soup in manifest_soup(),
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            for text in [soup, String::from_utf8_lossy(&bytes).into_owned()] {
+                if let Ok(c) = Corpus::parse(&text) {
+                    prop_assert_eq!(Corpus::parse(&c.manifest()), Ok(c));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pushed_workloads_with_whitespace_do_not_round_trip() {
+        // `push` does not check workload names, so the manifest of such
+        // a corpus reads back differently — the limit `manifest` states.
+        for workload in ["", "gcc register", "gcc\tregister"] {
+            let mut c = Corpus::new("x").unwrap();
+            c.push(Role::Train, workload, 1);
+            assert_ne!(Corpus::parse(&c.manifest()), Ok(c), "{workload:?}");
+        }
+    }
 
     #[test]
     fn manifest_round_trips() {
