@@ -841,15 +841,18 @@ impl ApiService {
         let drained = busprobe::trace::drain();
         // The daemon wraps every request in its own span, so the root
         // recorded here may carry a transport prefix (e.g.
-        // `busserve.request/bench.api.profile`); find it by suffix.
-        let spans = drained
+        // `busserve.request/bench.api.profile`); find it by suffix and
+        // keep the spans under it.
+        let prefix = drained
             .iter()
             .find(|s| {
                 s.path == "bench.api.profile" || s.path.ends_with("/bench.api.profile")
             })
-            .map(|root| root.path.clone())
-            .map(|id| crate::profile::subtree(&drained, &id))
-            .unwrap_or_default();
+            .map(|root| format!("{}/", root.path));
+        let spans: Vec<_> = drained
+            .into_iter()
+            .filter(|s| prefix.as_ref().is_some_and(|p| s.path.starts_with(p)))
+            .collect();
         let response = outcome.map_err(ServiceError::from)?;
         Ok(JsonValue::Obj(vec![
             ("eval".into(), response.to_json()),

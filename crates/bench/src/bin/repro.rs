@@ -27,21 +27,22 @@
 //! and timing lines are always emitted in registry order, so a joint
 //! run is byte-identical to separate solo runs.
 //!
-//! With metrics on, each experiment appends one JSON record to
-//! `<out>/metrics.jsonl` carrying its span subtree, prints that subtree
-//! as a summary table on stderr, and the run ends with one `_run`
-//! record holding the whole-process registry snapshot; see
-//! `docs/OBSERVABILITY.md`.
+//! With metrics on, the run starts from a zeroed registry and, once it
+//! is over, takes one registry snapshot: each experiment appends one
+//! JSON record to `<out>/metrics.jsonl` carrying the span subtree under
+//! its root span and prints that subtree as a summary table on stderr,
+//! and the run ends with one `_run` record holding the whole-process
+//! registry snapshot; see `docs/OBSERVABILITY.md`.
 //!
 //! `repro profile <exp>` calls the same runner once per experiment with
 //! the hierarchical trace recorder and counter capture on, and writes
-//! `<out>/trace-<id>.json` (Chrome trace-event format — load in
-//! `chrome://tracing` or <https://ui.perfetto.dev>) plus
-//! `<out>/trace-<id>.folded` (folded stacks for flamegraph tooling),
-//! and prints a per-phase breakdown. See the profiling section of
-//! `docs/OBSERVABILITY.md`. Benchmarks are not a subcommand:
-//! `perfbench/` times this binary and its daemon from outside (see
-//! `perfbench/README.md`).
+//! the recorded timeline to `<out>/trace-<id>.json` (Chrome trace-event
+//! format — load in `chrome://tracing` or <https://ui.perfetto.dev>),
+//! the registry's self times to `<out>/trace-<id>.folded` (folded
+//! stacks for flamegraph tooling), and prints a per-phase breakdown.
+//! See the profiling section of `docs/OBSERVABILITY.md`. Benchmarks are
+//! not a subcommand: `perfbench/` times this binary and its daemon from
+//! outside (see `perfbench/README.md`).
 //!
 //! `repro eval` and `repro serve` are the two service front ends over
 //! [`bench::api`]: `eval` answers one request body in-process (the
@@ -58,6 +59,7 @@ use bench::experiments::{par_map, registry, Experiment};
 use bench::report::Table;
 use bench::{env_flag, metrics, profile, Session};
 use busprobe::trace::{self, TraceSpan};
+use busprobe::{MetricKind, MetricSnapshot};
 
 /// What one experiment left for the in-order emit: its console text
 /// (its CSVs and plots are already written) with table and row counts,
@@ -79,23 +81,9 @@ struct Output {
 /// `--metrics` and `profile`. Runs `selected` on the worker pool, each
 /// under a root span named by its id, so everything an experiment's
 /// threads record lands under `<id>/...` (par_map workers adopt the
-/// caller's span context). With `traced`, the run starts from a fresh
-/// registry and span buffer and returns the spans it recorded. Results
-/// come back in selection order.
-fn run(selected: &[&Experiment], session: &Session, traced: bool) -> (Vec<Ran>, Vec<TraceSpan>) {
-    if traced {
-        busprobe::reset();
-        trace::clear();
-        trace::set_enabled(true);
-    }
-    let ran = par_map(selected.to_vec(), |e| execute(e, session));
-    let spans = if traced {
-        trace::set_enabled(false);
-        trace::drain()
-    } else {
-        Vec::new()
-    };
-    (ran, spans)
+/// caller's span context). Results come back in selection order.
+fn run(selected: &[&Experiment], session: &Session) -> Vec<Ran> {
+    par_map(selected.to_vec(), |e| execute(e, session))
 }
 
 /// Runs one experiment under its root span and writes its CSVs and
@@ -253,7 +241,15 @@ fn main() -> ExitCode {
         if selected.len() > 1 { ", parallel" } else { "" }
     );
     let grand_start = Instant::now();
-    let (ran, spans) = run(&selected, &session, metrics_on);
+    if metrics_on {
+        busprobe::reset();
+    }
+    let ran = run(&selected, &session);
+    let snaps = if metrics_on {
+        busprobe::snapshot()
+    } else {
+        Vec::new()
+    };
     let mut grand_tables = 0usize;
     let mut grand_rows = 0u64;
     let mut failed: Vec<&str> = Vec::new();
@@ -268,7 +264,7 @@ fn main() -> ExitCode {
             busprobe::counter("bench.experiment.rows").add(out.rows);
             busprobe::histogram("bench.experiment.wall_ms", busprobe::DEFAULT_BOUNDS)
                 .observe((r.wall_s * 1000.0) as u64);
-            metrics::publish_subtree(&session, &spans, r.id, r.wall_s, out.rows);
+            metrics::publish_subtree(&session, &snaps, r.id, r.wall_s, out.rows);
         }
     }
     if metrics_on {
@@ -511,13 +507,14 @@ fn run_train(args: &[String], metrics_on: bool) -> ExitCode {
 }
 
 /// `repro profile <experiment>...`: the [`run`]ner, called once per
-/// experiment with the hierarchical trace recorder and per-span counter
-/// capture on — one at a time, because per-span counter deltas come
-/// from the global registry and concurrent experiments would bleed into
-/// each other's args. Per experiment, writes the Chrome trace
-/// (`<out>/trace-<id>.json`, validated before writing) and folded
-/// stacks (`<out>/trace-<id>.folded`), then prints the phase breakdown
-/// and the largest self-time spans.
+/// experiment on a zeroed registry with the hierarchical trace recorder
+/// and per-span counter capture on — one at a time, because per-span
+/// counter deltas come from the global registry and concurrent
+/// experiments would bleed into each other's args. Per experiment,
+/// writes the recorded timeline as a Chrome trace
+/// (`<out>/trace-<id>.json`, validated before writing) and the
+/// registry's self times as folded stacks (`<out>/trace-<id>.folded`),
+/// then prints the phase breakdown and the largest self-time spans.
 fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
     let selected = match select(experiments, args) {
         Ok(s) if s.is_empty() => {
@@ -538,12 +535,17 @@ fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
     );
     let mut failed: Vec<&str> = Vec::new();
     for e in selected {
-        let (ran, spans) = run(&[e], &session, true);
+        busprobe::reset();
+        trace::clear();
+        trace::set_enabled(true);
+        let ran = run(&[e], &session);
+        trace::set_enabled(false);
+        let spans = trace::drain();
         if emit(&ran[0]).is_none() {
             failed.push(e.id);
             continue;
         }
-        if let Err(err) = write_profile(e.id, &spans, &session) {
+        if let Err(err) = write_profile(e.id, &spans, &busprobe::snapshot(), &session) {
             eprintln!("[{}] FAILED: {err}", e.id);
             failed.push(e.id);
         }
@@ -561,8 +563,15 @@ fn run_profile(experiments: &[Experiment], args: &[String]) -> ExitCode {
 }
 
 /// Validates and writes one experiment's trace files, then prints its
-/// phase breakdown and largest self-time spans.
-fn write_profile(id: &str, spans: &[TraceSpan], session: &Session) -> Result<(), String> {
+/// phase breakdown and largest self-time spans. `spans` is the recorded
+/// timeline; `snaps` is the registry snapshot the folded stacks, the
+/// phases and the self-time list read.
+fn write_profile(
+    id: &str,
+    spans: &[TraceSpan],
+    snaps: &[MetricSnapshot],
+    session: &Session,
+) -> Result<(), String> {
     let doc = trace::chrome_trace(spans);
     let pairs =
         trace::validate_chrome(&doc).map_err(|err| format!("emitted trace is invalid: {err}"))?;
@@ -570,33 +579,36 @@ fn write_profile(id: &str, spans: &[TraceSpan], session: &Session) -> Result<(),
     let folded_path = session.out_dir().join(format!("trace-{id}.folded"));
     std::fs::create_dir_all(session.out_dir())
         .and_then(|()| std::fs::write(&trace_path, format!("{doc}\n")))
-        .and_then(|()| std::fs::write(&folded_path, trace::folded_stacks(spans)))
+        .and_then(|()| std::fs::write(&folded_path, trace::folded_stacks(snaps)))
         .map_err(|err| format!("could not write trace files: {err}"))?;
     eprintln!(
         "[{id}] profile: {pairs} span(s) -> {} and {}",
         trace_path.display(),
         folded_path.display()
     );
-    let root_wall_s = spans
-        .iter()
-        .find(|s| s.path == id)
-        .map_or(0.0, |s| s.dur_ns() as f64 / 1e9);
-    let nodes = trace::aggregate(&profile::subtree(spans, id));
+    let root_wall_s = match snaps.iter().find(|s| s.name == id).map(|s| &s.kind) {
+        Some(MetricKind::Span { total_ns, .. }) => *total_ns as f64 / 1e9,
+        _ => 0.0,
+    };
+    let nodes = profile::subtree(snaps, id);
     let line: Vec<String> = profile::phase_breakdown(&nodes, root_wall_s)
         .iter()
         .map(|(p, s)| format!("{p} {s:.2}s"))
         .collect();
     eprintln!("[{id}] phases: {}", line.join("  "));
-    let mut by_self = nodes;
-    by_self.sort_by_key(|n| std::cmp::Reverse(n.self_ns));
+    let mut by_self: Vec<(&str, u64, u64)> = nodes
+        .iter()
+        .filter_map(|s| match s.kind {
+            MetricKind::Span { count, self_ns, .. } if self_ns > 0 => {
+                Some((s.name.as_str(), count, self_ns))
+            }
+            _ => None,
+        })
+        .collect();
+    by_self.sort_by_key(|&(_, _, self_ns)| std::cmp::Reverse(self_ns));
     eprintln!("[{id}] top self-time:");
-    for node in by_self.iter().take(8).filter(|n| n.self_ns > 0) {
-        eprintln!(
-            "  {:>8.3}s  {} (n={})",
-            node.self_ns as f64 / 1e9,
-            node.path,
-            node.count
-        );
+    for (path, count, self_ns) in by_self.into_iter().take(8) {
+        eprintln!("  {:>8.3}s  {path} (n={count})", self_ns as f64 / 1e9);
     }
     Ok(())
 }

@@ -2,18 +2,19 @@
 //!
 //! With metrics enabled (`--metrics` or `REPRO_METRICS=1`), `repro`
 //! appends one JSON object per experiment to `<out>/metrics.jsonl` and
-//! prints a human-readable summary table on stderr. An experiment's
-//! record carries its span subtree (`path → {count, total_ns, self_ns,
-//! max_ns}`), whether it ran alone or with others; every run ends with
-//! one `_run` record holding the whole-process registry snapshot, and
-//! `repro train` writes one registry record of its own. See
+//! prints a human-readable summary table on stderr. Every record is
+//! read from the busprobe registry, so every span entry has the one
+//! shape `{count, total_ns, self_ns, max_ns}`. An experiment's record
+//! carries its span subtree (the registry's paths under its root span),
+//! whether it ran alone or with others; every run ends with one `_run`
+//! record holding the whole-process registry snapshot, and `repro
+//! train` writes one registry record of its own. See
 //! `docs/OBSERVABILITY.md` for the line format and the metric naming
 //! convention.
 
 use std::path::{Path, PathBuf};
 
-use busprobe::trace::{self, TraceSpan};
-use busprobe::{JsonValue, MetricKind, MetricSnapshot};
+use busprobe::{JsonValue, MetricSnapshot};
 
 use crate::{profile, Session};
 
@@ -45,64 +46,37 @@ fn emit(
     Ok(file)
 }
 
-/// Prints the stderr summary of `snaps` and appends the record; a write
-/// failure is a warning, never fatal to the run.
-fn publish(
-    session: &Session,
-    experiment: &str,
-    wall_s: f64,
-    rows: u64,
-    snaps: &[MetricSnapshot],
-    metrics: JsonValue,
-) {
+/// Prints the stderr summary of `snaps` and appends them as a record; a
+/// write failure is a warning, never fatal to the run.
+fn publish(session: &Session, experiment: &str, wall_s: f64, rows: u64, snaps: &[MetricSnapshot]) {
     eprint!(
         "--- metrics [{experiment}] ---\n{}",
         busprobe::render_summary(snaps)
     );
+    let metrics = busprobe::snapshot_to_json(snaps);
     match emit(session, experiment, wall_s, rows, metrics) {
         Ok(file) => eprintln!("[{experiment}] metrics appended to {}", file.display()),
         Err(err) => eprintln!("warning: could not write metrics for {experiment}: {err}"),
     }
 }
 
-/// Publishes experiment `id`'s record: the subtree of `spans` under its
-/// root span, which stays attributable while sibling experiments run.
-pub fn publish_subtree(session: &Session, spans: &[TraceSpan], id: &str, wall_s: f64, rows: u64) {
-    let nodes = trace::aggregate(&profile::subtree(spans, id));
-    let snaps: Vec<MetricSnapshot> = nodes
-        .iter()
-        .map(|n| MetricSnapshot {
-            name: n.path.clone(),
-            kind: MetricKind::Span {
-                count: n.count,
-                total_ns: n.total_ns,
-                max_ns: n.max_ns,
-            },
-        })
-        .collect();
-    let json = JsonValue::Obj(
-        nodes
-            .iter()
-            .map(|n| {
-                let node = JsonValue::Obj(vec![
-                    ("count".into(), JsonValue::from(n.count)),
-                    ("total_ns".into(), JsonValue::from(n.total_ns)),
-                    ("self_ns".into(), JsonValue::from(n.self_ns)),
-                    ("max_ns".into(), JsonValue::from(n.max_ns)),
-                ]);
-                (n.path.clone(), node)
-            })
-            .collect(),
-    );
-    publish(session, id, wall_s, rows, &snaps, json);
+/// Publishes experiment `id`'s record: the subtree of the registry
+/// snapshot `snaps` under its root span, which stays attributable while
+/// sibling experiments run.
+pub fn publish_subtree(
+    session: &Session,
+    snaps: &[MetricSnapshot],
+    id: &str,
+    wall_s: f64,
+    rows: u64,
+) {
+    publish(session, id, wall_s, rows, &profile::subtree(snaps, id));
 }
 
 /// Publishes a whole-process registry snapshot under `experiment` (the
 /// runner's `_run` record, `repro train`'s `train` record).
 pub fn publish_registry(session: &Session, experiment: &str, wall_s: f64, rows: u64) {
-    let snaps = busprobe::snapshot();
-    let json = busprobe::snapshot_to_json(&snaps);
-    publish(session, experiment, wall_s, rows, &snaps, json);
+    publish(session, experiment, wall_s, rows, &busprobe::snapshot());
 }
 
 /// Validates a metrics.jsonl file: every non-empty line must be a JSON

@@ -1,7 +1,7 @@
 //! Phase attribution: folding a busprobe span tree into the pipeline
 //! phases every experiment passes through.
 //!
-//! The span paths recorded by [`busprobe::trace`] are exact but
+//! The span paths in the busprobe registry are exact but
 //! open-ended — new instrumentation points appear as the code grows.
 //! `repro profile` and the benchmark's per-layer split (see
 //! `perfbench/README.md`) want a *stable* coarse vocabulary instead, so
@@ -16,15 +16,15 @@
 //! | `pricing` | wire/crossover energy models | `wiremodel.*`, `hwmodel.*` |
 //! | `emit` | rendering tables, CSVs and plots | `bench.report.*` |
 //!
-//! Attribution uses **self time** (a span's duration minus its
-//! same-thread children), so a phase's seconds never double-count its
-//! callees: `buscoding.codec.evaluate_blocks` time goes to `encode`
-//! *except* the slice spent inside its `buscoding.codec.accumulate`
-//! child, which goes to `accumulate`. Unclassified self time (runner
+//! Attribution uses the registry's **self time** (a span's duration
+//! minus its same-thread children), so a phase's seconds never
+//! double-count its callees: `buscoding.codec.evaluate_blocks` time goes
+//! to `encode` *except* the slice spent inside its
+//! `buscoding.codec.accumulate` child, which goes to `accumulate`. Unclassified self time (runner
 //! bookkeeping, unspanned code) is reported as `other` by
 //! [`phase_breakdown`].
 
-use busprobe::trace::SpanNode;
+use busprobe::{MetricKind, MetricSnapshot};
 
 /// The fixed phase vocabulary, in pipeline order. `other` is appended
 /// by [`phase_breakdown`] and is not a classification target.
@@ -57,40 +57,41 @@ pub fn phase_of(path: &str) -> Option<&'static str> {
     }
 }
 
-/// Sums classified self time per phase and closes the books against
-/// `wall_s`: returns `(phase, seconds)` pairs in [`PHASES`] order with
-/// a final `("other", wall − classified)` entry (clamped at zero —
-/// timer granularity can put the sum a hair over the wall).
-pub fn phase_breakdown(nodes: &[SpanNode], wall_s: f64) -> Vec<(&'static str, f64)> {
+/// Sums the classified self time of the span snapshots per phase and
+/// closes the books against `wall_s`: returns `(phase, seconds)` pairs
+/// in [`PHASES`] order with a final `("other", wall − classified)` entry
+/// (clamped at zero — timer granularity can put the sum a hair over the
+/// wall).
+pub fn phase_breakdown(snaps: &[MetricSnapshot], wall_s: f64) -> Vec<(&'static str, f64)> {
     let mut out: Vec<(&'static str, f64)> = PHASES.iter().map(|&p| (p, 0.0)).collect();
-    for node in nodes {
-        let Some(phase) = phase_of(&node.path) else {
+    for s in snaps {
+        let (Some(phase), MetricKind::Span { self_ns, .. }) = (phase_of(&s.name), &s.kind) else {
             continue;
         };
         let slot = out
             .iter_mut()
             .find(|(p, _)| *p == phase)
             .expect("phase_of returns only PHASES entries");
-        slot.1 += node.self_ns as f64 / 1e9;
+        slot.1 += *self_ns as f64 / 1e9;
     }
     let classified: f64 = out.iter().map(|(_, s)| s).sum();
     out.push(("other", (wall_s - classified).max(0.0)));
     out
 }
 
-/// Restricts a drained span list to one experiment's subtree: spans at
-/// or under the root span named `id`, with the `id/` prefix stripped
-/// (the root itself maps to an empty path and is dropped). Order is
-/// preserved.
-pub fn subtree(spans: &[busprobe::trace::TraceSpan], id: &str) -> Vec<busprobe::trace::TraceSpan> {
+/// Restricts a registry snapshot to one experiment's subtree: the
+/// metrics under the root span named `id`, with the `id/` prefix
+/// stripped (the root itself is dropped). Order is preserved.
+pub fn subtree(snaps: &[MetricSnapshot], id: &str) -> Vec<MetricSnapshot> {
     let prefix = format!("{id}/");
-    spans
+    snaps
         .iter()
-        .filter(|s| s.path.starts_with(&prefix))
-        .map(|s| {
-            let mut s = s.clone();
-            s.path = s.path[prefix.len()..].to_string();
-            s
+        .filter_map(|s| {
+            let name = s.name.strip_prefix(&prefix)?;
+            Some(MetricSnapshot {
+                name: name.to_string(),
+                kind: s.kind.clone(),
+            })
         })
         .collect()
 }
@@ -98,16 +99,16 @@ pub fn subtree(spans: &[busprobe::trace::TraceSpan], id: &str) -> Vec<busprobe::
 #[cfg(test)]
 mod tests {
     use super::*;
-    use busprobe::trace::TraceSpan;
 
-    fn node(path: &str, self_ns: u64) -> SpanNode {
-        SpanNode {
-            path: path.into(),
-            count: 1,
-            total_ns: self_ns,
-            self_ns,
-            max_ns: self_ns,
-            counters: Vec::new(),
+    fn node(path: &str, total_ns: u64, self_ns: u64) -> MetricSnapshot {
+        MetricSnapshot {
+            name: path.into(),
+            kind: MetricKind::Span {
+                count: 1,
+                total_ns,
+                self_ns,
+                max_ns: total_ns,
+            },
         }
     }
 
@@ -149,12 +150,21 @@ mod tests {
     #[test]
     fn breakdown_uses_self_time_and_closes_with_other() {
         let nodes = vec![
-            node("fig16/buscoding.codec.evaluate_blocks", 600_000_000),
+            node(
+                "fig16/buscoding.codec.evaluate_blocks",
+                800_000_000,
+                600_000_000,
+            ),
             node(
                 "fig16/buscoding.codec.evaluate_blocks/buscoding.codec.accumulate",
                 200_000_000,
+                200_000_000,
             ),
-            node("fig16/bench.session.acquire", 100_000_000),
+            node("fig16/bench.session.acquire", 100_000_000, 100_000_000),
+            MetricSnapshot {
+                name: "buscoding.codec.values_encoded".into(),
+                kind: MetricKind::Counter { value: 7 },
+            },
         ];
         let phases = phase_breakdown(&nodes, 1.0);
         let get = |p: &str| phases.iter().find(|(k, _)| *k == p).unwrap().1;
@@ -170,20 +180,13 @@ mod tests {
 
     #[test]
     fn subtree_strips_the_root_prefix() {
-        let mk = |path: &str| TraceSpan {
-            path: path.into(),
-            tid: 1,
-            start_ns: 0,
-            end_ns: 10,
-            counters: Vec::new(),
-        };
-        let spans = vec![
-            mk("fig16"),
-            mk("fig16/buscoding.codec.evaluate_blocks"),
-            mk("fig17/buscoding.codec.evaluate_blocks"),
+        let snaps = vec![
+            node("fig16", 10, 3),
+            node("fig16/buscoding.codec.evaluate_blocks", 7, 7),
+            node("fig17/buscoding.codec.evaluate_blocks", 5, 5),
+            node("fig16x/bench.report.emit", 3, 3),
         ];
-        let sub = subtree(&spans, "fig16");
-        assert_eq!(sub.len(), 1);
-        assert_eq!(sub[0].path, "buscoding.codec.evaluate_blocks");
+        let sub = subtree(&snaps, "fig16");
+        assert_eq!(sub, [node("buscoding.codec.evaluate_blocks", 7, 7)]);
     }
 }

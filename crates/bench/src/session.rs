@@ -433,8 +433,9 @@ impl Session {
 
     /// The one activity-store lookup: `scheme` over the trace at `key`,
     /// plus whether the store served it (`true`) rather than this call
-    /// encoding it. A miss builds the scheme through
-    /// [`buscoding::scheme_by_name`] and runs the block-batched
+    /// encoding it. A miss parses the name as a [`buscoding::SchemeSpec`]
+    /// before it fetches the trace, builds the scheme for the trace's
+    /// width, and runs the block-batched
     /// [`buscoding::evaluate_blocks`] engine. Observable via
     /// `bench.session.activity_hits` / `bench.session.activity_misses`.
     ///
@@ -452,10 +453,13 @@ impl Session {
         if let Some(cached) = self.activities.peek(&key) {
             return Ok((cached, true));
         }
-        // Validate the name (and fetch the trace) before touching the
-        // cell, so a bad query is an error — never a poisoned entry.
+        // Parse the name before fetching the trace, so a typo leaves no
+        // trace resident, and build the scheme before touching the cell,
+        // so a bad query is an error — never a poisoned entry. Width
+        // misfits need the trace.
+        let spec: buscoding::SchemeSpec = scheme.parse()?;
         let trace = self.store.get(&key.1);
-        let mut pair = buscoding::scheme_by_name(scheme, trace.width())?;
+        let mut pair = spec.build(trace.width())?;
         let (activity, missed) = self.activities.get_or_init(&key, || {
             buscoding::evaluate_blocks(pair.encoder_mut(), &trace)
         });
@@ -654,6 +658,7 @@ mod tests {
         let err = s.try_activity("windoww(8)", &key).unwrap_err();
         assert!(err.to_string().contains("unknown coding scheme"));
         assert_eq!(s.activity_store_len(), 0, "a typo must not leave an entry");
+        assert_eq!(s.store().len(), 0, "nor generate a trace");
         let retry = s.try_activity("windoww(8)", &key);
         assert!(retry.is_err(), "still an error on retry");
     }

@@ -99,7 +99,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("tiny.corpus");
         let mut manifest = Corpus::new("tiny").unwrap();
-        manifest.push(Role::Train, "random", 5);
+        manifest.push(Role::Train, "random", 5).unwrap();
         std::fs::write(&path, manifest.manifest()).unwrap();
         let parsed = resolve_corpus(&s, path.to_str().unwrap()).unwrap();
         assert_eq!(parsed, manifest);

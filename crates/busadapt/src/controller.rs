@@ -94,13 +94,6 @@ impl AdaptiveConfig {
         }
     }
 
-    /// Sets the coupling weight λ used by the shadow cost models.
-    #[must_use]
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
     /// Sets which candidate carries the first window (no policy gets to
     /// choose it — there is no completed window to observe yet).
     ///
@@ -114,20 +107,6 @@ impl AdaptiveConfig {
             "initial candidate out of range"
         );
         self.initial = index;
-        self
-    }
-
-    /// Sets the tiled sub-window size of the uniqueness estimator.
-    #[must_use]
-    pub fn with_uniqueness_window(mut self, window: usize) -> Self {
-        self.uniqueness_window = window;
-        self
-    }
-
-    /// Sets the stride-predictor history depth.
-    #[must_use]
-    pub fn with_stride_depth(mut self, k: usize) -> Self {
-        self.stride_depth = k;
         self
     }
 
@@ -570,11 +549,6 @@ impl AdaptiveTranscoder {
         self.pair.decode(bus_state)
     }
 
-    /// Name of the scheme currently on the wire.
-    pub fn live_scheme(&self) -> String {
-        self.core.borrow().names[self.core.borrow().live].clone()
-    }
-
     /// Everything tallied since the last power-on reset.
     pub fn report(&self) -> AdaptReport {
         self.core.borrow().report()
@@ -616,12 +590,6 @@ impl AdaptHandle {
     /// Everything tallied since the last power-on reset.
     pub fn report(&self) -> AdaptReport {
         self.core.borrow().report()
-    }
-
-    /// Name of the scheme currently on the wire.
-    pub fn live_scheme(&self) -> String {
-        let core = self.core.borrow();
-        core.names[core.live].clone()
     }
 }
 

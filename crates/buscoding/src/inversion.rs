@@ -154,11 +154,6 @@ impl InversionEncoder {
             cost,
         }
     }
-
-    /// The design-time cost model.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
 }
 
 impl Encoder for InversionEncoder {

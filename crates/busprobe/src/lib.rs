@@ -178,6 +178,7 @@ pub(crate) mod tests {
                 count: oc,
                 total_ns: ot,
                 max_ns: omax,
+                ..
             },
             MetricKind::Span {
                 count: ic,
@@ -196,6 +197,79 @@ pub(crate) mod tests {
             !snap.iter().any(|s| s.name == "test.span.inner"),
             "nested span registers only under its full path"
         );
+    }
+
+    /// `(count, total_ns, self_ns)` of the span registered at `path`.
+    fn span_times(snap: &[MetricSnapshot], path: &str) -> (u64, u64, u64) {
+        match snap.iter().find(|s| s.name == path).map(|s| &s.kind) {
+            Some(&MetricKind::Span {
+                count,
+                total_ns,
+                self_ns,
+                ..
+            }) => (count, total_ns, self_ns),
+            other => panic!("no span at `{path}`: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn self_time_is_total_minus_same_thread_children() {
+        let _g = guard();
+        set_enabled(true);
+        {
+            let _a = span("test.self.a");
+            {
+                let _b = span("test.self.b");
+                let _c = span("test.self.c");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            {
+                let _b = span("test.self.b");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        set_enabled(false);
+        let snap = snapshot();
+        let (_, a_total, a_self) = span_times(&snap, "test.self.a");
+        let (b_count, b_total, b_self) = span_times(&snap, "test.self.a/test.self.b");
+        let (_, c_total, c_self) = span_times(&snap, "test.self.a/test.self.b/test.self.c");
+        assert_eq!(b_count, 2);
+        // Each closing span charges exactly its own duration to its
+        // parent, so the books balance to the nanosecond.
+        assert_eq!(a_self + b_total, a_total);
+        assert_eq!(b_self + c_total, b_total);
+        assert_eq!(c_self, c_total, "a leaf's time is all its own");
+        assert!(a_self > 0 && a_self < a_total);
+    }
+
+    #[test]
+    fn adopted_context_leaves_the_parent_its_own_time() {
+        let _g = guard();
+        set_enabled(true);
+        {
+            let _parent = span("test.adopt.parent");
+            let ctx = span_context();
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    let ctx = &ctx;
+                    scope.spawn(move || {
+                        adopt_span_context(ctx);
+                        let _w = span("test.adopt.worker");
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    });
+                }
+            });
+        }
+        set_enabled(false);
+        let snap = snapshot();
+        let (_, p_total, p_self) = span_times(&snap, "test.adopt.parent");
+        let (w_count, w_total, w_self) = span_times(&snap, "test.adopt.parent/test.adopt.worker");
+        // Worker spans ran beside the parent, not inside its thread:
+        // nothing is subtracted from the parent.
+        assert_eq!(p_self, p_total);
+        assert_eq!(w_count, 2);
+        assert_eq!(w_self, w_total);
+        assert!(w_total >= 2_000_000, "both workers keep their own time");
     }
 
     #[test]

@@ -39,6 +39,7 @@ struct HistCell {
 struct SpanCell {
     count: AtomicU64,
     total_ns: AtomicU64,
+    self_ns: AtomicU64,
     max_ns: AtomicU64,
 }
 
@@ -263,12 +264,21 @@ impl StaticHistogram {
     }
 }
 
+/// One open segment of a thread's span path.
+struct Frame {
+    name: &'static str,
+    /// Time spent in this span's closed same-thread children, in ns;
+    /// `None` for a segment adopted from another thread, which is
+    /// context only and never credited.
+    child_ns: Option<u64>,
+}
+
 thread_local! {
     /// The active span path of this thread, innermost last. The leading
-    /// segments may be adopted from a parent thread (see
+    /// frames may be adopted from a parent thread (see
     /// [`adopt_span_context`]) — those are context only; this thread's
     /// own guards never pop below them.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The active span path of a thread, captured so a worker thread can
@@ -294,7 +304,7 @@ pub struct SpanContext(Vec<&'static str>);
 
 /// Captures the calling thread's active span path for [`adopt_span_context`].
 pub fn span_context() -> SpanContext {
-    SPAN_STACK.with(|s| SpanContext(s.borrow().clone()))
+    SPAN_STACK.with(|s| SpanContext(s.borrow().iter().map(|f| f.name).collect()))
 }
 
 /// Replaces the calling thread's span context with `ctx`. Intended for
@@ -305,15 +315,20 @@ pub fn adopt_span_context(ctx: &SpanContext) {
     SPAN_STACK.with(|s| {
         let mut stack = s.borrow_mut();
         stack.clear();
-        stack.extend_from_slice(&ctx.0);
+        stack.extend(ctx.0.iter().map(|&name| Frame {
+            name,
+            child_ns: None,
+        }));
     });
 }
 
 /// An RAII guard that records wall time into a span metric on drop.
 ///
 /// Spans nest: a span opened while another is active on the same thread
-/// is recorded under `parent/child` (path segments joined with `/`), so
-/// the summary attributes child time within its parent.
+/// is recorded under `parent/child` (path segments joined with `/`), and
+/// its duration is charged to that parent as child time, so the parent's
+/// self time is its duration minus its same-thread children's. Spans on
+/// a thread that adopted the parent's context keep their own time.
 #[must_use = "a span records its duration when dropped"]
 pub struct SpanGuard {
     /// `None` when neither metrics nor tracing were enabled at creation
@@ -344,8 +359,11 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
     let path = SPAN_STACK.with(|s| {
         let mut stack = s.borrow_mut();
-        stack.push(name);
-        stack.join("/")
+        stack.push(Frame {
+            name,
+            child_ns: Some(0),
+        });
+        stack.iter().map(|f| f.name).collect::<Vec<_>>().join("/")
     });
     let cell = metrics_on.then(|| {
         let mut map = lock();
@@ -353,6 +371,7 @@ pub fn span(name: &'static str) -> SpanGuard {
             Metric::Span(Arc::new(SpanCell {
                 count: AtomicU64::new(0),
                 total_ns: AtomicU64::new(0),
+                self_ns: AtomicU64::new(0),
                 max_ns: AtomicU64::new(0),
             }))
         }) {
@@ -375,18 +394,29 @@ impl Drop for SpanGuard {
         let Some(state) = self.active.take() else {
             return;
         };
+        let ns = u64::try_from(state.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let child_ns = SPAN_STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            let own = stack.pop().and_then(|f| f.child_ns).unwrap_or(0);
+            if let Some(Frame {
+                child_ns: Some(parent),
+                ..
+            }) = stack.last_mut()
+            {
+                *parent += ns;
+            }
+            own
+        });
         if let Some(cell) = state.cell {
-            let ns = u64::try_from(state.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             cell.count.fetch_add(1, Ordering::Relaxed);
             cell.total_ns.fetch_add(ns, Ordering::Relaxed);
+            cell.self_ns
+                .fetch_add(ns.saturating_sub(child_ns), Ordering::Relaxed);
             cell.max_ns.fetch_max(ns, Ordering::Relaxed);
         }
         if let Some(open) = state.trace {
             trace::close(open);
         }
-        SPAN_STACK.with(|s| {
-            s.borrow_mut().pop();
-        });
     }
 }
 
@@ -425,6 +455,9 @@ pub enum MetricKind {
         count: u64,
         /// Total wall time across instances, in nanoseconds.
         total_ns: u64,
+        /// Total time not spent in same-thread child spans, in
+        /// nanoseconds (at most `total_ns`).
+        self_ns: u64,
         /// Longest single instance, in nanoseconds.
         max_ns: u64,
     },
@@ -485,6 +518,7 @@ pub fn snapshot() -> Vec<MetricSnapshot> {
                 Metric::Span(s) => MetricKind::Span {
                     count: s.count.load(Ordering::Relaxed),
                     total_ns: s.total_ns.load(Ordering::Relaxed),
+                    self_ns: s.self_ns.load(Ordering::Relaxed),
                     max_ns: s.max_ns.load(Ordering::Relaxed),
                 },
             },
@@ -510,6 +544,7 @@ pub fn reset() {
             Metric::Span(s) => {
                 s.count.store(0, Ordering::Relaxed);
                 s.total_ns.store(0, Ordering::Relaxed);
+                s.self_ns.store(0, Ordering::Relaxed);
                 s.max_ns.store(0, Ordering::Relaxed);
             }
         }

@@ -10,7 +10,7 @@ use crate::registry::{histogram_percentile, MetricKind, MetricSnapshot};
 /// metric path so summary diffs are stable regardless of snapshot
 /// order. Metrics with nothing recorded (zero counters, empty
 /// histograms/spans) are skipped so the summary stays readable; spans
-/// show count, total, and mean, histograms show count, mean,
+/// show count, total, self, mean and max, histograms show count, mean,
 /// p50/p95/p99, and the populated buckets.
 pub fn render_summary(snaps: &[MetricSnapshot]) -> String {
     let mut rows: Vec<(String, String)> = Vec::new();
@@ -51,18 +51,21 @@ pub fn render_summary(snaps: &[MetricSnapshot]) -> String {
             MetricKind::Span {
                 count,
                 total_ns,
+                self_ns,
                 max_ns,
             } => {
                 if *count == 0 {
                     continue;
                 }
                 let total_ms = *total_ns as f64 / 1e6;
+                let self_ms = *self_ns as f64 / 1e6;
                 let mean_us = *total_ns as f64 / *count as f64 / 1e3;
                 let max_us = *max_ns as f64 / 1e3;
                 rows.push((
                     s.name.clone(),
                     format!(
-                        "n={count} total={total_ms:.2}ms mean={mean_us:.1}us max={max_us:.1}us"
+                        "n={count} total={total_ms:.2}ms self={self_ms:.2}ms mean={mean_us:.1}us \
+                         max={max_us:.1}us"
                     ),
                 ));
             }
@@ -81,7 +84,7 @@ pub fn render_summary(snaps: &[MetricSnapshot]) -> String {
 }
 
 /// Converts a snapshot into a flat JSON object: counters become
-/// integers, spans become `{count, total_ns, max_ns}`, histograms
+/// integers, spans become `{count, total_ns, self_ns, max_ns}`, histograms
 /// become `{count, sum, p50, p95, p99, buckets: {"le_<bound>": n,
 /// "inf": n}}`. Metrics with nothing recorded are omitted, matching
 /// the summary.
@@ -129,6 +132,7 @@ pub fn snapshot_to_json(snaps: &[MetricSnapshot]) -> JsonValue {
             MetricKind::Span {
                 count,
                 total_ns,
+                self_ns,
                 max_ns,
             } => {
                 if *count == 0 {
@@ -139,6 +143,7 @@ pub fn snapshot_to_json(snaps: &[MetricSnapshot]) -> JsonValue {
                     JsonValue::Obj(vec![
                         ("count".into(), JsonValue::from(*count)),
                         ("total_ns".into(), JsonValue::from(*total_ns)),
+                        ("self_ns".into(), JsonValue::from(*self_ns)),
                         ("max_ns".into(), JsonValue::from(*max_ns)),
                     ]),
                 ));
@@ -202,6 +207,7 @@ mod tests {
                 kind: MetricKind::Span {
                     count: 2,
                     total_ns: 3_000_000,
+                    self_ns: 1_000_000,
                     max_ns: 2_000_000,
                 },
             },
@@ -215,7 +221,7 @@ mod tests {
         assert!(!table.contains("a.zero"));
         assert!(table.contains("le1:2"));
         assert!(table.contains("inf:1"));
-        assert!(table.contains("total=3.00ms"));
+        assert!(table.contains("total=3.00ms self=1.00ms"));
     }
 
     #[test]
@@ -231,7 +237,15 @@ mod tests {
             Some(2)
         );
         let span = parsed.get("c.span").unwrap();
+        let fields: Vec<&str> = span
+            .entries()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(fields, ["count", "total_ns", "self_ns", "max_ns"]);
         assert_eq!(span.get("total_ns").unwrap().as_u64(), Some(3_000_000));
+        assert_eq!(span.get("self_ns").unwrap().as_u64(), Some(1_000_000));
     }
 
     #[test]

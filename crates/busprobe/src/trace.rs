@@ -1,13 +1,12 @@
 //! Hierarchical trace recording: every [`crate::span`] becomes a timed
 //! event with its full nesting path, ready for export as a Chrome
-//! trace (`chrome://tracing` / Perfetto) or as folded stacks for
-//! flamegraphs.
+//! trace (`chrome://tracing` / Perfetto).
 //!
-//! The aggregate span cells in the registry answer "how much time did
-//! this path take in total"; this module answers "*when* did each
-//! instance run, on which thread, and what did it do" — the input both
-//! the `repro profile` subcommand and the phase-attributed bench
-//! schema are built on.
+//! The registry's span cells are the one aggregate of span time: "how
+//! much time did this path take, in total and in itself". This module
+//! keeps the timeline only — "*when* did each instance run, on which
+//! thread, and what did it do" — for the `repro profile` subcommand and
+//! the daemon's `profile` verb.
 //!
 //! # Recording model
 //!
@@ -33,9 +32,7 @@
 //!   [...]}` with matched `B`/`E` pairs per thread), validated by
 //!   [`validate_chrome`];
 //! * [`folded_stacks`] — `root;child;leaf <self_ns>` lines for
-//!   `flamegraph.pl` / inferno;
-//! * [`aggregate`] — per-path totals with self-vs-child attribution,
-//!   the basis of the bench phase breakdown.
+//!   `flamegraph.pl` / inferno, read from a registry snapshot.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -44,7 +41,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::JsonValue;
-use crate::registry;
+use crate::registry::{self, MetricKind, MetricSnapshot};
 
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
 static CAPTURE_COUNTERS: AtomicBool = AtomicBool::new(false);
@@ -110,11 +107,6 @@ impl TraceSpan {
     /// The leaf segment of the path (the name passed to `span`).
     pub fn name(&self) -> &str {
         self.path.rsplit('/').next().unwrap_or(&self.path)
-    }
-
-    /// Wall duration in nanoseconds.
-    pub fn dur_ns(&self) -> u64 {
-        self.end_ns.saturating_sub(self.start_ns)
     }
 }
 
@@ -245,81 +237,6 @@ pub fn drain() -> Vec<TraceSpan> {
 /// Discards every recorded span without returning them.
 pub fn clear() {
     let _ = drain();
-}
-
-/// Per-instance self time: each span's duration minus the durations of
-/// its direct children *on the same thread* (a worker thread's spans
-/// run concurrently with their logical parent and are attributed to
-/// their own full path instead). Input must be `drain()`-ordered.
-fn self_times(spans: &[TraceSpan]) -> Vec<u64> {
-    #[derive(Clone, Copy)]
-    struct Frame {
-        idx: usize,
-        end_ns: u64,
-    }
-    let mut self_ns: Vec<u64> = spans.iter().map(TraceSpan::dur_ns).collect();
-    let mut stacks: BTreeMap<u64, Vec<Frame>> = BTreeMap::new();
-    for (idx, s) in spans.iter().enumerate() {
-        let stack = stacks.entry(s.tid).or_default();
-        while matches!(stack.last(), Some(top) if top.end_ns < s.start_ns) {
-            stack.pop();
-        }
-        if let Some(top) = stack.last() {
-            if s.end_ns <= top.end_ns {
-                self_ns[top.idx] = self_ns[top.idx].saturating_sub(s.dur_ns());
-            }
-        }
-        stack.push(Frame {
-            idx,
-            end_ns: s.end_ns,
-        });
-    }
-    self_ns
-}
-
-/// Aggregated statistics of one span path across all of its instances.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanNode {
-    /// Full `parent/child` path.
-    pub path: String,
-    /// Completed instances.
-    pub count: u64,
-    /// Total wall time across instances, ns.
-    pub total_ns: u64,
-    /// Total time not attributed to same-thread child spans, ns.
-    pub self_ns: u64,
-    /// Longest single instance, ns.
-    pub max_ns: u64,
-    /// Summed counter deltas across instances.
-    pub counters: Vec<(String, u64)>,
-}
-
-/// Folds the event list into per-path totals with self-vs-child time,
-/// sorted by path. Input must be `drain()`-ordered.
-pub fn aggregate(spans: &[TraceSpan]) -> Vec<SpanNode> {
-    let self_ns = self_times(spans);
-    let mut nodes: BTreeMap<&str, SpanNode> = BTreeMap::new();
-    for (s, &own) in spans.iter().zip(&self_ns) {
-        let node = nodes.entry(&s.path).or_insert_with(|| SpanNode {
-            path: s.path.clone(),
-            count: 0,
-            total_ns: 0,
-            self_ns: 0,
-            max_ns: 0,
-            counters: Vec::new(),
-        });
-        node.count += 1;
-        node.total_ns += s.dur_ns();
-        node.self_ns += own;
-        node.max_ns = node.max_ns.max(s.dur_ns());
-        for (name, delta) in &s.counters {
-            match node.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, d)) => *d += delta,
-                None => node.counters.push((name.clone(), *delta)),
-            }
-        }
-    }
-    nodes.into_values().collect()
 }
 
 /// Renders the event list in the Chrome Trace Event Format: one `B`/`E`
@@ -478,18 +395,21 @@ pub fn validate_chrome(doc: &JsonValue) -> Result<usize, String> {
     Ok(pairs)
 }
 
-/// Renders folded stacks — one `seg;seg;seg <self_ns>` line per path,
-/// sorted — the input format of `flamegraph.pl` and inferno. Paths with
-/// zero self time are skipped.
-pub fn folded_stacks(spans: &[TraceSpan]) -> String {
+/// Renders folded stacks — one `seg;seg;seg <self_ns>` line per span
+/// path of a registry snapshot, sorted — the input format of
+/// `flamegraph.pl` and inferno. Paths with zero self time are skipped.
+pub fn folded_stacks(snaps: &[MetricSnapshot]) -> String {
     let mut out = String::new();
-    for node in aggregate(spans) {
-        if node.self_ns == 0 {
+    for s in snaps {
+        let MetricKind::Span { self_ns, .. } = s.kind else {
+            continue;
+        };
+        if self_ns == 0 {
             continue;
         }
-        out.push_str(&node.path.replace('/', ";"));
+        out.push_str(&s.name.replace('/', ";"));
         out.push(' ');
-        out.push_str(&node.self_ns.to_string());
+        out.push_str(&self_ns.to_string());
         out.push('\n');
     }
     out
@@ -507,39 +427,6 @@ mod tests {
             end_ns: end,
             counters: Vec::new(),
         }
-    }
-
-    #[test]
-    fn self_time_subtracts_same_thread_children() {
-        let spans = vec![
-            span("a", 1, 0, 100),
-            span("a/b", 1, 10, 40),
-            span("a/b/c", 1, 20, 30),
-            span("a/b", 1, 50, 70),
-        ];
-        let nodes = aggregate(&spans);
-        let get = |p: &str| nodes.iter().find(|n| n.path == p).unwrap();
-        assert_eq!(get("a").total_ns, 100);
-        assert_eq!(get("a").self_ns, 100 - 30 - 20);
-        assert_eq!(get("a/b").count, 2);
-        assert_eq!(get("a/b").total_ns, 50);
-        assert_eq!(get("a/b").self_ns, 50 - 10);
-        assert_eq!(get("a/b/c").self_ns, 10);
-    }
-
-    #[test]
-    fn cross_thread_children_keep_their_own_time() {
-        // A worker's span overlaps the parent wall-clock; the parent's
-        // self time must not go negative or double-subtract.
-        let spans = vec![
-            span("a", 1, 0, 100),
-            span("a/w", 2, 10, 90),
-            span("a/w", 3, 10, 95),
-        ];
-        let nodes = aggregate(&spans);
-        let get = |p: &str| nodes.iter().find(|n| n.path == p).unwrap();
-        assert_eq!(get("a").self_ns, 100);
-        assert_eq!(get("a/w").total_ns, 80 + 85);
     }
 
     #[test]
@@ -589,9 +476,25 @@ mod tests {
 
     #[test]
     fn folded_stacks_use_self_time() {
-        let spans = vec![span("a", 1, 0, 100), span("a/b", 1, 10, 40)];
-        let folded = folded_stacks(&spans);
-        assert_eq!(folded, "a 70\na;b 30\n");
+        let node = |name: &str, total_ns, self_ns| MetricSnapshot {
+            name: name.into(),
+            kind: MetricKind::Span {
+                count: 1,
+                total_ns,
+                self_ns,
+                max_ns: total_ns,
+            },
+        };
+        let snaps = vec![
+            node("a", 100, 70),
+            node("a/b", 30, 30),
+            node("a/idle", 0, 0),
+            MetricSnapshot {
+                name: "a.counter".into(),
+                kind: MetricKind::Counter { value: 5 },
+            },
+        ];
+        assert_eq!(folded_stacks(&snaps), "a 70\na;b 30\n");
     }
 
     #[test]

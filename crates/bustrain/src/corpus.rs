@@ -134,12 +134,30 @@ impl Corpus {
     }
 
     /// Appends an entry.
-    pub fn push(&mut self, role: Role, workload: impl Into<String>, seed: u64) {
+    ///
+    /// # Errors
+    ///
+    /// [`CorpusError`] for an empty workload name or one holding
+    /// whitespace: the manifest could not spell it, so the corpus would
+    /// not read back from its own [`manifest`](Self::manifest).
+    pub fn push(
+        &mut self,
+        role: Role,
+        workload: impl Into<String>,
+        seed: u64,
+    ) -> Result<(), CorpusError> {
+        let workload = workload.into();
+        if workload.is_empty() || workload.contains(char::is_whitespace) {
+            return Err(CorpusError::new(format!(
+                "workload name {workload:?} is empty or holds whitespace"
+            )));
+        }
         self.entries.push(CorpusEntry {
-            workload: workload.into(),
+            workload,
             seed,
             role,
         });
+        Ok(())
     }
 
     /// The entries of one split, in manifest order.
@@ -204,13 +222,14 @@ impl Corpus {
                     .parse()
                     .map_err(|_| CorpusError::at(n, format!("bad seed {value:?}")))?;
             }
-            corpus.push(role, workload, seed);
+            corpus
+                .push(role, workload, seed)
+                .map_err(|e| CorpusError::at(n, e.detail))?;
         }
         corpus.ok_or_else(|| CorpusError::new("empty manifest"))
     }
 
-    /// Renders the manifest form; `parse` inverts it exactly when every
-    /// workload name is non-empty and whitespace-free (`push` does not check).
+    /// Renders the manifest form; `parse` inverts it exactly.
     pub fn manifest(&self) -> String {
         let mut out = format!("# bustrain corpus v{MANIFEST_VERSION} name={}\n", self.name);
         for e in &self.entries {
@@ -234,22 +253,25 @@ impl Corpus {
     ///   tests covering a *workload class* the trainer never saw
     ///   (multi-program interleavings) plus an entirely unseen program.
     pub fn builtin(name: &str, seed: u64) -> Option<Corpus> {
-        let mut corpus = Corpus::new(name).ok()?;
-        match name {
-            "demo" => {
-                corpus.push(Role::Train, "gcc/register", seed);
-                corpus.push(Role::Train, "perl/register", seed);
-                corpus.push(Role::Test, "mixed/gcc+perl/register/64", seed);
-            }
-            "generalize" => {
-                corpus.push(Role::Train, "gcc/register", seed);
-                corpus.push(Role::Train, "perl/register", seed);
-                corpus.push(Role::Train, "m88ksim/register", seed);
-                corpus.push(Role::Test, "mixed/gcc+perl/register/64", seed);
-                corpus.push(Role::Test, "mixed/gcc+m88ksim/register/256", seed);
-                corpus.push(Role::Test, "li/register", seed);
-            }
+        let entries: &[(Role, &str)] = match name {
+            "demo" => &[
+                (Role::Train, "gcc/register"),
+                (Role::Train, "perl/register"),
+                (Role::Test, "mixed/gcc+perl/register/64"),
+            ],
+            "generalize" => &[
+                (Role::Train, "gcc/register"),
+                (Role::Train, "perl/register"),
+                (Role::Train, "m88ksim/register"),
+                (Role::Test, "mixed/gcc+perl/register/64"),
+                (Role::Test, "mixed/gcc+m88ksim/register/256"),
+                (Role::Test, "li/register"),
+            ],
             _ => return None,
+        };
+        let mut corpus = Corpus::new(name).ok()?;
+        for &(role, workload) in entries {
+            corpus.push(role, workload, seed).ok()?;
         }
         Some(corpus)
     }
@@ -260,35 +282,37 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Fragments of manifests, valid and not.
+    const PIECES: [&str; 24] = [
+        "# bustrain corpus v1 name=",
+        "# bustrain corpus v2 name=",
+        "demo",
+        "Bad",
+        "#",
+        "\n",
+        "\r\n",
+        " ",
+        "\t",
+        "\ntrain ",
+        "\ntest ",
+        "\ntrain gcc/register",
+        "\ntest #x seed=+5",
+        "\ntest mixed/gcc+perl/register/64 seed=18446744073709551615",
+        "gcc/register",
+        " seed=",
+        "seed=",
+        "1",
+        "18446744073709551616",
+        " cap=9",
+        "\u{e9}",
+        "\u{2028}",
+        "\u{85}",
+        "validate ",
+    ];
+
     /// Strings glued from manifest pieces, so most reach a parser
     /// branch and some spell a valid manifest.
     fn manifest_soup() -> impl Strategy<Value = String> {
-        const PIECES: [&str; 24] = [
-            "# bustrain corpus v1 name=",
-            "# bustrain corpus v2 name=",
-            "demo",
-            "Bad",
-            "#",
-            "\n",
-            "\r\n",
-            " ",
-            "\t",
-            "\ntrain ",
-            "\ntest ",
-            "\ntrain gcc/register",
-            "\ntest #x seed=+5",
-            "\ntest mixed/gcc+perl/register/64 seed=18446744073709551615",
-            "gcc/register",
-            " seed=",
-            "seed=",
-            "1",
-            "18446744073709551616",
-            " cap=9",
-            "\u{e9}",
-            "\u{2028}",
-            "\u{85}",
-            "validate ",
-        ];
         // Half the soups start with a valid header, so the body reaches
         // the entry parser.
         let header = prop_oneof![Just(""), Just("# bustrain corpus v1 name=x\n")];
@@ -313,25 +337,42 @@ mod tests {
                 }
             }
         }
+
+        #[test]
+        fn every_pushed_corpus_round_trips(
+            picks in prop::collection::vec(0..PIECES.len(), 0..4),
+            seed in any::<u64>(),
+        ) {
+            let workload: String = picks.into_iter().map(|i| PIECES[i]).collect();
+            let mut c = Corpus::new("x").unwrap();
+            if c.push(Role::Test, workload, seed).is_ok() {
+                prop_assert_eq!(Corpus::parse(&c.manifest()), Ok(c));
+            }
+        }
     }
 
     #[test]
-    fn pushed_workloads_with_whitespace_do_not_round_trip() {
-        // `push` does not check workload names, so the manifest of such
-        // a corpus reads back differently — the limit `manifest` states.
-        for workload in ["", "gcc register", "gcc\tregister"] {
+    fn push_refuses_workloads_the_manifest_cannot_spell() {
+        // An empty name would swallow the `seed=` clause, and whitespace
+        // would split the name into an unknown clause: `parse` could
+        // not read such a corpus back, so `push` refuses it.
+        for workload in ["", "gcc register", "gcc\tregister", "gcc\u{2028}register"] {
             let mut c = Corpus::new("x").unwrap();
-            c.push(Role::Train, workload, 1);
-            assert_ne!(Corpus::parse(&c.manifest()), Ok(c), "{workload:?}");
+            let err = c.push(Role::Train, workload, 1).unwrap_err();
+            assert!(
+                err.to_string().contains("empty or holds whitespace"),
+                "{err}"
+            );
+            assert!(c.entries().is_empty(), "{workload:?}");
         }
     }
 
     #[test]
     fn manifest_round_trips() {
         let mut c = Corpus::new("demo").unwrap();
-        c.push(Role::Train, "gcc/register", 1);
-        c.push(Role::Train, "perl/register", 7);
-        c.push(Role::Test, "mixed/gcc+perl/register/64", 1);
+        c.push(Role::Train, "gcc/register", 1).unwrap();
+        c.push(Role::Train, "perl/register", 7).unwrap();
+        c.push(Role::Test, "mixed/gcc+perl/register/64", 1).unwrap();
         let text = c.manifest();
         assert_eq!(Corpus::parse(&text).unwrap(), c);
         assert!(text.starts_with("# bustrain corpus v1 name=demo\n"));

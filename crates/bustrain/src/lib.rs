@@ -42,7 +42,7 @@
 //! }
 //!
 //! let mut corpus = Corpus::new("demo").unwrap();
-//! corpus.push(Role::Train, "loop/a", 1);
+//! corpus.push(Role::Train, "loop/a", 1).unwrap();
 //! let tables = train_corpus(&corpus, &Looping, 1000, &TrainerConfig::default()).unwrap();
 //! assert_eq!(tables.name, "demo");
 //! assert!(!tables.codebook.is_empty());

@@ -330,7 +330,7 @@ mod tests {
     fn corpus(entries: &[(&str, u64)]) -> Corpus {
         let mut c = Corpus::new("t").unwrap();
         for &(w, seed) in entries {
-            c.push(Role::Train, w, seed);
+            c.push(Role::Train, w, seed).unwrap();
         }
         c
     }

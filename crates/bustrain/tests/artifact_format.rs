@@ -139,8 +139,8 @@ impl TraceProvider for SeededProvider {
 #[test]
 fn fixed_corpus_and_seed_trains_byte_identical_artifacts() {
     let mut corpus = Corpus::new("bytes").unwrap();
-    corpus.push(Role::Train, "alpha", 11);
-    corpus.push(Role::Train, "beta", 22);
+    corpus.push(Role::Train, "alpha", 11).unwrap();
+    corpus.push(Role::Train, "beta", 22).unwrap();
     let cfg = TrainerConfig::default();
     let a = encode_artifact(&train_corpus(&corpus, &SeededProvider, 20_000, &cfg).unwrap()).unwrap();
     let b = encode_artifact(&train_corpus(&corpus, &SeededProvider, 20_000, &cfg).unwrap()).unwrap();
@@ -148,8 +148,8 @@ fn fixed_corpus_and_seed_trains_byte_identical_artifacts() {
     // And a different seed corpus produces a different artifact — the
     // identity above is not vacuous.
     let mut other = Corpus::new("bytes").unwrap();
-    other.push(Role::Train, "alpha", 12);
-    other.push(Role::Train, "beta", 22);
+    other.push(Role::Train, "alpha", 12).unwrap();
+    other.push(Role::Train, "beta", 22).unwrap();
     let c = encode_artifact(&train_corpus(&other, &SeededProvider, 20_000, &cfg).unwrap()).unwrap();
     assert_ne!(a, c, "seed change did not reach the artifact");
 }

@@ -228,11 +228,6 @@ impl Machine {
         self.cache.l1()
     }
 
-    /// The full cache hierarchy.
-    pub fn cache_hierarchy(&self) -> &CacheHierarchy {
-        &self.cache
-    }
-
     /// Retires every pending memory event whose ready time is in the
     /// past relative to `horizon` (all future events are ready strictly
     /// later, so ordering is final).
