@@ -14,10 +14,8 @@
 //!
 //! Environment: `REPRO_VALUES` (trace length, default 200000),
 //! `REPRO_SEED` (default 1), `REPRO_OUT` (CSV directory, default
-//! `results/`), `REPRO_METRICS=1` (same as `--metrics`),
-//! `REPRO_CACHE=1` (persist generated traces under `<out>/cache/` and
-//! reload them on later runs). Figure-class experiments additionally
-//! render SVG charts into `<out>/plots/`.
+//! `results/`). Figure-class experiments additionally render SVG
+//! charts into `<out>/plots/`.
 //!
 //! Every selection runs through one runner ([`run`]): the experiments
 //! share one [`Session`], so every trace is generated at most once per
@@ -57,7 +55,7 @@ use std::time::Instant;
 
 use bench::experiments::{par_map, registry, Experiment};
 use bench::report::Table;
-use bench::{env_flag, metrics, profile, Session};
+use bench::{metrics, profile, Session};
 use busprobe::trace::{self, TraceSpan};
 use busprobe::{MetricKind, MetricSnapshot};
 
@@ -174,11 +172,13 @@ fn select<'a>(
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut metrics_on = env_flag("REPRO_METRICS");
-    if let Some(pos) = args.iter().position(|a| a == "--metrics") {
-        args.remove(pos);
-        metrics_on = true;
-    }
+    let metrics_on = match args.iter().position(|a| a == "--metrics") {
+        Some(pos) => {
+            args.remove(pos);
+            true
+        }
+        None => false,
+    };
     busprobe::set_enabled(metrics_on);
 
     let experiments = registry();
@@ -227,17 +227,12 @@ fn main() -> ExitCode {
     };
     let session = Session::from_env();
     eprintln!(
-        "running {} experiment(s): {} values/trace, seed {}, output {}{}{}{}",
+        "running {} experiment(s): {} values/trace, seed {}, output {}{}{}",
         selected.len(),
         session.values(),
         session.seed(),
         session.out_dir().display(),
         if metrics_on { ", metrics on" } else { "" },
-        if session.store().disk_dir().is_some() {
-            ", trace cache on"
-        } else {
-            ""
-        },
         if selected.len() > 1 { ", parallel" } else { "" }
     );
     let grand_start = Instant::now();
@@ -281,7 +276,7 @@ fn main() -> ExitCode {
             grand_start.elapsed().as_secs_f64(),
             grand_tables,
             grand_rows,
-            session.store().len()
+            session.trace_store_len()
         );
     }
     if !failed.is_empty() {
@@ -363,14 +358,9 @@ fn run_serve(args: &[String]) -> ExitCode {
     busprobe::set_enabled(true);
     let session = Session::from_env();
     eprintln!(
-        "[serve] session: {} values/trace, seed {}{}",
+        "[serve] session: {} values/trace, seed {}",
         session.values(),
-        session.seed(),
-        if session.store().disk_dir().is_some() {
-            ", trace cache on"
-        } else {
-            ""
-        }
+        session.seed()
     );
     eprintln!(
         "[serve] listening on {} ({} evaluation slot(s), queue {}/slot, quota {}/conn)",
@@ -619,7 +609,7 @@ fn print_usage(experiments: &[Experiment]) {
          | profile <experiment>... | eval <file|-> | train <corpus> \
          | serve --socket <path> [--shards N] [--queue N] [--quota N]"
     );
-    println!("env: REPRO_VALUES, REPRO_SEED, REPRO_OUT, REPRO_METRICS, REPRO_CACHE");
+    println!("env: REPRO_VALUES, REPRO_SEED, REPRO_OUT");
     println!("experiments:");
     for e in experiments {
         println!("  {:<22} {}", e.id, e.title);

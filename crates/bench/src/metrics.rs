@@ -1,6 +1,6 @@
 //! Metrics records for the experiment runner.
 //!
-//! With metrics enabled (`--metrics` or `REPRO_METRICS=1`), `repro`
+//! With metrics enabled (`--metrics`), `repro`
 //! appends one JSON object per experiment to `<out>/metrics.jsonl` and
 //! prints a human-readable summary table on stderr. Every record is
 //! read from the busprobe registry, so every span entry has the one

@@ -2,13 +2,13 @@
 //!
 //! A full `repro` run executes dozens of experiments over the same
 //! traces. A [`Session`] is their shared configuration (`values`,
-//! `seed`, `out_dir`) plus two process-wide stores:
+//! `seed`, `out_dir`) plus two in-memory stores:
 //!
-//! * a content-addressed [`TraceStore`] — traces keyed by
-//!   `(workload, values, seed)`, generated exactly once per run and
-//!   held behind `Arc<Trace>`, with an optional on-disk cache in
-//!   `<out>/cache/` using the `bustrace::io` text format (validated on
-//!   load, regenerated on mismatch);
+//! * a content-addressed trace store: traces keyed by [`TraceKey`]
+//!   `(workload, values, seed)`, generated exactly once per process and
+//!   held behind `Arc<Trace>`. Traces are not persisted: the kernels
+//!   regenerate them deterministically, and regenerating is no slower
+//!   than reading them back from disk (see `docs/PERFORMANCE.md`);
 //! * a coded-activity store keyed by `(scheme, trace key)`. The
 //!   un-encoded baseline is no special case: it is the
 //!   [`BASELINE_SCHEME`] (`identity`) activity of the same trace.
@@ -19,9 +19,11 @@
 //! the session's).
 //!
 //! Both stores are safe to share across the worker threads of
-//! [`par_map`](crate::experiments::par_map) and the daemon's connections:
-//! per-key `OnceLock` cells guarantee each trace and activity is
-//! computed once even when two callers request it concurrently.
+//! [`par_map`](crate::experiments::par_map) and the daemon's connections.
+//! They share one get-or-build path: a per-key cell whose builder runs
+//! under the cell's lock, so each trace and each activity (scheme,
+//! codebook and all) is built once even when two callers miss it
+//! concurrently, and a build that fails leaves no entry behind.
 //!
 //! Construction goes through [`Session::from_env`] (the canonical entry
 //! for the `repro` binary) or [`Session::builder`] for tests and
@@ -32,19 +34,19 @@
 //!
 //! Store behaviour is observable through `busprobe` counters:
 //! `bench.session.trace_hits`, `bench.session.trace_misses`,
-//! `bench.session.disk_loads`, `bench.session.disk_rejects`,
 //! `bench.session.activity_hits` and `bench.session.activity_misses`
-//! (baseline lookups included). See `docs/PERFORMANCE.md`.
+//! (baseline lookups included), and the `bench.session.acquire` span
+//! around each trace generation. See `docs/PERFORMANCE.md`.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::convert::Infallible;
+use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use buscoding::{Activity, UnknownScheme};
 use busprobe::StaticCounter;
-use bustrace::fnv::Fnv1a;
-use bustrace::{io as trace_io, Trace};
+use bustrace::Trace;
 
 use crate::workloads::Workload;
 
@@ -140,48 +142,40 @@ impl TraceKey {
     pub fn seed(&self) -> u64 {
         self.seed
     }
-
-    /// Runs the generator for this key. This is the single place a
-    /// store miss turns into actual trace synthesis.
-    fn generate(&self) -> Trace {
-        self.workload.trace(self.values, self.seed)
-    }
-
-    /// The on-disk cache file name: the human-readable key (workload
-    /// name with `/` flattened, values, seed) plus a hash of the exact
-    /// key so sanitization can never alias two keys to one file.
-    fn cache_file_name(&self) -> String {
-        let name: String = self
-            .workload
-            .name()
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-            .collect();
-        let mut h = Fnv1a::default();
-        self.hash(&mut h);
-        format!(
-            "{name}-v{}-s{}-{:016x}.trace",
-            self.values,
-            self.seed,
-            h.finish()
-        )
-    }
 }
 
-/// A map of lazily initialized, shareable cells: the get-or-create
-/// pattern both session stores use. The outer mutex is held only long
-/// enough to find or insert the cell; initialization happens on the
-/// cell's own `OnceLock`, so concurrent requests for the *same* key
-/// block each other (the generator runs once) while requests for
-/// different keys proceed in parallel. Each map counts its own hits
-/// and misses.
+/// A map of lazily built, shareable values: the one get-or-build path
+/// both session stores use. The outer mutex is held only long enough
+/// to find or insert a key's [`Cell`]; a hit reads the built value
+/// under it and returns. A miss builds under the cell's own lock, so
+/// concurrent requests for the *same* key wait for one build while
+/// requests for different keys proceed in parallel. Each map counts
+/// its own hits and misses.
 struct CellMap<K, V> {
-    cells: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
+    cells: Mutex<HashMap<K, Arc<Cell<V>>>>,
     hits: &'static StaticCounter,
     misses: &'static StaticCounter,
 }
 
-impl<K: Eq + Hash + Clone, V> CellMap<K, V> {
+/// One key's slot: the built value, and the lock a miss holds while it
+/// builds. The value sits in a `OnceLock` rather than inside the lock
+/// so that a hit costs one map lock and no per-cell atomics; the warm
+/// daemon's lookups contend on exactly those.
+struct Cell<V> {
+    value: OnceLock<V>,
+    build: Mutex<()>,
+}
+
+impl<V> Default for Cell<V> {
+    fn default() -> Self {
+        Cell {
+            value: OnceLock::new(),
+            build: Mutex::new(()),
+        }
+    }
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> CellMap<K, V> {
     fn new(hits: &'static StaticCounter, misses: &'static StaticCounter) -> Self {
         CellMap {
             cells: Mutex::new(HashMap::new()),
@@ -190,38 +184,46 @@ impl<K: Eq + Hash + Clone, V> CellMap<K, V> {
         }
     }
 
-    /// Returns the initialized value for `key`, running `init` exactly
-    /// once per key across all threads. The second tuple field reports
-    /// whether *this* call did the initialization (a miss).
-    fn get_or_init<F: FnOnce() -> V>(&self, key: &K, init: F) -> (V, bool)
-    where
-        V: Clone,
-    {
+    /// The value for `key`, built by `init` if no call has built it
+    /// yet. The second tuple field reports whether *this* call built
+    /// it (a miss). Callers of one key wait on its cell, so a
+    /// successful `init` runs once per key; a failed one removes the
+    /// entry and returns the error, and the next caller builds afresh.
+    fn get_or_try_init<E>(
+        &self,
+        key: &K,
+        init: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
         let cell = {
             let mut map = self.cells.lock().unwrap_or_else(|e| e.into_inner());
-            Arc::clone(map.entry(key.clone()).or_default())
+            if let Some(cell) = map.get(key) {
+                if let Some(value) = cell.value.get() {
+                    self.hits.inc();
+                    return Ok((value.clone(), false));
+                }
+                Arc::clone(cell)
+            } else {
+                Arc::clone(map.entry(key.clone()).or_default())
+            }
         };
-        let mut missed = false;
-        let value = cell.get_or_init(|| {
-            missed = true;
-            init()
-        });
-        if missed { self.misses } else { self.hits }.inc();
-        (value.clone(), missed)
-    }
-
-    /// The initialized value for `key` if some call already built it —
-    /// a probe that never triggers initialization.
-    fn peek(&self, key: &K) -> Option<V>
-    where
-        V: Copy,
-    {
-        let map = self.cells.lock().unwrap_or_else(|e| e.into_inner());
-        let value = map.get(key).and_then(|cell| cell.get().copied());
-        if value.is_some() {
+        let _building = cell.build.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(value) = cell.value.get() {
             self.hits.inc();
+            return Ok((value.clone(), false));
         }
-        value
+        match init() {
+            Ok(value) => {
+                self.misses.inc();
+                Ok((cell.value.get_or_init(|| value).clone(), true))
+            }
+            Err(e) => {
+                let mut map = self.cells.lock().unwrap_or_else(|e| e.into_inner());
+                if map.get(key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+                    map.remove(key);
+                }
+                Err(e)
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -231,97 +233,8 @@ impl<K: Eq + Hash + Clone, V> CellMap<K, V> {
 
 static TRACE_HITS: StaticCounter = StaticCounter::new("bench.session.trace_hits");
 static TRACE_MISSES: StaticCounter = StaticCounter::new("bench.session.trace_misses");
-static DISK_LOADS: StaticCounter = StaticCounter::new("bench.session.disk_loads");
-static DISK_REJECTS: StaticCounter = StaticCounter::new("bench.session.disk_rejects");
 static ACTIVITY_HITS: StaticCounter = StaticCounter::new("bench.session.activity_hits");
 static ACTIVITY_MISSES: StaticCounter = StaticCounter::new("bench.session.activity_misses");
-
-/// The content-addressed trace cache a [`Session`] owns.
-///
-/// In-memory, each distinct [`TraceKey`] is generated exactly once per
-/// process and shared behind `Arc<Trace>`. With a disk directory
-/// configured, a miss first tries `<dir>/<key>.trace` in the
-/// `bustrace::io` text format; a file that is unreadable, malformed, or
-/// of the wrong length is discarded and the trace regenerated (and the
-/// entry rewritten), so a corrupted cache can slow a run down but never
-/// change its numbers.
-pub struct TraceStore {
-    disk_dir: Option<PathBuf>,
-    cells: CellMap<TraceKey, Arc<Trace>>,
-}
-
-impl TraceStore {
-    /// A purely in-memory store.
-    pub fn in_memory() -> Self {
-        TraceStore::new(None)
-    }
-
-    /// A store that also persists traces under `disk_dir`, if given.
-    fn new(disk_dir: Option<PathBuf>) -> Self {
-        TraceStore {
-            disk_dir,
-            cells: CellMap::new(&TRACE_HITS, &TRACE_MISSES),
-        }
-    }
-
-    /// The disk cache directory, if persistence is enabled.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk_dir.as_deref()
-    }
-
-    /// The shared trace for `key`, generating (or loading) it on first
-    /// request.
-    pub fn get(&self, key: &TraceKey) -> Arc<Trace> {
-        let (trace, _) = self.cells.get_or_init(key, || Arc::new(self.acquire(key)));
-        trace
-    }
-
-    /// Distinct keys resident in memory.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether no trace has been requested yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Miss path: disk (when configured and valid), else the generator.
-    fn acquire(&self, key: &TraceKey) -> Trace {
-        let _span = busprobe::span("bench.session.acquire");
-        let Some(dir) = &self.disk_dir else {
-            return key.generate();
-        };
-        let path = dir.join(key.cache_file_name());
-        match trace_io::load_trace(&path) {
-            Ok(trace) if trace.len() == key.values() => {
-                DISK_LOADS.inc();
-                return trace;
-            }
-            Ok(_) => {
-                // Parseable but the wrong length: a stale or truncated
-                // entry. Regenerate below.
-                DISK_REJECTS.inc();
-            }
-            Err(trace_io::ReadTraceError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                DISK_REJECTS.inc();
-                eprintln!(
-                    "warning: discarding corrupt trace cache entry {}: {e}",
-                    path.display()
-                );
-            }
-        }
-        let trace = key.generate();
-        if let Err(e) = trace_io::save_trace(&trace, &path) {
-            eprintln!(
-                "warning: could not write trace cache entry {}: {e}",
-                path.display()
-            );
-        }
-        trace
-    }
-}
 
 /// Shared experiment configuration plus the run-wide stores — the
 /// redesigned `Ctx`. See the [module docs](self) for the design.
@@ -329,22 +242,21 @@ pub struct Session {
     values: usize,
     seed: u64,
     out_dir: PathBuf,
-    store: TraceStore,
+    traces: CellMap<TraceKey, Arc<Trace>>,
     activities: CellMap<(String, TraceKey), Activity>,
 }
 
 impl Session {
     /// A builder starting from the defaults (`values` 200 000, `seed`
-    /// 1, `out_dir` `results/`, no disk cache).
+    /// 1, `out_dir` `results/`).
     pub fn builder() -> SessionBuilder {
         SessionBuilder::default()
     }
 
     /// Configuration from the environment — the canonical entry point
     /// for the `repro` binary: `REPRO_VALUES` (default 200 000),
-    /// `REPRO_SEED` (default 1), `REPRO_OUT` (default `results/`), and
-    /// `REPRO_CACHE` (truthy enables the on-disk trace cache in
-    /// `<out>/cache/`). A malformed `REPRO_VALUES` or `REPRO_SEED` is
+    /// `REPRO_SEED` (default 1) and `REPRO_OUT` (default `results/`).
+    /// A malformed `REPRO_VALUES` or `REPRO_SEED` is
     /// reported on stderr and the default used — a typo must not
     /// silently change the experiment size.
     pub fn from_env() -> Self {
@@ -354,7 +266,7 @@ impl Session {
         if let Ok(out) = std::env::var("REPRO_OUT") {
             b = b.out_dir(out);
         }
-        b.disk_cache(crate::env_flag("REPRO_CACHE")).build()
+        b.build()
     }
 
     /// Bus values per (workload, bus) trace.
@@ -372,11 +284,6 @@ impl Session {
         &self.out_dir
     }
 
-    /// The trace store (exposed read-only for tests and tooling).
-    pub fn store(&self) -> &TraceStore {
-        &self.store
-    }
-
     /// The trace a request addresses — the one resolution rule every
     /// front end shares: `len` (default: the session's `values`)
     /// bounded by `cap`, at `seed` (default: the session's).
@@ -391,17 +298,32 @@ impl Session {
         TraceKey::new(workload, values, seed.unwrap_or(self.seed))
     }
 
+    /// The shared trace at `key`, generated on its first request. This
+    /// is the single place a store miss turns into trace synthesis.
+    pub fn trace_at(&self, key: &TraceKey) -> Arc<Trace> {
+        let built = self.traces.get_or_try_init(key, || {
+            let _span = busprobe::span("bench.session.acquire");
+            Ok::<_, Infallible>(Arc::new(key.workload.trace(key.values, key.seed)))
+        });
+        let Ok((trace, _)) = built;
+        trace
+    }
+
+    /// Distinct traces resident in the trace store.
+    pub fn trace_store_len(&self) -> usize {
+        self.traces.len()
+    }
+
     /// The shared trace of `workload` at the session's full length.
     pub fn trace(&self, workload: Workload) -> Arc<Trace> {
-        self.store.get(&self.trace_key(workload, None, None, None))
+        self.trace_at(&self.trace_key(workload, None, None, None))
     }
 
     /// The shared trace of `workload` at `min(values, cap)` — the
     /// idiom of experiments that bound their own cost below the
     /// session length.
     pub fn trace_capped(&self, workload: Workload, cap: usize) -> Arc<Trace> {
-        let key = self.trace_key(workload, None, Some(cap), None);
-        self.store.get(&key)
+        self.trace_at(&self.trace_key(workload, None, Some(cap), None))
     }
 
     /// The memoized un-encoded bus activity of `workload` at the
@@ -433,36 +355,32 @@ impl Session {
 
     /// The one activity-store lookup: `scheme` over the trace at `key`,
     /// plus whether the store served it (`true`) rather than this call
-    /// encoding it. A miss parses the name as a [`buscoding::SchemeSpec`]
-    /// before it fetches the trace, builds the scheme for the trace's
-    /// width, and runs the block-batched
-    /// [`buscoding::evaluate_blocks`] engine. Observable via
-    /// `bench.session.activity_hits` / `bench.session.activity_misses`.
+    /// encoding it. A miss, inside the store's cell, parses the name as
+    /// a [`buscoding::SchemeSpec`] before it fetches the trace, builds
+    /// the scheme for the trace's width, and runs the block-batched
+    /// [`buscoding::evaluate_blocks`] engine; a hit does none of that.
+    /// Observable via `bench.session.activity_hits` /
+    /// `bench.session.activity_misses`.
     ///
     /// # Errors
     ///
     /// [`UnknownScheme`] when `scheme` is not a canonical registry name
     /// or does not fit the trace's width — a typed error, so a client
-    /// typo cannot take a daemon worker down.
+    /// typo cannot take a daemon worker down. An error leaves no store
+    /// entry, and a name that does not parse leaves no trace either.
     pub fn try_activity(
         &self,
         scheme: &str,
         key: &TraceKey,
     ) -> Result<(Activity, bool), UnknownScheme> {
-        let key = (scheme.to_string(), *key);
-        if let Some(cached) = self.activities.peek(&key) {
-            return Ok((cached, true));
-        }
-        // Parse the name before fetching the trace, so a typo leaves no
-        // trace resident, and build the scheme before touching the cell,
-        // so a bad query is an error — never a poisoned entry. Width
-        // misfits need the trace.
-        let spec: buscoding::SchemeSpec = scheme.parse()?;
-        let trace = self.store.get(&key.1);
-        let mut pair = spec.build(trace.width())?;
-        let (activity, missed) = self.activities.get_or_init(&key, || {
-            buscoding::evaluate_blocks(pair.encoder_mut(), &trace)
-        });
+        let (activity, missed) =
+            self.activities
+                .get_or_try_init(&(scheme.to_string(), *key), || {
+                    let spec: buscoding::SchemeSpec = scheme.parse()?;
+                    let trace = self.trace_at(key);
+                    let mut pair = spec.build(trace.width())?;
+                    Ok(buscoding::evaluate_blocks(pair.encoder_mut(), &trace))
+                })?;
         Ok((activity, !missed))
     }
 
@@ -478,8 +396,7 @@ impl std::fmt::Debug for Session {
             .field("values", &self.values)
             .field("seed", &self.seed)
             .field("out_dir", &self.out_dir)
-            .field("disk_cache", &self.store.disk_dir())
-            .field("resident_traces", &self.store.len())
+            .field("resident_traces", &self.traces.len())
             .finish()
     }
 }
@@ -491,7 +408,6 @@ pub struct SessionBuilder {
     values: usize,
     seed: u64,
     out_dir: PathBuf,
-    disk_cache: bool,
 }
 
 impl Default for SessionBuilder {
@@ -500,7 +416,6 @@ impl Default for SessionBuilder {
             values: 200_000,
             seed: 1,
             out_dir: "results".into(),
-            disk_cache: false,
         }
     }
 }
@@ -520,27 +435,20 @@ impl SessionBuilder {
         self
     }
 
-    /// Output directory for CSVs (and the disk cache, when enabled).
+    /// Output directory for CSVs.
     #[must_use]
     pub fn out_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.out_dir = dir.into();
         self
     }
 
-    /// Whether to persist traces under `<out_dir>/cache/`.
-    #[must_use]
-    pub fn disk_cache(mut self, enabled: bool) -> Self {
-        self.disk_cache = enabled;
-        self
-    }
-
     /// Builds the session with empty caches.
     pub fn build(self) -> Session {
         Session {
-            store: TraceStore::new(self.disk_cache.then(|| self.out_dir.join("cache"))),
             values: self.values,
             seed: self.seed,
             out_dir: self.out_dir,
+            traces: CellMap::new(&TRACE_HITS, &TRACE_MISSES),
             activities: CellMap::new(&ACTIVITY_HITS, &ACTIVITY_MISSES),
         }
     }
@@ -557,7 +465,6 @@ mod tests {
         assert_eq!(s.values(), 200_000);
         assert_eq!(s.seed(), 1);
         assert_eq!(s.out_dir(), Path::new("results"));
-        assert!(s.store().disk_dir().is_none());
     }
 
     #[test]
@@ -567,7 +474,7 @@ mod tests {
         let a = s.trace(w);
         let b = s.trace(w);
         assert!(Arc::ptr_eq(&a, &b), "second request must share the Arc");
-        assert_eq!(s.store().len(), 1);
+        assert_eq!(s.trace_store_len(), 1);
     }
 
     #[test]
@@ -580,7 +487,7 @@ mod tests {
         assert_eq!(capped.len(), 500);
         let other_bus = s.trace(Workload::Bench(Benchmark::Gcc, BusKind::Memory));
         assert_ne!(full.values(), other_bus.values());
-        assert_eq!(s.store().len(), 3);
+        assert_eq!(s.trace_store_len(), 3);
     }
 
     #[test]
@@ -658,9 +565,14 @@ mod tests {
         let err = s.try_activity("windoww(8)", &key).unwrap_err();
         assert!(err.to_string().contains("unknown coding scheme"));
         assert_eq!(s.activity_store_len(), 0, "a typo must not leave an entry");
-        assert_eq!(s.store().len(), 0, "nor generate a trace");
+        assert_eq!(s.trace_store_len(), 0, "nor generate a trace");
         let retry = s.try_activity("windoww(8)", &key);
         assert!(retry.is_err(), "still an error on retry");
+        // A name that parses but fails to build leaves no entry either:
+        // its failed build removes the cell it was made in.
+        let err = s.try_activity("trained:nope", &key).unwrap_err();
+        assert!(err.artifact_error().is_some(), "{err}");
+        assert_eq!(s.activity_store_len(), 0, "a failed build leaves no entry");
     }
 
     #[test]
@@ -668,45 +580,5 @@ mod tests {
     fn activity_store_rejects_non_registry_names() {
         let s = Session::builder().values(100).build();
         let _ = s.activity(&ActivityQuery::new("windoww(8)", Workload::Random));
-    }
-
-    #[test]
-    fn cache_file_names_are_stable_and_distinct() {
-        let k1 = TraceKey::new(Workload::Bench(Benchmark::Gcc, BusKind::Register), 100, 1);
-        let k2 = TraceKey::new(Workload::Bench(Benchmark::Gcc, BusKind::Memory), 100, 1);
-        assert_eq!(k1.cache_file_name(), k1.cache_file_name());
-        assert_ne!(k1.cache_file_name(), k2.cache_file_name());
-        assert!(k1.cache_file_name().starts_with("gcc-register-v100-s1-"));
-    }
-
-    #[test]
-    fn disk_cache_round_trips_and_survives_corruption() {
-        let dir = std::env::temp_dir().join(format!("bench-session-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let w = Workload::Bench(Benchmark::Compress, BusKind::Register);
-        let build = || {
-            Session::builder()
-                .values(1_500)
-                .seed(11)
-                .out_dir(&dir)
-                .disk_cache(true)
-                .build()
-        };
-        // Cold: generates and writes the entry.
-        let fresh = build().trace(w);
-        let key = TraceKey::new(w, 1_500, 11);
-        let path = dir.join("cache").join(key.cache_file_name());
-        assert!(path.exists(), "miss must persist {}", path.display());
-        // Warm: a new session (fresh memory) loads the same words.
-        assert_eq!(*build().trace(w), *fresh);
-        // Corrupt the entry: the store must fall back to regeneration
-        // and rewrite the file.
-        std::fs::write(&path, "# bustrace v1 width=32\nzz-not-hex\n").unwrap();
-        assert_eq!(*build().trace(w), *fresh);
-        assert_eq!(bustrace::io::load_trace(&path).unwrap(), *fresh);
-        // Truncated-but-parseable entry: rejected by the length check.
-        std::fs::write(&path, "# bustrace v1 width=32\nff\n").unwrap();
-        assert_eq!(*build().trace(w), *fresh);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -23,7 +23,7 @@ impl TraceProvider for Session {
     fn trace(&self, workload: &str, values: usize, seed: u64) -> Result<Arc<Trace>, String> {
         let workload = Workload::parse(workload)
             .ok_or_else(|| format!("unknown workload {workload:?} (expected the Workload grammar, e.g. gcc/register or mixed/gcc+perl/register/64)"))?;
-        Ok(self.store().get(&TraceKey::new(workload, values, seed)))
+        Ok(self.trace_at(&TraceKey::new(workload, values, seed)))
     }
 }
 

@@ -50,6 +50,13 @@ static HIST_UNIQUE: busprobe::StaticHistogram =
 static HIST_STRIDE: busprobe::StaticHistogram =
     busprobe::StaticHistogram::new("adapt.window_stride_pct", PCT_BOUNDS);
 
+/// The shadow models' coupling weight λ.
+const LAMBDA: f64 = 1.0;
+/// Sub-window of the streaming uniqueness estimator.
+const UNIQUENESS_WINDOW: usize = 16;
+/// History depth of the streaming stride-hit estimator.
+const STRIDE_DEPTH: usize = 2;
+
 /// Configuration of an [`AdaptiveTranscoder`]: the candidate pool and
 /// the controller's observation parameters.
 #[derive(Debug, Clone)]
@@ -57,10 +64,6 @@ pub struct AdaptiveConfig {
     width: Width,
     candidates: Vec<String>,
     period: u64,
-    lambda: f64,
-    uniqueness_window: usize,
-    stride_depth: usize,
-    recover: bool,
     initial: usize,
 }
 
@@ -68,8 +71,9 @@ impl AdaptiveConfig {
     /// A configuration selecting among `candidates` (canonical registry
     /// names, see [`buscoding::SCHEME_PATTERNS`]) every `period` words.
     ///
-    /// Defaults: λ = 1, uniqueness sub-window 16, stride depth 2,
-    /// bounded recovery on, candidate 0 carries the first window.
+    /// The shadow models score at λ = 1, the uniqueness sub-window is
+    /// 16 words, the stride depth 2, and candidate 0 carries the first
+    /// window.
     ///
     /// # Panics
     ///
@@ -86,10 +90,6 @@ impl AdaptiveConfig {
             width,
             candidates,
             period,
-            lambda: 1.0,
-            uniqueness_window: 16,
-            stride_depth: 2,
-            recover: true,
             initial: 0,
         }
     }
@@ -110,15 +110,6 @@ impl AdaptiveConfig {
         self
     }
 
-    /// Disables bounded recovery: decode errors propagate as
-    /// [`RoundTripError`] instead of being absorbed
-    /// [`RecoveringDecoder`](buscoding::robust::RecoveringDecoder)-style.
-    #[must_use]
-    pub fn without_recovery(mut self) -> Self {
-        self.recover = false;
-        self
-    }
-
     /// The candidate pool, in decision-index order.
     pub fn candidates(&self) -> &[String] {
         &self.candidates
@@ -132,11 +123,6 @@ impl AdaptiveConfig {
     /// The bus word width.
     pub fn width(&self) -> Width {
         self.width
-    }
-
-    /// The shadow models' coupling weight λ.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 }
 
@@ -256,7 +242,6 @@ impl Core {
         // were flushed at the previous boundary, so this produces the
         // exact state sequence the old per-word loop accumulated —
         // minus `candidates × period` virtual dispatches per window.
-        let lambda = self.cfg.lambda;
         let words = &self.window_words;
         let states = &mut self.shadow_states;
         let costs: Vec<f64> = self
@@ -267,7 +252,7 @@ impl Core {
                 candidate.shadow.encode_block(words, states);
                 let mut activity = cold_activity(candidate.lines);
                 activity.step_slice(states);
-                activity.weighted(lambda)
+                activity.weighted(LAMBDA)
             })
             .collect();
         let stats = WindowStats {
@@ -339,22 +324,23 @@ impl Core {
         self.candidates[self.live].pair.encode(value)
     }
 
-    fn decode(&mut self, bus_state: u64) -> Result<Word, RoundTripError> {
-        let recover = self.cfg.recover;
+    /// Decodes through the live scheme. A decode error is absorbed
+    /// as a counted resync: the live decoder is flushed and the raw
+    /// state passed through, so the next boundary re-converges.
+    fn decode(&mut self, bus_state: u64) -> Word {
         let width = self.cfg.width;
         let candidate = &mut self.candidates[self.live];
         match candidate
             .pair
             .decode(bus_state & line_mask(candidate.lines))
         {
-            Ok(word) => Ok(word),
-            Err(_) if recover => {
+            Ok(word) => word,
+            Err(_) => {
                 self.resyncs += 1;
                 PROBE_RESYNCS.inc();
                 candidate.pair.decoder_mut().reset();
-                Ok(bus_state & width.mask())
+                bus_state & width.mask()
             }
-            Err(e) => Err(e),
         }
     }
 
@@ -413,7 +399,7 @@ impl Decoder for DecoderHalf {
     }
 
     fn decode(&mut self, bus_state: u64) -> Result<Word, RoundTripError> {
-        self.core.borrow_mut().decode(bus_state)
+        Ok(self.core.borrow_mut().decode(bus_state))
     }
 
     /// A receiver-local resync pulse: flushes only the live decoder
@@ -486,8 +472,8 @@ impl AdaptiveTranscoder {
         let residency = vec![0; candidates.len()];
         let mut core = Core {
             transitions: StreamingTransitions::new(cfg.width),
-            uniqueness: StreamingWindowUniqueness::new(cfg.uniqueness_window),
-            strides: StreamingStrideHits::new(cfg.width, cfg.stride_depth),
+            uniqueness: StreamingWindowUniqueness::new(UNIQUENESS_WINDOW),
+            strides: StreamingStrideHits::new(cfg.width, STRIDE_DEPTH),
             live: cfg.initial,
             cfg,
             lines,
@@ -541,10 +527,8 @@ impl AdaptiveTranscoder {
 
     /// Decodes the next bus state through the live scheme.
     ///
-    /// # Errors
-    ///
-    /// As [`buscoding::Decoder::decode`]; with recovery enabled
-    /// (default) errors are absorbed as counted resync events instead.
+    /// Never an error: a state the live decoder rejects is absorbed
+    /// as a counted resync (see [`AdaptReport::resyncs`]).
     pub fn decode(&mut self, bus_state: u64) -> Result<Word, RoundTripError> {
         self.pair.decode(bus_state)
     }
@@ -552,21 +536,6 @@ impl AdaptiveTranscoder {
     /// Everything tallied since the last power-on reset.
     pub fn report(&self) -> AdaptReport {
         self.core.borrow().report()
-    }
-
-    /// A tally handle that stays readable after the transcoder itself
-    /// is consumed by a harness.
-    pub fn handle(&self) -> AdaptHandle {
-        AdaptHandle {
-            core: self.core.clone(),
-        }
-    }
-
-    /// Unwraps into the plain [`Transcoder`] plus a tally handle — for
-    /// harnesses that want to own the pair.
-    pub fn into_transcoder(self) -> (Transcoder, AdaptHandle) {
-        let handle = self.handle();
-        (self.pair, handle)
     }
 }
 
@@ -576,26 +545,6 @@ impl std::fmt::Debug for AdaptiveTranscoder {
             .field("name", &self.pair.name())
             .field("lines", &self.pair.lines())
             .finish_non_exhaustive()
-    }
-}
-
-/// A read handle onto a controller's tallies, valid for the lifetime
-/// of the halves it was created from.
-#[derive(Clone)]
-pub struct AdaptHandle {
-    core: Rc<RefCell<Core>>,
-}
-
-impl AdaptHandle {
-    /// Everything tallied since the last power-on reset.
-    pub fn report(&self) -> AdaptReport {
-        self.core.borrow().report()
-    }
-}
-
-impl std::fmt::Debug for AdaptHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AdaptHandle").finish_non_exhaustive()
     }
 }
 
@@ -738,23 +687,6 @@ mod tests {
     }
 
     #[test]
-    fn without_recovery_errors_propagate() {
-        let cfg = AdaptiveConfig::new(Width::W32, ["window(8)"], 64).without_recovery();
-        let mut adaptive = AdaptiveTranscoder::new(cfg, Box::new(StaticPolicy::new(0))).unwrap();
-        adaptive.reset();
-        let mut saw_error = false;
-        for (i, v) in phase_change_trace(1, 100).iter().enumerate() {
-            let mut state = adaptive.encode(v);
-            if i == 10 {
-                state ^= 0b11 << 32;
-            }
-            saw_error |= adaptive.decode(state).is_err();
-        }
-        assert!(saw_error);
-        assert_eq!(adaptive.report().resyncs, 0);
-    }
-
-    #[test]
     fn lines_are_the_candidate_maximum() {
         let cfg = AdaptiveConfig::new(Width::W32, ["identity", "window(8)"], 64);
         let adaptive = AdaptiveTranscoder::new(cfg, Box::new(StaticPolicy::new(0))).unwrap();
@@ -779,14 +711,5 @@ mod tests {
     fn empty_pool_is_rejected() {
         let empty: [&str; 0] = [];
         let _ = AdaptiveConfig::new(Width::W32, empty, 64);
-    }
-
-    #[test]
-    fn handle_outlives_the_wrapper() {
-        let trace = phase_change_trace(2, 128);
-        let adaptive = greedy(32);
-        let (mut pair, handle) = adaptive.into_transcoder();
-        let _ = evaluate(pair.encoder_mut(), &trace);
-        assert_eq!(handle.report().words, trace.len() as u64);
     }
 }

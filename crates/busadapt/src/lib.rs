@@ -42,7 +42,7 @@
 mod controller;
 mod policy;
 
-pub use controller::{AdaptHandle, AdaptReport, AdaptiveConfig, AdaptiveTranscoder, SwitchEvent};
+pub use controller::{AdaptReport, AdaptiveConfig, AdaptiveTranscoder, SwitchEvent};
 pub use policy::{
     oracle_schedule, BandedHysteresisPolicy, GreedyShadowPolicy, OraclePolicy, Policy,
     StaticPolicy, WindowObservation, WindowStats,

@@ -577,8 +577,7 @@ pub fn load_named_artifact(dir: &Path, name: &str) -> Result<TrainedTables, Arti
 }
 
 /// Writes `tables` to `<dir>/<name>-v1.bin` atomically (temp file +
-/// rename, the `bustrace::io::save_trace` idiom), creating `dir` if
-/// needed. Returns the final path.
+/// rename), creating `dir` if needed. Returns the final path.
 ///
 /// # Errors
 ///
@@ -620,7 +619,7 @@ pub fn set_artifact_dir(dir: impl Into<PathBuf>) {
 /// Where `trained:<name>` schemes look for artifacts, and where
 /// `repro train` writes them: the explicit [`set_artifact_dir`]
 /// override if set, else `$REPRO_OUT/trained`, else `results/trained`
-/// — i.e. next to the `REPRO_CACHE` trace store.
+/// — i.e. beside the run's CSVs.
 pub fn artifact_dir() -> PathBuf {
     if let Some(dir) = ARTIFACT_DIR
         .read()

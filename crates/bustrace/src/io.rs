@@ -160,36 +160,6 @@ pub fn read_trace_with_limit<R: BufRead>(
     Ok(trace)
 }
 
-/// Reads a trace from a file in the text format.
-///
-/// # Errors
-///
-/// As [`read_trace`]; opening the file is reported as
-/// [`ReadTraceError::Io`].
-pub fn load_trace(path: &std::path::Path) -> Result<Trace, ReadTraceError> {
-    let file = std::fs::File::open(path)?;
-    read_trace(std::io::BufReader::new(file))
-}
-
-/// Writes a trace to a file in the text format, atomically: the data
-/// goes to `<path>.tmp` first and is renamed into place, so a reader
-/// (or a crashed writer) never observes a half-written trace.
-///
-/// # Errors
-///
-/// Propagates I/O failures from writing or renaming.
-pub fn save_trace(trace: &Trace, path: &std::path::Path) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let tmp = path.with_extension("tmp");
-    let mut writer = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-    write_trace(trace, &mut writer)?;
-    writer.flush()?;
-    drop(writer);
-    std::fs::rename(&tmp, path)
-}
-
 fn parse_header(header: &str) -> Result<Width, ReadTraceError> {
     let bad = || ReadTraceError::BadHeader(clip(header));
     let rest = header
@@ -309,27 +279,6 @@ mod tests {
             read_trace_with_limit(sparse.as_bytes(), 2).unwrap().len(),
             2
         );
-    }
-
-    #[test]
-    fn save_load_round_trips_and_replaces() {
-        let dir = std::env::temp_dir().join(format!("bustrace-io-{}", std::process::id()));
-        let path = dir.join("nested").join("t.trace");
-        let a = Trace::from_values(Width::W32, [1u64, 0xFFFF_FFFF, 0]);
-        save_trace(&a, &path).unwrap();
-        assert_eq!(load_trace(&path).unwrap(), a);
-        // Overwrite with a different trace: the rename replaces cleanly.
-        let b = Trace::from_values(Width::new(8).unwrap(), [9u64]);
-        save_trace(&b, &path).unwrap();
-        assert_eq!(load_trace(&path).unwrap(), b);
-        assert!(!path.with_extension("tmp").exists(), "tmp file left behind");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_trace_reports_missing_file_as_io() {
-        let missing = std::env::temp_dir().join("bustrace-io-definitely-missing.trace");
-        assert!(matches!(load_trace(&missing), Err(ReadTraceError::Io(_))));
     }
 
     #[test]

@@ -107,20 +107,6 @@ impl Trace {
     pub fn into_values(self) -> Vec<Word> {
         self.values
     }
-
-    /// Concatenates another trace of the same width onto this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the widths differ; traces of different widths describe
-    /// different physical buses and must never be spliced.
-    pub fn extend_from(&mut self, other: &Trace) {
-        assert_eq!(
-            self.width, other.width,
-            "cannot concatenate traces of different widths"
-        );
-        self.values.extend_from_slice(&other.values);
-    }
 }
 
 impl fmt::Display for Trace {
@@ -195,13 +181,6 @@ impl TraceBuilder {
         self.trace.push(self.last);
     }
 
-    /// Records `n` idle cycles.
-    pub fn idle_for(&mut self, n: usize) {
-        for _ in 0..n {
-            self.idle();
-        }
-    }
-
     /// The number of cycles recorded so far.
     pub fn len(&self) -> usize {
         self.trace.len()
@@ -246,27 +225,13 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_same_width() {
-        let mut a = Trace::from_values(Width::W32, [1, 2]);
-        let b = Trace::from_values(Width::W32, [3]);
-        a.extend_from(&b);
-        assert_eq!(a.values(), &[1, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different widths")]
-    fn extend_from_different_width_panics() {
-        let mut a = Trace::from_values(Width::W32, [1]);
-        let b = Trace::from_values(Width::new(16).unwrap(), [2]);
-        a.extend_from(&b);
-    }
-
-    #[test]
     fn builder_idle_repeats_last_value() {
         let mut b = TraceBuilder::new(Width::W32);
         b.idle(); // idle before any drive holds zero
         b.drive(7);
-        b.idle_for(3);
+        b.idle();
+        b.idle();
+        b.idle();
         b.drive(9);
         let t = b.finish();
         assert_eq!(t.values(), &[0, 7, 7, 7, 7, 9]);

@@ -1,8 +1,7 @@
 //! End-to-end determinism of `repro adaptive`: the emitted CSVs must be
 //! byte-identical between a solo run and a run sharing the worker pool
-//! with another experiment, and between a cold and a warm
-//! (`REPRO_CACHE=1`) run — the property that makes the adaptive
-//! baselines in EXPERIMENTS.md re-checkable.
+//! and the session with another experiment — the property that makes
+//! the adaptive baselines in EXPERIMENTS.md re-checkable.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -18,22 +17,12 @@ fn out_dir(tag: &str) -> PathBuf {
 
 /// Runs the `repro` binary and returns the CSVs named by `tables` that
 /// it wrote.
-fn run_repro(
-    out: &Path,
-    args: &[&str],
-    extra_env: &[(&str, &str)],
-    tables: &[&str],
-) -> BTreeMap<String, String> {
+fn run_repro(out: &Path, args: &[&str], tables: &[&str]) -> BTreeMap<String, String> {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
     cmd.args(args)
         .env("REPRO_VALUES", "3000")
         .env("REPRO_SEED", "7")
-        .env("REPRO_OUT", out)
-        .env_remove("REPRO_CACHE")
-        .env_remove("REPRO_METRICS");
-    for (k, v) in extra_env {
-        cmd.env(k, v);
-    }
+        .env("REPRO_OUT", out);
     let status = cmd.status().expect("repro binary runs");
     assert!(status.success(), "repro {args:?} failed");
     tables
@@ -56,25 +45,11 @@ fn serial_and_parallel_runs_are_byte_identical() {
     let mut tables = TABLES.to_vec();
     tables.push("table1");
     let solo_dir = out_dir("solo");
-    run_repro(&solo_dir, &["table1"], &[], &["table1"]);
-    let solo = run_repro(&solo_dir, &["adaptive"], &[], &tables);
+    run_repro(&solo_dir, &["table1"], &["table1"]);
+    let solo = run_repro(&solo_dir, &["adaptive"], &tables);
     let joint_dir = out_dir("joint");
-    let joint = run_repro(&joint_dir, &["table1", "adaptive"], &[], &tables);
+    let joint = run_repro(&joint_dir, &["table1", "adaptive"], &tables);
     assert_eq!(solo, joint, "solo vs joint CSVs diverged");
     std::fs::remove_dir_all(&solo_dir).ok();
     std::fs::remove_dir_all(&joint_dir).ok();
-}
-
-#[test]
-fn warm_trace_cache_rerun_is_byte_identical() {
-    let dir = out_dir("cache");
-    let cold = run_repro(&dir, &["adaptive"], &[("REPRO_CACHE", "1")], &TABLES);
-    let cache = dir.join("cache");
-    let entries = std::fs::read_dir(&cache)
-        .unwrap_or_else(|e| panic!("no trace cache at {}: {e}", cache.display()))
-        .count();
-    assert!(entries > 0, "cold run persisted no traces");
-    let warm = run_repro(&dir, &["adaptive"], &[("REPRO_CACHE", "1")], &TABLES);
-    assert_eq!(cold, warm, "warm-cache rerun diverged from cold run");
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -33,7 +33,6 @@ fn run_repro(out: &PathBuf, args: &[&str]) -> std::process::Output {
         .env("REPRO_VALUES", "2000")
         .env("REPRO_SEED", "1")
         .env("REPRO_OUT", out)
-        .env_remove("REPRO_METRICS")
         .output()
         .expect("repro should launch")
 }

@@ -20,7 +20,6 @@ fn run_repro(out: &PathBuf, values: &str, args: &[&str]) -> std::process::Output
         .env("REPRO_VALUES", values)
         .env("REPRO_SEED", "1")
         .env("REPRO_OUT", out)
-        .env_remove("REPRO_METRICS")
         .output()
         .expect("repro should launch")
 }

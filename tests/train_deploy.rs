@@ -97,7 +97,7 @@ fn trained_artifacts_deploy_through_every_front_end() {
     // of the in-memory tables — the artifact round-trip changed
     // nothing.
     let via_store = session.activity(&ActivityQuery::new("trained:demo", workload));
-    let trace = session.store().get(&TraceKey::new(workload, VALUES, SEED));
+    let trace = session.trace_at(&TraceKey::new(workload, VALUES, SEED));
     let (mut enc, _dec) = trained_codec(Arc::new(tables), CostModel::default());
     let direct = evaluate_blocks(&mut enc, &trace);
     assert_eq!(via_store, direct);
@@ -135,8 +135,6 @@ fn repro_train_then_eval_round_trips_through_one_directory() {
             .env("REPRO_SEED", SEED.to_string())
             .env("REPRO_OUT", &out)
             .env("BUSTRAIN_DIR", out.join("elsewhere"))
-            .env_remove("REPRO_CACHE")
-            .env_remove("REPRO_METRICS")
             .output()
             .expect("repro runs");
         assert!(
