@@ -290,9 +290,9 @@ fn parse_schemes(body: &JsonValue) -> Result<Vec<String>, ApiError> {
         Some(JsonValue::Arr(items)) => items
             .iter()
             .map(|v| {
-                v.as_str().map(String::from).ok_or_else(|| {
-                    ApiError::BadRequest("`schemes` entries must be strings".into())
-                })
+                v.as_str()
+                    .map(String::from)
+                    .ok_or_else(|| ApiError::BadRequest("`schemes` entries must be strings".into()))
             })
             .collect::<Result<_, _>>()?,
         Some(JsonValue::Str(one)) => vec![one.clone()],
@@ -325,18 +325,18 @@ fn parse_stored(body: &JsonValue) -> Result<TraceSource, ApiError> {
     let usize_field = |key: &str| -> Result<Option<usize>, ApiError> {
         match body.get(key) {
             None | Some(JsonValue::Null) => Ok(None),
-            Some(v) => v
-                .as_u64()
-                .map(|n| Some(n as usize))
-                .ok_or_else(|| ApiError::BadRequest(format!("`{key}` must be a non-negative integer"))),
+            Some(v) => v.as_u64().map(|n| Some(n as usize)).ok_or_else(|| {
+                ApiError::BadRequest(format!("`{key}` must be a non-negative integer"))
+            }),
         }
     };
-    let seed = match body.get("seed") {
-        None | Some(JsonValue::Null) => None,
-        Some(v) => Some(v.as_u64().ok_or_else(|| {
-            ApiError::BadRequest("`seed` must be a non-negative integer".into())
-        })?),
-    };
+    let seed =
+        match body.get("seed") {
+            None | Some(JsonValue::Null) => None,
+            Some(v) => Some(v.as_u64().ok_or_else(|| {
+                ApiError::BadRequest("`seed` must be a non-negative integer".into())
+            })?),
+        };
     Ok(TraceSource::Stored {
         workload,
         len: usize_field("len")?,
@@ -352,7 +352,8 @@ fn parse_inline(trace: &JsonValue) -> Result<TraceSource, ApiError> {
         .ok_or_else(|| ApiError::BadRequest("`trace.width` must be a bit count".into()))?;
     let bits = u32::try_from(bits)
         .map_err(|_| ApiError::BadRequest(format!("`trace.width` out of range: {bits}")))?;
-    let width = Width::new(bits).map_err(|e| ApiError::BadRequest(format!("`trace.width`: {e}")))?;
+    let width =
+        Width::new(bits).map_err(|e| ApiError::BadRequest(format!("`trace.width`: {e}")))?;
     let within_cap = |words: usize| {
         if words > MAX_INLINE_WORDS {
             return Err(ApiError::TooLarge {
@@ -845,9 +846,7 @@ impl ApiService {
         // keep the spans under it.
         let prefix = drained
             .iter()
-            .find(|s| {
-                s.path == "bench.api.profile" || s.path.ends_with("/bench.api.profile")
-            })
+            .find(|s| s.path == "bench.api.profile" || s.path.ends_with("/bench.api.profile"))
             .map(|root| format!("{}/", root.path));
         let spans: Vec<_> = drained
             .into_iter()
@@ -1044,7 +1043,10 @@ mod tests {
             (r#"{"workload":"random"}"#, "schemes"),
             (r#"{"schemes":[],"workload":"random"}"#, "empty"),
             (r#"{"schemes":["identity"]}"#, "workload"),
-            (r#"{"schemes":["identity"],"workload":"gcc/cache"}"#, "unknown workload"),
+            (
+                r#"{"schemes":["identity"],"workload":"gcc/cache"}"#,
+                "unknown workload",
+            ),
             (
                 r#"{"schemes":["identity"],"workload":"random","lambda":-1}"#,
                 "lambda",
@@ -1090,9 +1092,14 @@ mod tests {
 
         let body = EvalRequest::stored(Workload::Random, vec!["window(8)".into()]).to_json();
         let eval = service.handle("eval", &body).expect("eval");
-        assert_eq!(eval.get("workload").and_then(JsonValue::as_str), Some("random"));
+        assert_eq!(
+            eval.get("workload").and_then(JsonValue::as_str),
+            Some("random")
+        );
 
-        let metrics = service.handle("metrics", &JsonValue::Obj(vec![])).expect("metrics");
+        let metrics = service
+            .handle("metrics", &JsonValue::Obj(vec![]))
+            .expect("metrics");
         assert!(metrics.get("activity").is_some());
 
         let err = service

@@ -127,14 +127,13 @@ mod tests {
             .iter()
             .filter(|r| r[0] == "test" && r[5] == "yes")
             .count();
-        assert!(
-            test_wins >= 1,
-            "no held-out win; rows: {rows:?}"
-        );
+        assert!(test_wins >= 1, "no held-out win; rows: {rows:?}");
         // Train rows should be strong too — the tables saw this exact
         // traffic.
         assert!(
-            rows.iter().filter(|r| r[0] == "train").all(|r| r[5] == "yes"),
+            rows.iter()
+                .filter(|r| r[0] == "train")
+                .all(|r| r[5] == "yes"),
             "trained tables must win on their own training traffic; rows: {rows:?}"
         );
     }

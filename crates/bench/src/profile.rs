@@ -120,7 +120,10 @@ mod tests {
             Some("trace_gen")
         );
         assert_eq!(phase_of("fig16/bench.session.acquire"), Some("trace_gen"));
-        assert_eq!(phase_of("fig16/buscoding.codec.evaluate_blocks"), Some("encode"));
+        assert_eq!(
+            phase_of("fig16/buscoding.codec.evaluate_blocks"),
+            Some("encode")
+        );
         assert_eq!(
             phase_of("fig16/buscoding.codec.evaluate_blocks/buscoding.codec.accumulate"),
             Some("accumulate")

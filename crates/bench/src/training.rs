@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
+use buscoding::predict::trained::TrainedTables;
 use bustrace::Trace;
 use bustrain::{train_corpus, Corpus, TraceProvider, TrainError, TrainerConfig};
-use buscoding::predict::trained::TrainedTables;
 
 use crate::session::{Session, TraceKey};
 use crate::workloads::Workload;

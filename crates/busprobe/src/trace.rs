@@ -455,23 +455,26 @@ mod tests {
 
     #[test]
     fn validate_rejects_unbalanced_and_backwards() {
-        let unbalanced = crate::json::parse(
-            r#"{"traceEvents":[{"ph":"B","name":"a","tid":1,"ts":1,"pid":1}]}"#,
-        )
-        .unwrap();
-        assert!(validate_chrome(&unbalanced).unwrap_err().contains("never closed"));
+        let unbalanced =
+            crate::json::parse(r#"{"traceEvents":[{"ph":"B","name":"a","tid":1,"ts":1,"pid":1}]}"#)
+                .unwrap();
+        assert!(validate_chrome(&unbalanced)
+            .unwrap_err()
+            .contains("never closed"));
         let backwards = crate::json::parse(
             r#"{"traceEvents":[
                 {"ph":"B","name":"a","tid":1,"ts":5,"pid":1},
                 {"ph":"E","tid":1,"ts":3,"pid":1}]}"#,
         )
         .unwrap();
-        assert!(validate_chrome(&backwards).unwrap_err().contains("backwards"));
-        let orphan = crate::json::parse(
-            r#"{"traceEvents":[{"ph":"E","tid":1,"ts":3,"pid":1}]}"#,
-        )
-        .unwrap();
-        assert!(validate_chrome(&orphan).unwrap_err().contains("without a matching B"));
+        assert!(validate_chrome(&backwards)
+            .unwrap_err()
+            .contains("backwards"));
+        let orphan =
+            crate::json::parse(r#"{"traceEvents":[{"ph":"E","tid":1,"ts":3,"pid":1}]}"#).unwrap();
+        assert!(validate_chrome(&orphan)
+            .unwrap_err()
+            .contains("without a matching B"));
     }
 
     #[test]
@@ -514,7 +517,10 @@ mod tests {
         let inner = spans
             .iter()
             .find(|s| s.path == "trace.test.outer/trace.test.inner");
-        let (outer, inner) = (outer.expect("outer recorded"), inner.expect("inner recorded"));
+        let (outer, inner) = (
+            outer.expect("outer recorded"),
+            inner.expect("inner recorded"),
+        );
         assert!(outer.start_ns <= inner.start_ns);
         assert!(inner.end_ns <= outer.end_ns);
         assert_eq!(outer.tid, inner.tid);

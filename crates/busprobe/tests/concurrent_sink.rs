@@ -35,7 +35,9 @@ fn eight_concurrent_writers_round_trip() {
                         (
                             "padding".into(),
                             JsonValue::Arr(
-                                (0..64).map(|k| JsonValue::Int(w as i64 * 1000 + k)).collect(),
+                                (0..64)
+                                    .map(|k| JsonValue::Int(w as i64 * 1000 + k))
+                                    .collect(),
                             ),
                         ),
                     ]);

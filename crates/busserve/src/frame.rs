@@ -51,7 +51,10 @@ impl std::fmt::Display for FrameError {
                 write!(f, "truncated frame: got {got} of {want} byte(s)")
             }
             FrameError::Oversize { len, limit } => {
-                write!(f, "oversized frame: {len} byte(s) exceeds the {limit}-byte cap")
+                write!(
+                    f,
+                    "oversized frame: {len} byte(s) exceeds the {limit}-byte cap"
+                )
             }
         }
     }
@@ -123,11 +126,7 @@ pub fn read_frame<R: Read>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, Fra
 ///
 /// As [`read_frame`], except a clean EOF after the first byte is
 /// already a [`FrameError::Truncated`].
-pub fn read_frame_after<R: Read>(
-    r: &mut R,
-    first: u8,
-    max: usize,
-) -> Result<Vec<u8>, FrameError> {
+pub fn read_frame_after<R: Read>(r: &mut R, first: u8, max: usize) -> Result<Vec<u8>, FrameError> {
     let mut rest = [0u8; 3];
     let got = fill(r, &mut rest)?;
     if got < 3 {
@@ -231,7 +230,10 @@ mod tests {
     fn oversized_write_is_rejected() {
         let mut wire = Vec::new();
         match write_frame(&mut wire, &[0u8; 100], 10) {
-            Err(FrameError::Oversize { len: 100, limit: 10 }) => {}
+            Err(FrameError::Oversize {
+                len: 100,
+                limit: 10,
+            }) => {}
             other => panic!("wrong result: {other:?}"),
         }
         assert!(wire.is_empty(), "a rejected frame writes nothing");
@@ -254,8 +256,14 @@ mod tests {
             write_frame(&mut wire, p, MAX_FRAME_BYTES).unwrap();
         }
         let mut r = &wire[..];
-        assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(), b"one");
-        assert_eq!(read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(), b"two");
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(),
+            b"one"
+        );
+        assert_eq!(
+            read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(),
+            b"two"
+        );
         assert_eq!(
             read_frame(&mut r, MAX_FRAME_BYTES).unwrap().unwrap(),
             b"three"

@@ -30,6 +30,4 @@ pub mod signal;
 
 pub use client::{Client, ClientError};
 pub use frame::{read_frame, read_frame_after, write_frame, FrameError, MAX_FRAME_BYTES};
-pub use server::{
-    Server, ServerConfig, ServeStats, Service, ServiceError, PROTOCOL_VERSION,
-};
+pub use server::{ServeStats, Server, ServerConfig, Service, ServiceError, PROTOCOL_VERSION};

@@ -335,8 +335,7 @@ fn serve_connection<S: Service>(
             Ok(0) => return, // client hung up
             Ok(_) => {}
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 continue;
             }
@@ -481,8 +480,10 @@ fn write_response<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
         Ok(()) => Ok(()),
         Err(FrameError::Io(e)) => Err(e),
         Err(_) => {
-            let fallback =
-                error_envelope(&ServiceError::new("oversize", "response exceeded the frame cap"));
+            let fallback = error_envelope(&ServiceError::new(
+                "oversize",
+                "response exceeded the frame cap",
+            ));
             match frame::write_frame(w, fallback.to_string().as_bytes(), frame::MAX_FRAME_BYTES) {
                 Ok(()) => Ok(()),
                 Err(FrameError::Io(e)) => Err(e),

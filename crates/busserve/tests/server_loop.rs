@@ -252,7 +252,10 @@ fn drain_finishes_in_flight_requests_and_exits_clean() {
     std::thread::sleep(Duration::from_millis(100));
     shutdown.store(true, Ordering::Release);
     // The in-flight request still completes successfully.
-    let resp = in_flight.join().unwrap().expect("in-flight call survives drain");
+    let resp = in_flight
+        .join()
+        .unwrap()
+        .expect("in-flight call survives drain");
     assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(true)), "{resp}");
     assert_eq!(resp.get("result"), Some(&JsonValue::Int(400)));
     // The server exits Ok and removes its socket file.

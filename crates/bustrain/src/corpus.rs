@@ -397,7 +397,10 @@ mod tests {
             ("# bustrain corpus v1 name=x\nvalidate gcc\n", "line 2"),
             ("# bustrain corpus v1 name=x\ntrain\n", "missing workload"),
             ("# bustrain corpus v1 name=x\ntrain g seed=z\n", "bad seed"),
-            ("# bustrain corpus v1 name=x\ntrain g cap=9\n", "unknown clause"),
+            (
+                "# bustrain corpus v1 name=x\ntrain g cap=9\n",
+                "unknown clause",
+            ),
         ] {
             let err = Corpus::parse(text).expect_err(text);
             assert!(err.to_string().contains(needle), "{text:?}: {err}");

@@ -207,7 +207,8 @@ impl Accumulator {
                 .collect();
             ranked.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
             ranked.truncate(config.max_table_entries);
-            let mut entries: Vec<(u64, Word)> = ranked.into_iter().map(|(h, s, _)| (h, s)).collect();
+            let mut entries: Vec<(u64, Word)> =
+                ranked.into_iter().map(|(h, s, _)| (h, s)).collect();
             entries.sort_by_key(|&(h, _)| h);
             signatures.push(SignatureTable { order, entries });
         }
@@ -311,7 +312,9 @@ mod tests {
         fn trace(&self, workload: &str, values: usize, seed: u64) -> Result<Arc<Trace>, String> {
             let width = Width::W32;
             if let Some(k) = workload.strip_prefix("loop/") {
-                let k: u64 = k.parse().map_err(|_| format!("bad loop size in {workload:?}"))?;
+                let k: u64 = k
+                    .parse()
+                    .map_err(|_| format!("bad loop size in {workload:?}"))?;
                 return Ok(Arc::new(Trace::from_values(
                     width,
                     (0..values as u64).map(move |i| (i + seed) % k * 0x11),

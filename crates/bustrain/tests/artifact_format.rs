@@ -5,11 +5,11 @@
 
 use std::sync::Arc;
 
-use bustrace::fnv::fnv1a_words;
-use bustrace::{Trace, Width};
 use buscoding::predict::trained::{
     decode_artifact, encode_artifact, ArtifactError, SignatureTable, TrainedTables,
 };
+use bustrace::fnv::fnv1a_words;
+use bustrace::{Trace, Width};
 use bustrain::{train_corpus, Corpus, Role, TraceProvider, TrainerConfig};
 use proptest::prelude::*;
 
@@ -19,7 +19,10 @@ use proptest::prelude::*;
 fn valid_tables() -> impl Strategy<Value = TrainedTables> {
     (
         prop::collection::vec(any::<u64>(), 0..24),
-        prop::collection::vec(prop::collection::vec((any::<u64>(), any::<u64>()), 0..40), 0..3),
+        prop::collection::vec(
+            prop::collection::vec((any::<u64>(), any::<u64>()), 0..40),
+            0..3,
+        ),
         prop::collection::vec(any::<u64>(), 0..8),
         1u32..=40,
         any::<u64>(),
@@ -142,8 +145,10 @@ fn fixed_corpus_and_seed_trains_byte_identical_artifacts() {
     corpus.push(Role::Train, "alpha", 11).unwrap();
     corpus.push(Role::Train, "beta", 22).unwrap();
     let cfg = TrainerConfig::default();
-    let a = encode_artifact(&train_corpus(&corpus, &SeededProvider, 20_000, &cfg).unwrap()).unwrap();
-    let b = encode_artifact(&train_corpus(&corpus, &SeededProvider, 20_000, &cfg).unwrap()).unwrap();
+    let a =
+        encode_artifact(&train_corpus(&corpus, &SeededProvider, 20_000, &cfg).unwrap()).unwrap();
+    let b =
+        encode_artifact(&train_corpus(&corpus, &SeededProvider, 20_000, &cfg).unwrap()).unwrap();
     assert_eq!(a, b, "training is not byte-deterministic");
     // And a different seed corpus produces a different artifact — the
     // identity above is not vacuous.

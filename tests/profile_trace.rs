@@ -50,7 +50,11 @@ fn profile_fig16_emits_a_valid_chrome_trace() {
         .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("B"))
         .filter_map(|e| e.get("name").and_then(JsonValue::as_str))
         .collect();
-    for expected in ["fig16", "buscoding.codec.evaluate_blocks", "bench.workload.trace"] {
+    for expected in [
+        "fig16",
+        "buscoding.codec.evaluate_blocks",
+        "bench.workload.trace",
+    ] {
         assert!(
             names.contains(&expected),
             "no `{expected}` span among {names:?}"
