@@ -28,7 +28,7 @@ use wiremodel::{BusEnergyModel, Technology, TechnologyKind, Wire, WireStyle};
 
 use crate::schemes::baseline_activity;
 use crate::session::{Session, BASELINE_SCHEME};
-use crate::workloads::Workload;
+use crate::workloads::{Workload, WorkloadError};
 
 /// Version of the eval request/response schema. Bump on any change that
 /// is not purely additive; responses echo it as `api`.
@@ -38,6 +38,30 @@ pub const API_VERSION: i64 = 1;
 /// trace may carry and the largest explicit `len` of a stored one — the
 /// same cap [`bustrace::io`] applies when reading traces from disk.
 pub const MAX_INLINE_WORDS: usize = bustrace::io::DEFAULT_MAX_WORDS;
+
+/// Most work one request may ask for, in scheme-words: its scheme count
+/// times `max(words, SCHEME_BUILD_WORDS)` may not exceed 16 full-size
+/// traces (2^30). The largest figure sweep, 10 schemes at 200 000
+/// values, asks for 2·10^6.
+pub const MAX_REQUEST_WORK: u64 = 16 * MAX_INLINE_WORDS as u64;
+
+/// The least work a scheme is charged, in words: what its build costs
+/// whatever the trace length, so a flood of schemes over a one-word
+/// trace is refused too.
+const SCHEME_BUILD_WORDS: usize = 65_536;
+
+/// Refuses a request of `schemes` schemes over `words` words whose work
+/// is above [`MAX_REQUEST_WORK`].
+fn within_work_budget(schemes: usize, words: usize) -> Result<(), ApiError> {
+    let work = (schemes as u64).saturating_mul(words.max(SCHEME_BUILD_WORDS) as u64);
+    if work > MAX_REQUEST_WORK {
+        return Err(ApiError::TooMuchWork {
+            work,
+            limit: MAX_REQUEST_WORK,
+        });
+    }
+    Ok(())
+}
 
 static EVALS: busprobe::StaticCounter = busprobe::StaticCounter::new("bench.api.evals");
 static EVAL_SCHEMES: busprobe::StaticCounter = busprobe::StaticCounter::new("bench.api.schemes");
@@ -320,8 +344,7 @@ fn parse_stored(body: &JsonValue) -> Result<TraceSource, ApiError> {
         .ok_or_else(|| {
             ApiError::BadRequest("request needs a `workload` name or an inline `trace`".into())
         })?;
-    let workload =
-        Workload::parse(name).ok_or_else(|| ApiError::UnknownWorkload(name.to_string()))?;
+    let workload = Workload::parse(name).map_err(ApiError::UnknownWorkload)?;
     let usize_field = |key: &str| -> Result<Option<usize>, ApiError> {
         match body.get(key) {
             None | Some(JsonValue::Null) => Ok(None),
@@ -441,8 +464,9 @@ fn parse_pricing(p: &JsonValue) -> Result<Pricing, ApiError> {
 pub enum ApiError {
     /// A field was missing or malformed.
     BadRequest(String),
-    /// The workload name parsed but names nothing.
-    UnknownWorkload(String),
+    /// The workload name is not a workload in its canonical spelling;
+    /// the error says why.
+    UnknownWorkload(WorkloadError),
     /// A scheme name is not in the grammar or does not fit the bus.
     UnknownScheme(UnknownScheme),
     /// The trace exceeds [`MAX_INLINE_WORDS`].
@@ -452,20 +476,28 @@ pub enum ApiError {
         /// The accepted maximum.
         limit: usize,
     },
+    /// The request's work exceeds [`MAX_REQUEST_WORK`].
+    TooMuchWork {
+        /// Scheme-words the request asked for.
+        work: u64,
+        /// The accepted maximum.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for ApiError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ApiError::BadRequest(msg) => write!(f, "{msg}"),
-            ApiError::UnknownWorkload(name) => write!(
-                f,
-                "unknown workload {name:?} (expected e.g. `random`, `phased/4096`, `gcc/register`)"
-            ),
+            ApiError::UnknownWorkload(e) => write!(f, "{e}"),
             ApiError::UnknownScheme(e) => write!(f, "{e}"),
             ApiError::TooLarge { words, limit } => {
                 write!(f, "trace of {words} words exceeds the {limit}-word limit")
             }
+            ApiError::TooMuchWork { work, limit } => write!(
+                f,
+                "request work of {work} scheme-words (schemes × max(words, {SCHEME_BUILD_WORDS})) exceeds the {limit} limit"
+            ),
         }
     }
 }
@@ -515,6 +547,9 @@ impl From<ApiError> for ServiceError {
             ApiError::TooLarge { words, limit } => ServiceError::new("too_large", message)
                 .with_detail("words", JsonValue::from(words as u64))
                 .with_detail("limit", JsonValue::from(limit as u64)),
+            ApiError::TooMuchWork { work, limit } => ServiceError::new("too_large", message)
+                .with_detail("work", JsonValue::from(work))
+                .with_detail("limit", JsonValue::from(limit)),
         }
     }
 }
@@ -689,6 +724,7 @@ impl Evaluator for Session {
                     });
                 }
                 let key = self.trace_key(*workload, *len, *cap, *seed);
+                within_work_budget(request.schemes.len(), key.values())?;
                 let evaluated = request
                     .schemes
                     .iter()
@@ -710,6 +746,7 @@ impl Evaluator for Session {
                         limit: MAX_INLINE_WORDS,
                     });
                 }
+                within_work_budget(request.schemes.len(), words.len())?;
                 if let Some(i) = words.iter().position(|&w| !width.contains(w)) {
                     return Err(ApiError::BadRequest(format!(
                         "`trace.words[{i}]` = {} does not fit the {}-bit bus",

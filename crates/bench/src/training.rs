@@ -21,8 +21,7 @@ impl TraceProvider for Session {
     /// fetches the trace from the session's store — cached, content-
     /// addressed, and shared with every other consumer of the session.
     fn trace(&self, workload: &str, values: usize, seed: u64) -> Result<Arc<Trace>, String> {
-        let workload = Workload::parse(workload)
-            .ok_or_else(|| format!("unknown workload {workload:?} (expected the Workload grammar, e.g. gcc/register or mixed/gcc+perl/register/64)"))?;
+        let workload = Workload::parse(workload).map_err(|e| e.to_string())?;
         Ok(self.trace_at(&TraceKey::new(workload, values, seed)))
     }
 }

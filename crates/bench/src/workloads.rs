@@ -11,14 +11,48 @@ use simcpu::{Benchmark, BusKind};
 const PHASED_STRIDE: u64 = 0x9E37_79B9;
 
 /// Parses a bus-kind name (`register`, `memory`, `address`).
-fn parse_bus(name: &str) -> Option<BusKind> {
+fn parse_bus(name: &str) -> Result<BusKind, String> {
     match name {
-        "register" => Some(BusKind::Register),
-        "memory" => Some(BusKind::Memory),
-        "address" => Some(BusKind::Address),
-        _ => None,
+        "register" => Ok(BusKind::Register),
+        "memory" => Ok(BusKind::Memory),
+        "address" => Ok(BusKind::Address),
+        _ => Err(format!(
+            "unknown bus {name:?} (expected register, memory or address)"
+        )),
     }
 }
+
+/// Parses a benchmark name (`gcc`, `swim`, …).
+fn parse_benchmark(name: &str) -> Result<Benchmark, String> {
+    Benchmark::from_name(name).ok_or_else(|| format!("unknown benchmark {name:?}"))
+}
+
+/// Parses a phase or quantum length: a positive decimal integer.
+fn parse_positive(what: &str, text: &str) -> Result<usize, String> {
+    text.parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{what} must be a positive integer, got {text:?}"))
+}
+
+/// Why [`Workload::parse`] refused a name: the name and the reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkloadError {
+    name: String,
+    reason: String,
+}
+
+impl std::fmt::Display for WorkloadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown workload {:?}: {} (expected e.g. `random`, `phased/4096`, `gcc/register`, `mixed/gcc+perl/register/64`)",
+            self.name, self.reason
+        )
+    }
+}
+
+impl std::error::Error for WorkloadError {}
 
 /// A named workload: either a benchmark bus tap or synthetic traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,36 +116,52 @@ impl Workload {
     /// The inverse of [`name`](Self::name): parses `gcc/register`,
     /// `random`, `phased/4096`, … back into a workload. This is how
     /// service requests address workloads. Each workload has exactly
-    /// one spelling: `parse(s) == Some(w)` only when `w.name() == s`
+    /// one spelling: `parse(s) == Ok(w)` only when `w.name() == s`
     /// (so `phased/+5` and `phased/007` are rejected), and phase and
     /// quantum lengths must be positive.
-    pub fn parse(name: &str) -> Option<Workload> {
-        Self::parse_any_spelling(name).filter(|w| w.name() == name)
+    ///
+    /// # Errors
+    ///
+    /// A [`WorkloadError`] naming the reason: a name of no workload
+    /// shape, an unknown benchmark or bus, a phase or quantum that is
+    /// not a positive integer, or a non-canonical spelling.
+    pub fn parse(name: &str) -> Result<Workload, WorkloadError> {
+        let refuse = |reason| WorkloadError {
+            name: name.to_string(),
+            reason,
+        };
+        let workload = Self::parse_any_spelling(name).map_err(refuse)?;
+        let canonical = workload.name();
+        if canonical != name {
+            return Err(refuse(format!("not the canonical spelling {canonical:?}")));
+        }
+        Ok(workload)
     }
 
-    fn parse_any_spelling(name: &str) -> Option<Workload> {
+    fn parse_any_spelling(name: &str) -> Result<Workload, String> {
         if name == "random" {
-            return Some(Workload::Random);
+            return Ok(Workload::Random);
         }
         if let Some(phase) = name.strip_prefix("phased/") {
-            let phase = phase.parse().ok().filter(|&p| p > 0)?;
-            return Some(Workload::Phased { phase });
+            let phase = parse_positive("phase", phase)?;
+            return Ok(Workload::Phased { phase });
         }
         if let Some(rest) = name.strip_prefix("mixed/") {
-            let (programs, rest) = rest.split_once('/')?;
-            let (a, b) = programs.split_once('+')?;
-            let (bus, quantum) = rest.split_once('/')?;
-            let quantum: usize = quantum.parse().ok().filter(|&q| q > 0)?;
-            return Some(Workload::Mixed {
-                a: Benchmark::from_name(a)?,
-                b: Benchmark::from_name(b)?,
+            let shape = || "expected `mixed/<a>+<b>/<bus>/<quantum>`".to_string();
+            let (programs, rest) = rest.split_once('/').ok_or_else(shape)?;
+            let (a, b) = programs.split_once('+').ok_or_else(shape)?;
+            let (bus, quantum) = rest.split_once('/').ok_or_else(shape)?;
+            return Ok(Workload::Mixed {
+                a: parse_benchmark(a)?,
+                b: parse_benchmark(b)?,
                 bus: parse_bus(bus)?,
-                quantum,
+                quantum: parse_positive("quantum", quantum)?,
             });
         }
-        let (bench, bus) = name.split_once('/')?;
-        let bench = Benchmark::from_name(bench)?;
-        Some(Workload::Bench(bench, parse_bus(bus)?))
+        let (bench, bus) = name
+            .split_once('/')
+            .ok_or_else(|| "expected `<benchmark>/<bus>`, `random`, `phased/<phase>` or `mixed/<a>+<b>/<bus>/<quantum>`".to_string())?;
+        Ok(Workload::Bench(parse_benchmark(bench)?, parse_bus(bus)?))
     }
 
     /// Produces `values` words of this workload, deterministically per
@@ -230,7 +280,7 @@ mod tests {
 
         #[test]
         fn parse_inverts_name_for_every_workload(w in workload()) {
-            prop_assert_eq!(Workload::parse(&w.name()), Some(w));
+            prop_assert_eq!(Workload::parse(&w.name()), Ok(w));
         }
 
         #[test]
@@ -239,7 +289,7 @@ mod tests {
             bytes in prop::collection::vec(any::<u8>(), 0..16),
         ) {
             for name in [soup, String::from_utf8_lossy(&bytes).into_owned()] {
-                if let Some(w) = Workload::parse(&name) {
+                if let Ok(w) = Workload::parse(&name) {
                     prop_assert_eq!(w.name(), name);
                     prop_assert_eq!(w.trace(3, 1).len(), 3);
                 }
@@ -269,24 +319,39 @@ mod tests {
 
     #[test]
     fn parse_rejects_non_canonical_names() {
-        for bad in [
-            "",
-            "gcc",
-            "gcc/cache",
-            "nope/register",
-            "phased/x",
-            "phased/",
-            "phased/0",
-            "phased/+5",
-            "phased/007",
-            "mixed/gcc+perl/register/+64",
-            "mixed/gcc/register/64",
-            "mixed/gcc+nope/register/64",
-            "mixed/gcc+perl/register/0",
-            "mixed/gcc+perl/register",
-            "mixed/gcc+perl/cache/64",
+        for (bad, reason) in [
+            ("", "expected `<benchmark>/<bus>`"),
+            ("gcc", "expected `<benchmark>/<bus>`"),
+            ("gcc/cache", "unknown bus \"cache\""),
+            ("nope/register", "unknown benchmark \"nope\""),
+            ("phased/x", "phase must be a positive integer, got \"x\""),
+            ("phased/", "phase must be a positive integer, got \"\""),
+            ("phased/0", "phase must be a positive integer, got \"0\""),
+            ("phased/+5", "not the canonical spelling \"phased/5\""),
+            ("phased/007", "not the canonical spelling \"phased/7\""),
+            (
+                "mixed/gcc+perl/register/+64",
+                "not the canonical spelling \"mixed/gcc+perl/register/64\"",
+            ),
+            (
+                "mixed/gcc/register/64",
+                "expected `mixed/<a>+<b>/<bus>/<quantum>`",
+            ),
+            ("mixed/gcc+nope/register/64", "unknown benchmark \"nope\""),
+            (
+                "mixed/gcc+perl/register/0",
+                "quantum must be a positive integer, got \"0\"",
+            ),
+            (
+                "mixed/gcc+perl/register",
+                "expected `mixed/<a>+<b>/<bus>/<quantum>`",
+            ),
+            ("mixed/gcc+perl/cache/64", "unknown bus \"cache\""),
         ] {
-            assert_eq!(Workload::parse(bad), None, "{bad:?}");
+            let err = Workload::parse(bad).expect_err(bad);
+            assert_eq!(err.name, bad);
+            assert!(err.reason.starts_with(reason), "{bad:?}: {err}");
+            assert!(err.to_string().contains(reason), "{bad:?}: {err}");
         }
     }
 

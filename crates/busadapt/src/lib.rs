@@ -9,13 +9,14 @@
 //!
 //! The controller is built from three pieces:
 //!
-//! * **Streaming observation** — the `bustrace::stats` incremental
-//!   estimators (transition density, window uniqueness, stride hits)
-//!   summarize each decision window in O(1) per word.
-//! * **Shadow models** — every candidate runs a private encoder over
-//!   the same words and accumulates its own window
-//!   [`buscoding::Activity`] from a common cold start, so per-window
-//!   costs are directly comparable without ever touching the wire.
+//! * **One FSM pair per candidate** — only the live pair drives the
+//!   wire, but the controller buffers each decision window and, at the
+//!   boundary, every candidate's own encoder replays it from power-on
+//!   into a window [`buscoding::Activity`], so per-window costs are
+//!   directly comparable without ever touching the wire.
+//! * **Window statistics** — the `bustrace::stats` functions
+//!   (transition density, repeat fraction, window uniqueness, stride
+//!   hits) summarize the same buffered window at the boundary.
 //! * **A pluggable [`Policy`]** — [`StaticPolicy`] (pinned baseline),
 //!   [`GreedyShadowPolicy`] (argmin with a hysteresis margin),
 //!   [`BandedHysteresisPolicy`] (margin + patience), and
@@ -30,8 +31,8 @@
 //! `busfault` crate drives the whole stack through its fault channel
 //! via `FaultChannel::run_adaptive`.
 //!
-//! Instrumentation: `adapt.decisions`, `adapt.switches`,
-//! `adapt.flushes`, `adapt.resyncs`, `adapt.window_words`,
+//! Instrumentation: `adapt.switches`, `adapt.flushes`,
+//! `adapt.resyncs`, `adapt.window_words`,
 //! `adapt.window_{density,unique,stride}_pct` histograms and
 //! per-scheme `adapt.residency.<name>` counters, all through
 //! [`busprobe`].

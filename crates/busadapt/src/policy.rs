@@ -2,18 +2,20 @@
 //! controller.
 //!
 //! A [`Policy`] is consulted once per decision window. It sees the
-//! window that just completed — per-candidate shadow costs plus the
-//! streaming traffic statistics — and names the candidate that should
+//! window that just completed — per-candidate window costs plus the
+//! window's traffic statistics — and names the candidate that should
 //! carry the *next* window. The controller handles everything physical
 //! (flushing the live pair, charging the switch, keeping the decoder in
 //! lockstep); policies are pure decision logic, so adding one is a
 //! small, isolated exercise (see `docs/ADAPTIVE.md`).
 
-use buscoding::{scheme_by_name, Activity, UnknownScheme};
+use buscoding::{scheme_by_name, UnknownScheme};
 use bustrace::Trace;
 
-/// Streaming traffic statistics of one completed decision window, as
-/// produced by the `bustrace::stats` incremental estimators.
+use crate::controller::window_cost;
+
+/// Traffic statistics of one completed decision window, computed at the
+/// boundary by the `bustrace::stats` functions over the window's words.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStats {
     /// Mean fraction of word bits flipping between consecutive words.
@@ -23,7 +25,7 @@ pub struct WindowStats {
     /// Mean unique-value fraction over tiled sub-windows, when at least
     /// one sub-window completed.
     pub window_uniqueness: Option<f64>,
-    /// Fraction of words hit by a last-stride predictor.
+    /// Fraction of words hit by a stride-2 predictor.
     pub stride_fraction: f64,
 }
 
@@ -36,11 +38,11 @@ pub struct WindowObservation<'a> {
     pub live: usize,
     /// Candidate scheme names, parallel to `costs`.
     pub names: &'a [String],
-    /// λ-weighted wire cost each candidate's shadow model accumulated
-    /// over the completed window, all from the flushed (cold) state —
-    /// directly comparable across candidates.
+    /// λ-weighted wire cost of each candidate's encoder over the
+    /// completed window, all from the flushed (cold) state — directly
+    /// comparable across candidates.
     pub costs: &'a [f64],
-    /// Streaming traffic statistics of the completed window.
+    /// Traffic statistics of the completed window.
     pub stats: WindowStats,
 }
 
@@ -104,7 +106,7 @@ impl Policy for StaticPolicy {
     }
 }
 
-/// Follows the shadow models greedily: switch to the cheapest candidate
+/// Follows the window costs greedily: switch to the cheapest candidate
 /// of the last window whenever it undercuts the live scheme by more
 /// than the hysteresis margin.
 ///
@@ -268,8 +270,8 @@ impl Policy for OraclePolicy {
 }
 
 /// Scores every candidate over every decision window of `trace` (each
-/// window from the flushed cold state, exactly as the controller's
-/// shadow models run) and returns the per-window argmin — the oracle's
+/// window from the flushed cold state, exactly as the controller
+/// scores it) and returns the per-window argmin — the oracle's
 /// schedule. A partial final window is scored like any other; an empty
 /// trace yields an empty schedule.
 ///
@@ -297,15 +299,7 @@ pub fn oracle_schedule(
     for chunk in trace.values().chunks(period as usize) {
         let costs: Vec<f64> = encoders
             .iter_mut()
-            .map(|enc| {
-                enc.reset();
-                let mut activity = Activity::new(enc.lines());
-                activity.step(0);
-                for &value in chunk {
-                    activity.step(enc.encode(value));
-                }
-                activity.weighted(lambda)
-            })
+            .map(|enc| window_cost(enc.as_mut(), chunk, lambda))
             .collect();
         schedule.push(argmin(&costs));
     }

@@ -59,14 +59,14 @@ proptest! {
         let flip_at = k * period;
 
         let mut adaptive = always_switching(period, (len / period) as usize + 2);
-        let lines = adaptive.lines();
+        let lines = adaptive.transcoder_mut().lines();
         let mut fault = SingleFlip::new(flip_at, line_pick % lines);
         let (report, adapt) =
             FaultChannel::default().run_adaptive(&mut adaptive, &mut fault, &trace);
 
         // The alternating schedule really did switch at every boundary,
         // so the flip landed in a switch cycle.
-        prop_assert_eq!(adapt.switches, adapt.windows, "schedule must force a switch per boundary");
+        prop_assert_eq!(adapt.switches, adapt.flushes, "schedule must force a switch per boundary");
         prop_assert!(adapt.switch_log.iter().any(|s| s.at_word == flip_at));
 
         // Bounded recovery absorbs any detection; nothing halts.
@@ -98,7 +98,7 @@ proptest! {
         let cfg = AdaptiveConfig::new(Width::W32, CANDIDATES, period);
         let mut adaptive =
             AdaptiveTranscoder::new(cfg, Box::new(GreedyShadowPolicy::new(0.05))).unwrap();
-        let lines = adaptive.lines();
+        let lines = adaptive.transcoder_mut().lines();
         let mut fault = SingleFlip::new(flip_at, line_pick % lines);
         let (report, _adapt) =
             FaultChannel::default().run_adaptive(&mut adaptive, &mut fault, &trace);

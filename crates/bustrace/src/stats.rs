@@ -10,12 +10,15 @@
 //!   of only tens of entries captures most short-term reuse.
 //!
 //! This module computes both, plus supporting statistics (value run
-//! lengths for LAST-value prediction, stride hit rates for the strided
-//! predictor, and empirical value entropy).
+//! lengths for LAST-value prediction, repeat fractions, stride hit rates
+//! for the strided predictor, transition density, and empirical value
+//! entropy). Every statistic is one function over a [`Trace`]; the
+//! adaptive controller (`busadapt`) calls the same functions on each
+//! decision window it has buffered.
 
 use std::collections::HashMap;
 
-use crate::{Trace, Width, Word};
+use crate::{Trace, Word};
 
 /// Frequency census of a trace: every distinct word and its occurrence
 /// count, sorted most-frequent first.
@@ -205,9 +208,8 @@ pub fn stride_hit_fraction(trace: &Trace, k: usize) -> f64 {
     hits as f64 / (v.len() - 2 * k).max(1) as f64
 }
 
-/// Mean fraction of bus lines flipping between consecutive words — the
-/// batch counterpart of [`StreamingTransitions`]. Returns 0.0 for traces
-/// shorter than two words.
+/// Mean fraction of bus lines flipping between consecutive words.
+/// Returns 0.0 for traces shorter than two words.
 pub fn transition_density(trace: &Trace) -> f64 {
     let v = trace.values();
     if v.len() < 2 {
@@ -218,217 +220,6 @@ pub fn transition_density(trace: &Trace) -> f64 {
         .map(|w| u64::from((w[0] ^ w[1]).count_ones()))
         .sum();
     flips as f64 / ((v.len() - 1) as f64 * f64::from(trace.width().bits()))
-}
-
-/// Streaming transition census: the incremental form of
-/// [`transition_density`] and [`repeat_fraction`], fed one word at a
-/// time so an online controller never has to re-scan its window.
-///
-/// # Example
-///
-/// ```
-/// use bustrace::{Trace, Width};
-/// use bustrace::stats::{transition_density, StreamingTransitions};
-///
-/// let t = Trace::from_values(Width::W32, [1u64, 1, 3, 3]);
-/// let mut s = StreamingTransitions::new(Width::W32);
-/// for v in t.iter() {
-///     s.push(v);
-/// }
-/// assert_eq!(s.density(), transition_density(&t));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamingTransitions {
-    width: Width,
-    last: Option<Word>,
-    words: u64,
-    flips: u64,
-    repeats: u64,
-}
-
-impl StreamingTransitions {
-    /// An empty census for a bus of the given width.
-    pub fn new(width: Width) -> Self {
-        StreamingTransitions {
-            width,
-            last: None,
-            words: 0,
-            flips: 0,
-            repeats: 0,
-        }
-    }
-
-    /// Feeds the next word.
-    pub fn push(&mut self, value: Word) {
-        if let Some(prev) = self.last {
-            self.flips += u64::from((prev ^ value).count_ones());
-            if prev == value {
-                self.repeats += 1;
-            }
-        }
-        self.last = Some(value);
-        self.words += 1;
-    }
-
-    /// Words observed so far.
-    pub fn words(&self) -> u64 {
-        self.words
-    }
-
-    /// Total line flips between consecutive words so far.
-    pub fn flips(&self) -> u64 {
-        self.flips
-    }
-
-    /// Mean fraction of lines flipping per word pair — equals
-    /// [`transition_density`] over the words pushed so far.
-    pub fn density(&self) -> f64 {
-        if self.words < 2 {
-            return 0.0;
-        }
-        self.flips as f64 / ((self.words - 1) as f64 * f64::from(self.width.bits()))
-    }
-
-    /// Fraction of words equal to their predecessor — equals
-    /// [`repeat_fraction`] over the words pushed so far.
-    pub fn repeat_fraction(&self) -> f64 {
-        if self.words < 2 {
-            return 0.0;
-        }
-        self.repeats as f64 / (self.words - 1) as f64
-    }
-
-    /// Forgets everything, keeping the configured width.
-    pub fn reset(&mut self) {
-        *self = StreamingTransitions::new(self.width);
-    }
-}
-
-/// Streaming tiled-window uniqueness: the incremental form of
-/// [`window_uniqueness`]. Words are pushed one at a time; every time a
-/// full window of `window` words completes, its unique fraction is
-/// folded into the running average. A trailing partial window is
-/// ignored, exactly as in the batch function.
-#[derive(Debug, Clone)]
-pub struct StreamingWindowUniqueness {
-    window: usize,
-    current: HashMap<Word, u32>,
-    filled: usize,
-    fraction_sum: f64,
-    full_windows: u64,
-}
-
-impl StreamingWindowUniqueness {
-    /// An empty accumulator over tiled windows of `window` words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window size must be positive");
-        StreamingWindowUniqueness {
-            window,
-            current: HashMap::with_capacity(window),
-            filled: 0,
-            fraction_sum: 0.0,
-            full_windows: 0,
-        }
-    }
-
-    /// Feeds the next word.
-    pub fn push(&mut self, value: Word) {
-        *self.current.entry(value).or_insert(0) += 1;
-        self.filled += 1;
-        if self.filled == self.window {
-            self.fraction_sum += self.current.len() as f64 / self.window as f64;
-            self.full_windows += 1;
-            self.current.clear();
-            self.filled = 0;
-        }
-    }
-
-    /// Completed windows so far.
-    pub fn full_windows(&self) -> u64 {
-        self.full_windows
-    }
-
-    /// Average unique fraction over completed windows — equals
-    /// [`window_uniqueness`] over the words pushed so far. `None` until
-    /// one window has completed.
-    pub fn fraction(&self) -> Option<f64> {
-        (self.full_windows > 0).then(|| self.fraction_sum / self.full_windows as f64)
-    }
-
-    /// Forgets everything, keeping the configured window size.
-    pub fn reset(&mut self) {
-        self.current.clear();
-        self.filled = 0;
-        self.fraction_sum = 0.0;
-        self.full_windows = 0;
-    }
-}
-
-/// Streaming stride-`k` predictor hit census: the incremental form of
-/// [`stride_hit_fraction`], including its cold-start convention
-/// (positions without `2k` words of history count as misses).
-#[derive(Debug, Clone)]
-pub struct StreamingStrideHits {
-    width: Width,
-    k: usize,
-    /// Ring of the last `2k` observed words, oldest first.
-    history: Vec<Word>,
-    words: u64,
-    hits: u64,
-}
-
-impl StreamingStrideHits {
-    /// An empty census for a stride-`k` predictor at the given width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn new(width: Width, k: usize) -> Self {
-        assert!(k > 0, "stride distance must be positive");
-        StreamingStrideHits {
-            width,
-            k,
-            history: Vec::with_capacity(2 * k),
-            words: 0,
-            hits: 0,
-        }
-    }
-
-    /// Feeds the next word.
-    pub fn push(&mut self, value: Word) {
-        if self.history.len() == 2 * self.k {
-            let base = self.history[self.k];
-            let older = self.history[0];
-            let predicted = base.wrapping_add(base.wrapping_sub(older)) & self.width.mask();
-            if predicted == value {
-                self.hits += 1;
-            }
-            self.history.remove(0);
-        }
-        self.history.push(value);
-        self.words += 1;
-    }
-
-    /// Fraction of predictable positions hit — equals
-    /// [`stride_hit_fraction`] over the words pushed so far.
-    pub fn fraction(&self) -> f64 {
-        let k = self.k as u64;
-        if self.words <= 2 * k {
-            return 0.0;
-        }
-        self.hits as f64 / (self.words - 2 * k).max(1) as f64
-    }
-
-    /// Forgets everything, keeping the configured width and stride.
-    pub fn reset(&mut self) {
-        self.history.clear();
-        self.words = 0;
-        self.hits = 0;
-    }
 }
 
 /// Summary of run lengths of repeated values (strings the LAST-value
@@ -597,123 +388,6 @@ mod tests {
         let t = trace(&[1, 2, 3]);
         assert_eq!(stride_hit_fraction(&t, 0), 0.0);
         assert_eq!(stride_hit_fraction(&t, 2), 0.0);
-    }
-
-    /// A deterministic pseudo-random word stream (no external RNG) that
-    /// mixes repeats, strided runs and noise.
-    fn mixed_words(seed: u64, n: usize) -> Vec<u64> {
-        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut out = Vec::with_capacity(n);
-        let mut v: u64 = 0x1234;
-        for i in 0..n {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            v = match x % 5 {
-                0 => v,                       // repeat
-                1 | 2 => v.wrapping_add(4),   // stride run
-                3 => x & 0xFFFF,              // small noise
-                _ => (x >> 16) & 0xFFFF_FFFF, // fresh value
-            };
-            out.push(v & 0xFFFF_FFFF);
-            let _ = i;
-        }
-        out
-    }
-
-    #[test]
-    fn streaming_transitions_matches_batch() {
-        for seed in [1u64, 7, 42] {
-            let t = trace(&mixed_words(seed, 500));
-            let mut s = StreamingTransitions::new(t.width());
-            for v in t.iter() {
-                s.push(v);
-            }
-            assert_eq!(s.words(), 500);
-            assert!((s.density() - transition_density(&t)).abs() < 1e-15);
-            assert!((s.repeat_fraction() - repeat_fraction(&t)).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn streaming_transitions_empty_and_reset() {
-        let mut s = StreamingTransitions::new(Width::W32);
-        assert_eq!(s.density(), 0.0);
-        assert_eq!(s.repeat_fraction(), 0.0);
-        s.push(3);
-        s.push(3);
-        assert_eq!(s.repeat_fraction(), 1.0);
-        s.reset();
-        assert_eq!(s.words(), 0);
-        assert_eq!(s.flips(), 0);
-    }
-
-    #[test]
-    fn streaming_window_uniqueness_matches_batch() {
-        for seed in [1u64, 9] {
-            let words = mixed_words(seed, 700);
-            let t = trace(&words);
-            for window in [1usize, 4, 16, 64] {
-                let mut s = StreamingWindowUniqueness::new(window);
-                for &v in &words {
-                    s.push(v);
-                }
-                let batch = window_uniqueness(&t, window);
-                match batch {
-                    Some(frac) => {
-                        let got = s.fraction().expect("at least one full window");
-                        assert!(
-                            (got - frac).abs() < 1e-12,
-                            "window {window}: {got} vs {frac}"
-                        );
-                        assert_eq!(s.full_windows(), (words.len() / window) as u64);
-                    }
-                    None => assert_eq!(s.fraction(), None),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn streaming_window_uniqueness_ignores_partial_tail() {
-        let mut s = StreamingWindowUniqueness::new(4);
-        for v in [1u64, 1, 2, 3, 9, 9] {
-            s.push(v);
-        }
-        // Only the first tiled window (3 unique of 4) is complete.
-        assert_eq!(s.fraction(), Some(0.75));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn streaming_window_uniqueness_rejects_zero() {
-        let _ = StreamingWindowUniqueness::new(0);
-    }
-
-    #[test]
-    fn streaming_stride_hits_match_batch() {
-        for seed in [2u64, 11] {
-            let words = mixed_words(seed, 400);
-            let t = trace(&words);
-            for k in [1usize, 2, 4] {
-                let mut s = StreamingStrideHits::new(t.width(), k);
-                for &v in &words {
-                    s.push(v);
-                }
-                let batch = stride_hit_fraction(&t, k);
-                assert!(
-                    (s.fraction() - batch).abs() < 1e-15,
-                    "k={k}: {} vs {batch}",
-                    s.fraction()
-                );
-            }
-        }
-        // Short streams are all cold-start misses, as in the batch form.
-        let mut s = StreamingStrideHits::new(Width::W32, 2);
-        for v in [1u64, 2, 3] {
-            s.push(v);
-        }
-        assert_eq!(s.fraction(), 0.0);
     }
 
     #[test]

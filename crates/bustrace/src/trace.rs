@@ -86,6 +86,11 @@ impl Trace {
         self.values.push(self.width.truncate(value));
     }
 
+    /// Removes every word, keeping the width and the allocation.
+    pub fn clear(&mut self) {
+        self.values.clear();
+    }
+
     /// Iterates over the recorded words.
     pub fn iter(&self) -> std::iter::Copied<std::slice::Iter<'_, Word>> {
         self.values.iter().copied()

@@ -134,6 +134,55 @@ fn stored_lengths_above_the_word_cap_are_too_large() {
     assert_live(&service);
 }
 
+/// Evaluates `request` on a fresh session, expecting the work budget to
+/// refuse it before any trace is generated or scheme built, then sends
+/// it over the wire and expects the same refusal from a live service.
+fn assert_over_budget(request: EvalRequest, work: u64) {
+    let session = session();
+    let err = session
+        .evaluate(&request)
+        .expect_err("over the work budget");
+    assert_eq!(session.trace_store_len(), 0, "no trace may be generated");
+    let err = busserve::ServiceError::from(err);
+    assert_eq!(err.kind, "too_large", "{}", err.message);
+    let detail = |key: &str| {
+        err.detail
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.as_u64())
+    };
+    assert_eq!(detail("work"), Some(work), "{:?}", err.detail);
+    assert_eq!(detail("limit"), Some(1 << 30), "{:?}", err.detail);
+
+    let service = ApiService::new(session);
+    let wire = service
+        .handle("eval", &request.to_json())
+        .expect_err("over the work budget");
+    assert_eq!(wire.kind, "too_large", "{}", wire.message);
+    assert_live(&service);
+}
+
+/// The budget is checked first: each request leads with a scheme that
+/// cannot be built, so a request that got past it would answer
+/// `unknown_scheme` instead.
+const UNBUILDABLE: &str = "window(100000000000)";
+
+#[test]
+fn many_schemes_over_a_full_size_stored_trace_are_too_large() {
+    let mut schemes = vec![UNBUILDABLE.to_string()];
+    schemes.extend((0..16).map(|_| "identity".to_string()));
+    let request = EvalRequest::stored(Workload::Random, schemes).len(bench::api::MAX_INLINE_WORDS);
+    assert_over_budget(request, 17 << 26);
+}
+
+#[test]
+fn a_scheme_flood_over_a_one_word_trace_is_too_large() {
+    let mut schemes = vec![UNBUILDABLE.to_string()];
+    schemes.extend((0..19_999).map(|_| "identity".to_string()));
+    let request = EvalRequest::inline(width(32), vec![7], schemes);
+    assert_over_budget(request, 20_000 * 65_536);
+}
+
 #[test]
 fn stored_evals_take_the_largest_seed_exactly() {
     let service = service();
@@ -197,11 +246,27 @@ fn workload_names_have_one_spelling() {
     // `phased/0` used to panic in the generator (answered `internal`);
     // the others were aliases of `phased/5`, `phased/7` and `.../64`.
     let service = service();
-    for name in "phased/0 phased/+5 phased/007 mixed/gcc+perl/register/+64".split(' ') {
+    for (name, reason) in [
+        ("phased/0", "phase must be a positive integer"),
+        ("phased/+5", "not the canonical spelling \"phased/5\""),
+        ("phased/007", "not the canonical spelling \"phased/7\""),
+        (
+            "mixed/gcc+perl/register/+64",
+            "not the canonical spelling \"mixed/gcc+perl/register/64\"",
+        ),
+        (
+            "mixed/gcc+perl/register/0",
+            "quantum must be a positive integer",
+        ),
+        ("nope/register", "unknown benchmark \"nope\""),
+        ("gcc/cache", "unknown bus \"cache\""),
+        ("gcc", "expected `<benchmark>/<bus>`"),
+    ] {
         let raw = format!(r#"{{"schemes":["identity"],"workload":"{name}"}}"#);
         let body = busprobe::json::parse(&raw).expect("test JSON");
         let err = service.handle("eval", &body).expect_err(name);
         assert_eq!(err.kind, "unknown_workload", "{name}: {}", err.message);
+        assert!(err.message.contains(reason), "{name}: {}", err.message);
     }
     assert_live(&service);
 }
