@@ -4,7 +4,7 @@
 use buscoding::predict::{MissPolicy, PredictiveEncoder, WindowPredictor};
 use buscoding::spatial::spatial_activity;
 use buscoding::varlen::huffman_study;
-use buscoding::{evaluate_blocks, percent_energy_removed, CostModel, SchemeSpec};
+use buscoding::{evaluate_blocks, percent_energy_removed, SchemeSpec};
 use bustrace::generators::{TraceGenerator, WorkingSetGen};
 use bustrace::{Trace, Width};
 use simcpu::{Benchmark, BusKind};
@@ -230,10 +230,8 @@ pub fn miss_policy(session: &Session) -> Vec<Table> {
             let both = session.activity(
                 &ActivityQuery::new(SchemeSpec::Window { entries: 8 }.to_string(), w).cap(CAP),
             );
-            let cost = CostModel::default();
-            let mut raw_only: PredictiveEncoder<WindowPredictor> =
-                PredictiveEncoder::new(trace.width(), WindowPredictor::new(8), cost)
-                    .with_miss_policy(MissPolicy::RawOnly);
+            let mut raw_only = PredictiveEncoder::new(trace.width(), WindowPredictor::new(8))
+                .with_miss_policy(MissPolicy::RawOnly);
             let a = percent_energy_removed(&both, &baseline, 1.0);
             let b_pct =
                 percent_energy_removed(&evaluate_blocks(&mut raw_only, &trace), &baseline, 1.0);

@@ -14,7 +14,7 @@
 //! * timing-error mode — upset probabilities derived from the wire
 //!   model's delay distribution, worsening with length.
 
-use buscoding::predict::{window_codec, WindowConfig};
+use buscoding::predict::window_codec;
 use buscoding::robust::{epoch_wrap, RecoveringDecoder};
 use buscoding::{evaluate, scheme_by_name, Encoder};
 use busfault::{ErrorPolicy, FaultChannel, RandomUpsets, SingleFlip, TimingFaults};
@@ -200,7 +200,7 @@ fn resync_energy(trace: &Trace) -> Table {
     // Clearing the CAM on a flush rewrites every entry at both ends.
     let pj_per_flush = 2.0 * ENTRIES as f64 * CircuitModel::window(tech, ENTRIES).energies().shift;
     for interval in [0u64, 64, 256, 1024, 4096] {
-        let (enc, dec) = window_codec(WindowConfig::new(trace.width(), ENTRIES));
+        let (enc, dec) = window_codec(trace.width(), ENTRIES);
         let (coded, flushes) = if interval == 0 {
             let mut enc = enc;
             (evaluate(&mut enc, trace), 0)
@@ -250,7 +250,7 @@ fn timing_mode(seed: u64, trace: &Trace) -> Table {
         let wire = Wire::new(tech, WireStyle::Repeated, len).expect("valid length");
         let mut fault =
             TimingFaults::from_wire(&wire, CYCLE_PS, SIGMA_PS, mix(seed, 0xD1A6, i as u64));
-        let (enc, dec) = window_codec(WindowConfig::new(trace.width(), 8));
+        let (enc, dec) = window_codec(trace.width(), 8);
         let dec = RecoveringDecoder::new(dec, trace.width());
         let (mut enc, mut dec) = epoch_wrap(enc, dec, 256);
         let report = channel.run(&mut enc, &mut dec, &mut fault, trace);

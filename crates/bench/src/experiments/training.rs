@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use buscoding::predict::trained::trained_codec;
-use buscoding::{evaluate_blocks, percent_energy_removed, CostModel};
+use buscoding::{evaluate_blocks, percent_energy_removed};
 use bustrain::{Role, TrainerConfig};
 
 use crate::experiments::par_map;
@@ -82,7 +82,7 @@ pub fn generalize(session: &Session) -> Vec<Table> {
         let workload = Workload::parse(&name).expect("corpus workloads parse");
         let trace = session.trace_capped(workload, CAP);
         let baseline = session.baseline_capped(workload, CAP);
-        let (mut enc, _dec) = trained_codec(Arc::clone(&tables), CostModel::default());
+        let (mut enc, _dec) = trained_codec(Arc::clone(&tables));
         let coded = evaluate_blocks(&mut enc, &trace);
         let trained = percent_energy_removed(&coded, &baseline, 1.0);
         let (best_static, best_removed) = STATIC_SCHEMES

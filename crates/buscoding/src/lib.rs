@@ -29,7 +29,7 @@
 //! ```
 //! use bustrace::{Trace, Width};
 //! use buscoding::{evaluate, CostModel, IdentityCodec, Encoder};
-//! use buscoding::predict::{window_codec, WindowConfig};
+//! use buscoding::predict::window_codec;
 //!
 //! // A loop over seven 32-bit constants, as a register bus might see.
 //! let values = [0xDEAD_BEEFu64, 0x1234_5678, 0xCAFE_F00D, 0x0BAD_F00D,
@@ -38,7 +38,7 @@
 //! let cost = CostModel::new(1.0);
 //!
 //! let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
-//! let (mut enc, _dec) = window_codec(WindowConfig::new(Width::W32, 8));
+//! let (mut enc, _dec) = window_codec(Width::W32, 8);
 //! let coded = evaluate(&mut enc, &trace);
 //! // Seven recurring values fit an 8-entry window: big energy savings.
 //! assert!(coded.weighted(cost.lambda()) < 0.3 * baseline.weighted(cost.lambda()));

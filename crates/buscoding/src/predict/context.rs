@@ -23,12 +23,16 @@
 
 use bustrace::{Width, Word};
 
-use crate::energy::CostModel;
 use crate::predict::{
     predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor, MAX_ENTRIES,
 };
 
-/// Configuration shared by both context-transcoder flavors.
+/// Minimum staged count for a shift-register entry to be considered for
+/// promotion when it exits (the value the hardware layout uses).
+const PROMOTE_THRESHOLD: u64 = 2;
+
+/// Configuration shared by both context-transcoder flavors: the
+/// parameters the `context-value`/`context-transition` scheme names set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContextConfig {
     /// Bus width.
@@ -40,44 +44,19 @@ pub struct ContextConfig {
     /// Inputs between counter divisions (the paper levels off at 4096).
     /// Zero disables division.
     pub divide_period: u64,
-    /// Minimum staged count for a shift-register entry to be considered
-    /// for promotion when it exits.
-    pub promote_threshold: u64,
-    /// Cost model for codebook ordering and miss decisions.
-    pub cost: CostModel,
 }
 
 impl ContextConfig {
-    /// Creates the paper's default configuration (table 28, shift
-    /// register 8, divide every 4096, λ = 1) at the given width, sized
-    /// like the Figure 32 layout.
-    pub fn paper_default(width: Width) -> Self {
-        ContextConfig {
-            width,
-            table_entries: 28,
-            shift_entries: 8,
-            divide_period: 4096,
-            promote_threshold: 2,
-            cost: CostModel::default(),
-        }
-    }
-
-    /// Creates a configuration with explicit structure sizes and default
-    /// aging parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either structure has zero entries or more than
-    /// [`MAX_ENTRIES`].
+    /// Creates a configuration with explicit structure sizes, dividing
+    /// the counters every 4096 inputs. The paper's default is a 28-entry
+    /// table and an 8-entry shift register. The predictor constructors
+    /// check the sizes.
     pub fn new(width: Width, table_entries: usize, shift_entries: usize) -> Self {
-        check_sizes(table_entries, shift_entries);
         ContextConfig {
             width,
             table_entries,
             shift_entries,
             divide_period: 4096,
-            promote_threshold: 2,
-            cost: CostModel::default(),
         }
     }
 
@@ -85,20 +64,6 @@ impl ContextConfig {
     #[must_use]
     pub fn with_divide_period(mut self, period: u64) -> Self {
         self.divide_period = period;
-        self
-    }
-
-    /// Replaces the promotion threshold.
-    #[must_use]
-    pub fn with_promote_threshold(mut self, threshold: u64) -> Self {
-        self.promote_threshold = threshold;
-        self
-    }
-
-    /// Replaces the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 }
@@ -117,7 +82,6 @@ struct FrequencyCore<K: PartialEq + Copy> {
     table_entries: usize,
     shift_entries: usize,
     divide_period: u64,
-    promote_threshold: u64,
     /// Table entries in `0..table_len`, sorted by descending count (the
     /// position is the code rank); staged entries after them, newest
     /// first.
@@ -151,7 +115,6 @@ impl<K: PartialEq + Copy + Default> FrequencyCore<K> {
             table_entries: cfg.table_entries,
             shift_entries: cfg.shift_entries,
             divide_period: cfg.divide_period,
-            promote_threshold: cfg.promote_threshold,
             keys: [K::default(); 2 * MAX_ENTRIES],
             counts: [0; 2 * MAX_ENTRIES],
             table_len: 0,
@@ -224,7 +187,7 @@ impl<K: PartialEq + Copy + Default> FrequencyCore<K> {
     }
 
     fn maybe_promote(&mut self, key: K, count: u64) {
-        if count < self.promote_threshold {
+        if count < PROMOTE_THRESHOLD {
             return;
         }
         if self.table_len == self.table_entries {
@@ -380,7 +343,6 @@ pub fn context_value_codec(
         config.width,
         ValueContextPredictor::new(&config),
         ValueContextPredictor::new(&config),
-        config.cost,
     )
 }
 
@@ -396,7 +358,6 @@ pub fn context_transition_codec(
         config.width,
         TransitionContextPredictor::new(&config),
         TransitionContextPredictor::new(&config),
-        config.cost,
     )
 }
 
@@ -482,7 +443,7 @@ mod tests {
 
     #[test]
     fn value_codec_round_trips() {
-        let (mut enc, mut dec) = context_value_codec(ContextConfig::paper_default(Width::W32));
+        let (mut enc, mut dec) = context_value_codec(cfg(28, 8));
         let mut trace = Trace::new(Width::W32);
         let mut x = 5u64;
         for i in 0..10_000u64 {
@@ -591,25 +552,20 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = ContextConfig::paper_default(Width::W32)
-            .with_divide_period(64)
-            .with_promote_threshold(5)
-            .with_cost(CostModel::coupling_blind());
+        let c = ContextConfig::new(Width::W32, 28, 8).with_divide_period(64);
         assert_eq!(c.divide_period, 64);
-        assert_eq!(c.promote_threshold, 5);
-        assert_eq!(c.cost.lambda(), 0.0);
         assert_eq!(c.table_entries, 28);
     }
 
     #[test]
     #[should_panic(expected = "at least one entry")]
     fn rejects_empty_table() {
-        let _ = ContextConfig::new(Width::W32, 0, 4);
+        let _ = ValueContextPredictor::new(&cfg(0, 4));
     }
 
     #[test]
     #[should_panic(expected = "at most 64 entries each")]
     fn rejects_structures_above_the_capacity_limit() {
-        let _ = ContextConfig::new(Width::W32, 28, MAX_ENTRIES + 1);
+        let _ = ValueContextPredictor::new(&cfg(28, MAX_ENTRIES + 1));
     }
 }

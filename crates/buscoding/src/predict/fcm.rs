@@ -19,49 +19,7 @@ use std::collections::VecDeque;
 use bustrace::fnv::fnv1a_words;
 use bustrace::{Width, Word};
 
-use crate::energy::CostModel;
 use crate::predict::{predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor};
-
-/// Configuration of the FCM/DFCM transcoder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FcmConfig {
-    /// Bus width.
-    pub width: Width,
-    /// Context order: how many previous values/deltas form the hash.
-    pub order: usize,
-    /// log2 of the prediction-table size.
-    pub table_bits: u32,
-    /// Cost model for codebook ordering and miss decisions.
-    pub cost: CostModel,
-}
-
-impl FcmConfig {
-    /// Creates a configuration with the default λ = 1 cost model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` is zero or `table_bits` is outside `1..=24`.
-    pub fn new(width: Width, order: usize, table_bits: u32) -> Self {
-        assert!(order >= 1, "context order must be at least 1");
-        assert!(
-            (1..=24).contains(&table_bits),
-            "table_bits must be in 1..=24"
-        );
-        FcmConfig {
-            width,
-            order,
-            table_bits,
-            cost: CostModel::default(),
-        }
-    }
-
-    /// Replaces the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-}
 
 /// The combined FCM + DFCM predictor.
 #[derive(Debug, Clone)]
@@ -89,24 +47,25 @@ pub struct FcmPredictor {
 }
 
 impl FcmPredictor {
-    /// Creates an empty predictor.
+    /// Creates an empty predictor whose contexts hold `order` values
+    /// (or deltas) and whose two tables hold `2^table_bits` entries each.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`FcmConfig::new`].
-    pub fn new(cfg: &FcmConfig) -> Self {
-        assert!(cfg.order >= 1, "context order must be at least 1");
+    /// Panics if `order` is zero or `table_bits` is outside `1..=24`.
+    pub fn new(width: Width, order: usize, table_bits: u32) -> Self {
+        assert!(order >= 1, "context order must be at least 1");
         assert!(
-            (1..=24).contains(&cfg.table_bits),
+            (1..=24).contains(&table_bits),
             "table_bits must be in 1..=24"
         );
-        let size = 1usize << cfg.table_bits;
+        let size = 1usize << table_bits;
         FcmPredictor {
-            width: cfg.width,
-            order: cfg.order,
+            width,
+            order,
             mask: size - 1,
-            history: VecDeque::with_capacity(cfg.order),
-            deltas: VecDeque::with_capacity(cfg.order),
+            history: VecDeque::with_capacity(order),
+            deltas: VecDeque::with_capacity(order),
             value_table: vec![None; size],
             delta_table: vec![None; size],
             value_index: None,
@@ -182,17 +141,22 @@ impl Predictor for FcmPredictor {
 }
 
 /// Builds a matched encoder/decoder pair for the FCM/DFCM scheme.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`FcmPredictor::new`].
 pub fn fcm_codec(
-    config: FcmConfig,
+    width: Width,
+    order: usize,
+    table_bits: u32,
 ) -> (
     PredictiveEncoder<FcmPredictor>,
     PredictiveDecoder<FcmPredictor>,
 ) {
     predictive_codec(
-        config.width,
-        FcmPredictor::new(&config),
-        FcmPredictor::new(&config),
-        config.cost,
+        width,
+        FcmPredictor::new(width, order, table_bits),
+        FcmPredictor::new(width, order, table_bits),
     )
 }
 
@@ -205,13 +169,13 @@ mod tests {
     use crate::predict::tests::feed;
     use bustrace::Trace;
 
-    fn cfg() -> FcmConfig {
-        FcmConfig::new(Width::W32, 2, 12)
+    fn predictor() -> FcmPredictor {
+        FcmPredictor::new(Width::W32, 2, 12)
     }
 
     #[test]
     fn fcm_learns_repeating_sequences() {
-        let mut p = FcmPredictor::new(&cfg());
+        let mut p = predictor();
         // Teach the cycle A B C A B C ...
         let seq = [0xAAAA_0001u64, 0xBBBB_0002, 0xCCCC_0003];
         for _ in 0..10 {
@@ -225,7 +189,7 @@ mod tests {
 
     #[test]
     fn dfcm_learns_stride_patterns_on_fresh_values() {
-        let mut p = FcmPredictor::new(&cfg());
+        let mut p = predictor();
         // Strictly increasing by 12: absolute values never repeat, so
         // plain FCM can't learn, but DFCM nails the delta pattern.
         for i in 0..100u64 {
@@ -236,7 +200,7 @@ mod tests {
 
     #[test]
     fn cold_predictor_offers_nothing() {
-        let mut p = FcmPredictor::new(&cfg());
+        let mut p = predictor();
         assert!(p.candidates().is_empty());
         // One value: still no full context, so still nothing to offer.
         feed(&mut p, 7);
@@ -245,7 +209,7 @@ mod tests {
 
     #[test]
     fn round_trips_on_mixed_traffic() {
-        let (mut enc, mut dec) = fcm_codec(cfg());
+        let (mut enc, mut dec) = fcm_codec(Width::W32, 2, 12);
         let mut trace = Trace::new(Width::W32);
         let mut x = 3u64;
         for i in 0..8_000u64 {
@@ -267,7 +231,7 @@ mod tests {
         // would need 7 entries, FCM learns it outright.
         let seq: Vec<u64> = (0..7).map(|i| 0x1357_9BDFu64.wrapping_mul(i + 1)).collect();
         let trace = Trace::from_values(Width::W32, (0..30_000).map(|i| seq[i % 7]));
-        let (mut enc, _) = fcm_codec(cfg());
+        let (mut enc, _) = fcm_codec(Width::W32, 2, 12);
         let coded = evaluate(&mut enc, &trace);
         let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
         let removed = percent_energy_removed(&coded, &baseline, 1.0);
@@ -277,6 +241,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "table_bits")]
     fn rejects_huge_tables() {
-        let _ = FcmConfig::new(Width::W32, 2, 30);
+        let _ = FcmPredictor::new(Width::W32, 2, 30);
     }
 }

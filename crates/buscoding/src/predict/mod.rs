@@ -35,10 +35,10 @@ pub use context::{
     context_transition_codec, context_value_codec, ContextConfig, TransitionContextPredictor,
     ValueContextPredictor,
 };
-pub use fcm::{fcm_codec, FcmConfig, FcmPredictor};
-pub use stride::{stride_codec, StrideConfig, StridePredictor};
+pub use fcm::{fcm_codec, FcmPredictor};
+pub use stride::{stride_codec, StridePredictor};
 pub use trained::{trained_codec, ArtifactError, SignatureTable, TrainedPredictor, TrainedTables};
-pub use window::{window_codec, WindowConfig, WindowPredictor};
+pub use window::{window_codec, WindowPredictor};
 
 use std::sync::Arc;
 
@@ -134,7 +134,12 @@ struct EngineState<P> {
 
 /// The codebook an engine around `predictor` needs: rank 0 is the LAST
 /// value, and the predictor's candidates get the following ranks.
-fn engine_book(width: Width, predictor: &impl Predictor, cost: CostModel) -> Arc<CodeBook> {
+///
+/// The engine's design λ is fixed at 1 ([`CostModel::default`]): the
+/// codeword order is a design-time choice, as in the paper's
+/// transcoder, and the wire's own λ enters only when the coded bus is
+/// priced.
+fn engine_book(width: Width, predictor: &impl Predictor) -> Arc<CodeBook> {
     let lines = width.bits() + 2;
     assert!(
         lines <= 64,
@@ -149,7 +154,7 @@ fn engine_book(width: Width, predictor: &impl Predictor, cost: CostModel) -> Arc
             "predictor offers more candidates than a {width} bus has codewords"
         );
     }
-    Arc::new(CodeBook::new(width.bits(), entries, cost))
+    Arc::new(CodeBook::new(width.bits(), entries, CostModel::default()))
 }
 
 impl<P: Predictor> EngineState<P> {
@@ -212,13 +217,12 @@ pub fn predictive_codec<P: Predictor>(
     width: Width,
     encoder_predictor: P,
     decoder_predictor: P,
-    cost: CostModel,
 ) -> (PredictiveEncoder<P>, PredictiveDecoder<P>) {
-    let book = engine_book(width, &encoder_predictor, cost);
+    let book = engine_book(width, &encoder_predictor);
     let dec = PredictiveDecoder {
         state: EngineState::new(width, decoder_predictor, Arc::clone(&book)),
     };
-    let enc = PredictiveEncoder::from_state(EngineState::new(width, encoder_predictor, book), cost);
+    let enc = PredictiveEncoder::from_state(EngineState::new(width, encoder_predictor, book));
     (enc, dec)
 }
 
@@ -226,34 +230,33 @@ pub fn predictive_codec<P: Predictor>(
 ///
 /// Construct pairs with the scheme helpers ([`window_codec`],
 /// [`stride_codec`], [`context_value_codec`],
-/// [`context_transition_codec`]), with [`predictive_codec`] around any
-/// custom [`Predictor`], or one half at a time via
+/// [`context_transition_codec`], [`fcm_codec`], [`trained_codec`]) or
+/// with [`predictive_codec`] around any custom [`Predictor`]; an
+/// encoder alone, for callers that only price a trace, comes from
 /// [`PredictiveEncoder::new`].
 #[derive(Debug, Clone)]
 pub struct PredictiveEncoder<P> {
     state: EngineState<P>,
-    cost: CostModel,
     miss_policy: MissPolicy,
     last_outcome: Option<EncodeOutcome>,
 }
 
 impl<P: Predictor> PredictiveEncoder<P> {
-    /// Creates an encoder around a predictor. `cost` orders the codebook
-    /// and settles raw-vs-inverted decisions on misses.
+    /// Creates an encoder around a predictor. Codewords are ordered,
+    /// and raw-vs-inverted decisions on misses settled, at λ = 1.
     ///
     /// # Panics
     ///
     /// Panics if the bus (width + 2 control lines) exceeds 64 lines, or
     /// the predictor offers more candidates than the bus has codewords.
-    pub fn new(width: Width, predictor: P, cost: CostModel) -> Self {
-        let book = engine_book(width, &predictor, cost);
-        Self::from_state(EngineState::new(width, predictor, book), cost)
+    pub fn new(width: Width, predictor: P) -> Self {
+        let book = engine_book(width, &predictor);
+        Self::from_state(EngineState::new(width, predictor, book))
     }
 
-    fn from_state(state: EngineState<P>, cost: CostModel) -> Self {
+    fn from_state(state: EngineState<P>) -> Self {
         PredictiveEncoder {
             state,
-            cost,
             miss_policy: MissPolicy::default(),
             last_outcome: None,
         }
@@ -264,11 +267,6 @@ impl<P: Predictor> PredictiveEncoder<P> {
     pub fn with_miss_policy(mut self, policy: MissPolicy) -> Self {
         self.miss_policy = policy;
         self
-    }
-
-    /// Read access to the underlying predictor (for instrumentation).
-    pub fn predictor(&self) -> &P {
-        &self.state.predictor
     }
 
     /// Statistics hook: whether the most recent word hit a prediction,
@@ -372,9 +370,10 @@ impl<P: Predictor> PredictiveEncoder<P> {
                 let current = self.state.assemble();
                 let raw = value | (CTRL_RAW << width.bits());
                 let inv = (value ^ width.mask()) | (CTRL_INV << width.bits());
-                let raw_cost = self.cost.transition_cost(current, raw, lines);
+                let cost = CostModel::default();
+                let raw_cost = cost.transition_cost(current, raw, lines);
                 let inv_cost = match self.miss_policy {
-                    MissPolicy::RawOrInverted => self.cost.transition_cost(current, inv, lines),
+                    MissPolicy::RawOrInverted => cost.transition_cost(current, inv, lines),
                     MissPolicy::RawOnly => f64::INFINITY,
                 };
                 if inv_cost < raw_cost {
@@ -436,17 +435,6 @@ impl<P: Predictor> Encoder for PredictiveEncoder<P> {
 #[derive(Debug, Clone)]
 pub struct PredictiveDecoder<P> {
     state: EngineState<P>,
-}
-
-impl<P: Predictor> PredictiveDecoder<P> {
-    /// Creates a decoder. The predictor and cost model must be configured
-    /// identically to the paired encoder's.
-    pub fn new(width: Width, predictor: P, cost: CostModel) -> Self {
-        let book = engine_book(width, &predictor, cost);
-        PredictiveDecoder {
-            state: EngineState::new(width, predictor, book),
-        }
-    }
 }
 
 impl<P: Predictor> Decoder for PredictiveDecoder<P> {
@@ -539,7 +527,6 @@ mod tests {
             Width::W32,
             FixedPredictor { list: list.clone() },
             FixedPredictor { list },
-            CostModel::default(),
         )
     }
 
@@ -613,10 +600,8 @@ mod tests {
 
     #[test]
     fn raw_only_policy_never_inverts_and_still_roundtrips() {
-        let cost = CostModel::default();
-        let mut enc = PredictiveEncoder::new(Width::W32, FixedPredictor { list: vec![] }, cost)
-            .with_miss_policy(MissPolicy::RawOnly);
-        let mut dec = PredictiveDecoder::new(Width::W32, FixedPredictor { list: vec![] }, cost);
+        let (enc, mut dec) = pair(vec![]);
+        let mut enc = enc.with_miss_policy(MissPolicy::RawOnly);
         enc.reset();
         dec.reset();
         // A value that the default policy would invert.
@@ -647,10 +632,6 @@ mod tests {
     #[should_panic(expected = "more candidates")]
     fn engine_rejects_oversized_candidate_lists() {
         let list: Vec<Word> = (0..16).collect();
-        let _ = PredictiveEncoder::new(
-            Width::new(4).unwrap(),
-            FixedPredictor { list },
-            CostModel::default(),
-        );
+        let _ = PredictiveEncoder::new(Width::new(4).unwrap(), FixedPredictor { list });
     }
 }

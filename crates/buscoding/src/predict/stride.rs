@@ -8,44 +8,9 @@
 
 use bustrace::{Width, Word};
 
-use crate::energy::CostModel;
 use crate::predict::{
     predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor, MAX_ENTRIES,
 };
-
-/// Configuration of a strided transcoder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StrideConfig {
-    /// Bus width.
-    pub width: Width,
-    /// Number of stride predictors (stride 1 through `strides`).
-    pub strides: usize,
-    /// Cost model for codebook ordering and miss decisions.
-    pub cost: CostModel,
-}
-
-impl StrideConfig {
-    /// Creates a configuration with the default λ = 1 cost model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `strides` is zero or above [`MAX_ENTRIES`].
-    pub fn new(width: Width, strides: usize) -> Self {
-        check_strides(strides);
-        StrideConfig {
-            width,
-            strides,
-            cost: CostModel::default(),
-        }
-    }
-
-    /// Replaces the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-}
 
 /// The bank of stride predictors over a history shift register.
 #[derive(Debug, Clone)]
@@ -72,7 +37,11 @@ impl StridePredictor {
     ///
     /// Panics if `strides` is zero or above [`MAX_ENTRIES`].
     pub fn new(width: Width, strides: usize) -> Self {
-        check_strides(strides);
+        assert!(strides >= 1, "at least one stride predictor is required");
+        assert!(
+            strides <= MAX_ENTRIES,
+            "the bank holds at most {MAX_ENTRIES} stride predictors, got {strides}"
+        );
         StridePredictor {
             width,
             strides,
@@ -82,19 +51,6 @@ impl StridePredictor {
             bank: [0; MAX_ENTRIES],
         }
     }
-
-    /// Number of stride predictors in the bank.
-    pub fn strides(&self) -> usize {
-        self.strides
-    }
-}
-
-fn check_strides(strides: usize) {
-    assert!(strides >= 1, "at least one stride predictor is required");
-    assert!(
-        strides <= MAX_ENTRIES,
-        "the bank holds at most {MAX_ENTRIES} stride predictors, got {strides}"
-    );
 }
 
 impl Predictor for StridePredictor {
@@ -136,18 +92,23 @@ impl Predictor for StridePredictor {
     }
 }
 
-/// Builds a matched encoder/decoder pair for the strided scheme.
+/// Builds a matched encoder/decoder pair for the strided scheme with
+/// stride predictors 1 through `strides`.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`StridePredictor::new`].
 pub fn stride_codec(
-    config: StrideConfig,
+    width: Width,
+    strides: usize,
 ) -> (
     PredictiveEncoder<StridePredictor>,
     PredictiveDecoder<StridePredictor>,
 ) {
     predictive_codec(
-        config.width,
-        StridePredictor::new(config.width, config.strides),
-        StridePredictor::new(config.width, config.strides),
-        config.cost,
+        width,
+        StridePredictor::new(width, strides),
+        StridePredictor::new(width, strides),
     )
 }
 
@@ -202,7 +163,7 @@ mod tests {
 
     #[test]
     fn round_trips_on_mixed_traffic() {
-        let (mut enc, mut dec) = stride_codec(StrideConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = stride_codec(Width::W32, 8);
         let mut trace = Trace::new(Width::W32);
         let mut x = 1u64;
         for i in 0..5000u64 {
@@ -222,7 +183,7 @@ mod tests {
     #[test]
     fn removes_energy_on_strided_traffic() {
         let trace = Trace::from_values(Width::W32, (0..20_000u64).map(|i| 0x1000 + 4 * i));
-        let (mut enc, _) = stride_codec(StrideConfig::new(Width::W32, 4));
+        let (mut enc, _) = stride_codec(Width::W32, 4);
         let coded = evaluate(&mut enc, &trace);
         let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
         // Every hit still costs one code toggle per word, while a bare
@@ -243,7 +204,7 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(9);
             trace.push(x >> 16);
         }
-        let (mut enc, _) = stride_codec(StrideConfig::new(Width::W32, 16));
+        let (mut enc, _) = stride_codec(Width::W32, 16);
         let coded = evaluate(&mut enc, &trace);
         let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
         // Near zero either way: spurious hits and control-line traffic
@@ -271,7 +232,7 @@ mod tests {
         let removed: Vec<f64> = [1usize, 2, 4, 8]
             .iter()
             .map(|&s| {
-                let (mut enc, _) = stride_codec(StrideConfig::new(Width::W32, s));
+                let (mut enc, _) = stride_codec(Width::W32, s);
                 percent_energy_removed(&evaluate(&mut enc, &trace), &baseline, 1.0)
             })
             .collect();
@@ -284,12 +245,5 @@ mod tests {
     #[should_panic(expected = "at most 64 stride predictors")]
     fn rejects_banks_above_the_capacity_limit() {
         let _ = StridePredictor::new(Width::W32, MAX_ENTRIES + 1);
-    }
-
-    #[test]
-    fn config_builder() {
-        let cfg = StrideConfig::new(Width::W32, 3).with_cost(CostModel::coupling_blind());
-        assert_eq!(cfg.cost.lambda(), 0.0);
-        assert_eq!(cfg.strides, 3);
     }
 }

@@ -36,7 +36,6 @@ use std::sync::{Arc, RwLock};
 use bustrace::fnv::{fnv1a, fnv1a_words};
 use bustrace::{Width, Word};
 
-use crate::energy::CostModel;
 use crate::predict::{predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor};
 
 /// Artifact file magic.
@@ -762,7 +761,6 @@ impl Predictor for TrainedPredictor {
 /// Builds a matched encoder/decoder pair deploying `tables`.
 pub fn trained_codec(
     tables: Arc<TrainedTables>,
-    cost: CostModel,
 ) -> (
     PredictiveEncoder<TrainedPredictor>,
     PredictiveDecoder<TrainedPredictor>,
@@ -771,7 +769,6 @@ pub fn trained_codec(
         tables.width,
         TrainedPredictor::new(Arc::clone(&tables)),
         TrainedPredictor::new(tables),
-        cost,
     )
 }
 
@@ -918,7 +915,7 @@ mod tests {
     #[test]
     fn trained_codec_round_trips_on_mixed_traffic() {
         let tables = Arc::new(sample_tables());
-        let (mut enc, mut dec) = trained_codec(tables, CostModel::default());
+        let (mut enc, mut dec) = trained_codec(tables);
         let mut trace = Trace::new(Width::W32);
         let mut x = 9u64;
         for i in 0..4000u64 {

@@ -8,44 +8,9 @@
 
 use bustrace::{Width, Word};
 
-use crate::energy::CostModel;
 use crate::predict::{
     predictive_codec, PredictiveDecoder, PredictiveEncoder, Predictor, MAX_ENTRIES,
 };
-
-/// Configuration of a window-based transcoder.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowConfig {
-    /// Bus width.
-    pub width: Width,
-    /// Shift-register entries (the paper's sweet spot is 8).
-    pub entries: usize,
-    /// Cost model for codebook ordering and miss decisions.
-    pub cost: CostModel,
-}
-
-impl WindowConfig {
-    /// Creates a configuration with the default λ = 1 cost model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is zero or above [`MAX_ENTRIES`].
-    pub fn new(width: Width, entries: usize) -> Self {
-        check_entries(entries);
-        WindowConfig {
-            width,
-            entries,
-            cost: CostModel::default(),
-        }
-    }
-
-    /// Replaces the cost model.
-    #[must_use]
-    pub fn with_cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-}
 
 /// The unique-value shift register.
 #[derive(Debug, Clone)]
@@ -66,7 +31,11 @@ impl WindowPredictor {
     ///
     /// Panics if `entries` is zero or above [`MAX_ENTRIES`].
     pub fn new(entries: usize) -> Self {
-        check_entries(entries);
+        assert!(entries >= 1, "the window needs at least one entry");
+        assert!(
+            entries <= MAX_ENTRIES,
+            "the window holds at most {MAX_ENTRIES} entries, got {entries}"
+        );
         WindowPredictor {
             entries,
             len: 0,
@@ -75,23 +44,10 @@ impl WindowPredictor {
         }
     }
 
-    /// Capacity of the shift register.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
     /// Current contents, newest first.
     pub fn contents(&self) -> impl Iterator<Item = Word> + '_ {
         self.ring[self.head..self.head + self.len].iter().copied()
     }
-}
-
-fn check_entries(entries: usize) {
-    assert!(entries >= 1, "the window needs at least one entry");
-    assert!(
-        entries <= MAX_ENTRIES,
-        "the window holds at most {MAX_ENTRIES} entries, got {entries}"
-    );
 }
 
 impl Predictor for WindowPredictor {
@@ -124,18 +80,23 @@ impl Predictor for WindowPredictor {
     }
 }
 
-/// Builds a matched encoder/decoder pair for the window-based scheme.
+/// Builds a matched encoder/decoder pair for the window-based scheme
+/// with an `entries`-deep shift register (the paper's sweet spot is 8).
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`WindowPredictor::new`].
 pub fn window_codec(
-    config: WindowConfig,
+    width: Width,
+    entries: usize,
 ) -> (
     PredictiveEncoder<WindowPredictor>,
     PredictiveDecoder<WindowPredictor>,
 ) {
     predictive_codec(
-        config.width,
-        WindowPredictor::new(config.entries),
-        WindowPredictor::new(config.entries),
-        config.cost,
+        width,
+        WindowPredictor::new(entries),
+        WindowPredictor::new(entries),
     )
 }
 
@@ -163,7 +124,7 @@ mod tests {
 
     #[test]
     fn round_trips_on_working_set_traffic() {
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = window_codec(Width::W32, 8);
         let mut trace = Trace::new(Width::W32);
         let mut x = 11u64;
         for i in 0..5000u64 {
@@ -186,7 +147,7 @@ mod tests {
                 .map(|i| [0xDEAD, 0xBEEF, 0xCAFE, 0xF00D, 0x1234, 0xFFFF][(i % 6) as usize]),
         );
         let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
-        let (mut enc, _) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, _) = window_codec(Width::W32, 8);
         let coded = evaluate(&mut enc, &trace);
         // Hits still pay their codeword toggles, so "everything fits"
         // means ~80%, not 100%.
@@ -202,7 +163,7 @@ mod tests {
         let removed: Vec<f64> = [4usize, 8, 16, 32, 48]
             .iter()
             .map(|&n| {
-                let (mut enc, _) = window_codec(WindowConfig::new(Width::W32, n));
+                let (mut enc, _) = window_codec(Width::W32, n);
                 percent_energy_removed(&evaluate(&mut enc, &trace), &baseline, 1.0)
             })
             .collect();
@@ -225,7 +186,7 @@ mod tests {
             (0..10_000u64).flat_map(|i| std::iter::repeat_n(i * 0x9E3779B9, 4)),
         );
         let baseline = evaluate(&mut IdentityCodec::new(Width::W32), &trace);
-        let (mut enc, _) = window_codec(WindowConfig::new(Width::W32, 1));
+        let (mut enc, _) = window_codec(Width::W32, 1);
         let coded = evaluate(&mut enc, &trace);
         let removed = percent_energy_removed(&coded, &baseline, 1.0);
         assert!(removed > -10.0 && removed < 25.0, "removed {removed:.1}%");

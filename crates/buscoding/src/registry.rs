@@ -31,7 +31,7 @@ use crate::predict::trained::{
 };
 use crate::predict::{
     context_transition_codec, context_value_codec, fcm_codec, stride_codec, window_codec,
-    ContextConfig, FcmConfig, StrideConfig, WindowConfig, MAX_ENTRIES,
+    ContextConfig, MAX_ENTRIES,
 };
 use crate::workzone::{WorkZoneDecoder, WorkZoneEncoder};
 
@@ -299,12 +299,8 @@ impl SchemeSpec {
                 let encoder = InversionEncoder::new(patterns.clone(), CostModel::new(lambda));
                 boxed((encoder, InversionDecoder::new(patterns)))
             }
-            SchemeSpec::Stride { strides } => {
-                boxed(stride_codec(StrideConfig::new(width, strides)))
-            }
-            SchemeSpec::Window { entries } => {
-                boxed(window_codec(WindowConfig::new(width, entries)))
-            }
+            SchemeSpec::Stride { strides } => boxed(stride_codec(width, strides)),
+            SchemeSpec::Window { entries } => boxed(window_codec(width, entries)),
             SchemeSpec::ContextValue {
                 table,
                 shift,
@@ -319,9 +315,7 @@ impl SchemeSpec {
                 WorkZoneEncoder::new(width, zones),
                 WorkZoneDecoder::new(width, zones),
             )),
-            SchemeSpec::Fcm { order, table_bits } => {
-                boxed(fcm_codec(FcmConfig::new(width, order, table_bits)))
-            }
+            SchemeSpec::Fcm { order, table_bits } => boxed(fcm_codec(width, order, table_bits)),
             SchemeSpec::Trained { ref artifact } => {
                 let artifact_error = |err| UnknownScheme {
                     name: name.clone(),
@@ -339,7 +333,7 @@ impl SchemeSpec {
                 let tables = Arc::new(tables);
                 let ranks = 1 + tables.max_candidates();
                 fits(2, ranks, 1)?;
-                boxed(trained_codec(tables, CostModel::default()))
+                boxed(trained_codec(tables))
             }
         };
         Ok(Transcoder::from_boxed(name, e, d))

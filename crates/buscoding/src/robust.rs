@@ -30,12 +30,12 @@
 //! # Example
 //!
 //! ```
-//! use buscoding::predict::{window_codec, WindowConfig};
+//! use buscoding::predict::window_codec;
 //! use buscoding::robust::{epoch_wrap, RecoveringDecoder};
 //! use buscoding::{verify_roundtrip, Decoder};
 //! use bustrace::{Trace, Width};
 //!
-//! let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+//! let (enc, dec) = window_codec(Width::W32, 8);
 //! let dec = RecoveringDecoder::new(dec, Width::W32);
 //! let (mut enc, mut dec) = epoch_wrap(enc, dec, 64);
 //! let trace = Trace::from_values(Width::W32, (0..300u64).map(|i| i * 3 % 17));
@@ -347,7 +347,7 @@ mod tests {
     use super::*;
     use crate::codec::{evaluate, verify_roundtrip};
     use crate::identity::IdentityCodec;
-    use crate::predict::{stride_codec, window_codec, StrideConfig, WindowConfig};
+    use crate::predict::{stride_codec, window_codec};
     use bustrace::Trace;
 
     fn trace(n: u64) -> Trace {
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn parity_roundtrip_is_lossless() {
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let (mut enc, mut dec) = parity_wrap(enc, dec);
         assert_eq!(enc.lines(), 35); // 32 data + 2 control + 1 parity
         assert_eq!(dec.lines(), 35);
@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn parity_detects_any_single_flip_immediately() {
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let (mut enc, mut dec) = parity_wrap(enc, dec);
         let t = trace(50);
         for flip_line in 0..enc.lines() {
@@ -387,7 +387,7 @@ mod tests {
     fn parity_line_does_not_disturb_inner_decode() {
         // A flipped state rejected by parity must leave the inner FSM
         // untouched: the rest of the stream still decodes cleanly.
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let (mut enc, mut dec) = parity_wrap(enc, dec);
         for (i, v) in trace(100).iter().enumerate() {
             let state = enc.encode(v);
@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn epoch_roundtrip_is_lossless() {
         for interval in [1, 7, 64] {
-            let (enc, dec) = stride_codec(StrideConfig::new(Width::W32, 4));
+            let (enc, dec) = stride_codec(Width::W32, 4);
             let (mut enc, mut dec) = epoch_wrap(enc, dec, interval);
             verify_roundtrip(&mut enc, &mut dec, &trace(300)).unwrap();
         }
@@ -416,7 +416,7 @@ mod tests {
 
     #[test]
     fn epoch_flush_count_matches_interval() {
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let (mut enc, _dec) = epoch_wrap(enc, dec, 64);
         let _ = evaluate(&mut enc, &trace(1000));
         // evaluate() resets first; flushes before words 64, 128, ..., 960.
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn epoch_bounds_desync_to_one_epoch() {
         let interval = 32u64;
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let (mut enc, mut dec) = epoch_wrap(enc, dec, interval);
         let t = trace(200);
         let flip_at = 40usize;
@@ -457,7 +457,7 @@ mod tests {
         // advance so the next flush lands on the same boundary as the
         // encoder's.
         let interval = 16u64;
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let (mut enc, mut dec) = epoch_wrap(enc, dec, interval);
         let t = trace(64);
         for (i, v) in t.iter().enumerate() {
@@ -478,13 +478,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn epoch_rejects_zero_interval() {
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let _ = epoch_wrap(enc, dec, 0);
     }
 
     #[test]
     fn recovering_decoder_never_errors() {
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let mut enc = enc;
         let mut dec = RecoveringDecoder::new(dec, Width::W32);
         for (i, v) in trace(100).iter().enumerate() {
@@ -510,7 +510,7 @@ mod tests {
         // not disturb the flush boundaries.
         let interval = 32u64;
         for flip_line in [0u32, 5, 31, 32, 33] {
-            let (enc, dec) = stride_codec(StrideConfig::new(Width::W32, 4));
+            let (enc, dec) = stride_codec(Width::W32, 4);
             let dec = RecoveringDecoder::new(dec, Width::W32);
             let (mut enc, mut dec) = epoch_wrap(enc, dec, interval);
             let t = trace(160);
@@ -535,7 +535,7 @@ mod tests {
         // This test pins the *correct* ordering's guarantee instead:
         // flushes still fire every `interval` encoder words.
         let interval = 16u64;
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let dec = RecoveringDecoder::new(dec, Width::W32);
         let (mut enc, mut dec) = epoch_wrap(enc, dec, interval);
         for (i, v) in trace(64).iter().enumerate() {
@@ -552,7 +552,7 @@ mod tests {
     #[test]
     fn stacked_wrappers_compose() {
         // parity outside epoch: detection plus bounded recovery.
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let (enc, dec) = epoch_wrap(enc, dec, 64);
         let (mut enc, mut dec) = parity_wrap(enc, dec);
         verify_roundtrip(&mut enc, &mut dec, &trace(400)).unwrap();

@@ -163,7 +163,8 @@ impl<K: PartialEq + Copy> RefCore<K> {
     }
 
     fn maybe_promote(&mut self, key: K, count: u64) {
-        if count < self.cfg.promote_threshold {
+        // The engine's fixed promotion threshold.
+        if count < 2 {
             return;
         }
         if self.table.len() < self.cfg.table_entries {
@@ -322,7 +323,7 @@ impl<R: Reference> RefEncoder<R> {
 /// the bus identically.
 fn assert_same_states<P: Predictor>(p: P, r: impl Reference, words: &[Word]) {
     let cost = CostModel::default();
-    let mut engine = PredictiveEncoder::new(Width::W32, p, cost);
+    let mut engine = PredictiveEncoder::new(Width::W32, p);
     let mut reference = RefEncoder::new(Width::W32, r, cost);
     for (i, &w) in words.iter().enumerate() {
         assert_eq!(engine.encode(w), reference.encode(w), "word {i} ({w:#x})");

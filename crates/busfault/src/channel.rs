@@ -251,7 +251,7 @@ impl FaultChannel {
 mod tests {
     use super::*;
     use crate::model::{NoFault, RandomUpsets, SingleFlip, StuckAt};
-    use buscoding::predict::{window_codec, WindowConfig};
+    use buscoding::predict::window_codec;
     use buscoding::IdentityCodec;
     use bustrace::{Width, Word};
 
@@ -263,7 +263,7 @@ mod tests {
     #[test]
     fn clean_channel_reports_clean() {
         let trace = looping_trace(500);
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = window_codec(Width::W32, 8);
         let r = FaultChannel::default().run(&mut enc, &mut dec, &mut NoFault, &trace);
         assert!(r.clean());
         assert!(r.resynchronized());
@@ -291,7 +291,7 @@ mod tests {
     #[test]
     fn halt_policy_stops_at_detection() {
         let trace = looping_trace(2000);
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = window_codec(Width::W32, 8);
         // Saturate the bus with errors; detection is certain.
         let mut fault = RandomUpsets::new(0.2, 9);
         let r = FaultChannel::halt_on_error().run(&mut enc, &mut dec, &mut fault, &trace);
@@ -305,7 +305,7 @@ mod tests {
     #[test]
     fn detection_latency_measures_from_first_fault() {
         let trace = looping_trace(400);
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = window_codec(Width::W32, 8);
         let mut fault = SingleFlip::new(100, 2);
         let r = FaultChannel::default().run(&mut enc, &mut dec, &mut fault, &trace);
         assert_eq!(r.first_fault_step, Some(100));
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn stuck_line_on_predictive_codec_is_detected() {
         let trace = looping_trace(1000);
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = window_codec(Width::W32, 8);
         // A stuck data line corrupts predicted-hit deltas into
         // non-codewords, which the decoder rejects.
         let mut fault = StuckAt::new(0, true, 200);
@@ -329,7 +329,7 @@ mod tests {
     fn runs_are_deterministic() {
         let trace = looping_trace(800);
         let run = || {
-            let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+            let (mut enc, mut dec) = window_codec(Width::W32, 8);
             let mut fault = RandomUpsets::new(0.002, 123);
             FaultChannel::default().run(&mut enc, &mut dec, &mut fault, &trace)
         };
@@ -341,7 +341,7 @@ mod tests {
         // With a plain (non-epoch) pair, a blind decoder reset after an
         // error rarely restores sync — the report records the damage.
         let trace = looping_trace(600);
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = window_codec(Width::W32, 8);
         let mut fault = SingleFlip::new(10, 0);
         let r = FaultChannel::new(ErrorPolicy::ResetAndContinue)
             .run(&mut enc, &mut dec, &mut fault, &trace);
@@ -371,7 +371,7 @@ mod tests {
     #[test]
     fn dyn_trait_objects_work() {
         let trace = looping_trace(100);
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let mut enc: Box<dyn Encoder> = Box::new(enc);
         let mut dec: Box<dyn Decoder> = Box::new(dec);
         let mut fault: Box<dyn FaultModel> = Box::new(SingleFlip::new(5, 1));
@@ -384,11 +384,11 @@ mod tests {
     #[test]
     fn run_pair_matches_run_on_split_ends() {
         let trace = looping_trace(400);
-        let (enc, dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (enc, dec) = window_codec(Width::W32, 8);
         let mut pair = buscoding::Transcoder::new("window(8)", enc, dec);
         let mut fault = SingleFlip::new(37, 4);
         let bundled = FaultChannel::default().run_pair(&mut pair, &mut fault, &trace);
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = window_codec(Width::W32, 8);
         let mut fault = SingleFlip::new(37, 4);
         let split = FaultChannel::default().run(&mut enc, &mut dec, &mut fault, &trace);
         assert_eq!(bundled, split);

@@ -25,11 +25,11 @@
 //!
 //! ```
 //! use busfault::{FaultChannel, SingleFlip};
-//! use buscoding::predict::{window_codec, WindowConfig};
+//! use buscoding::predict::window_codec;
 //! use bustrace::{Trace, Width};
 //!
 //! let trace = Trace::from_values(Width::W32, (0..500u64).map(|i| i % 7));
-//! let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+//! let (mut enc, mut dec) = window_codec(Width::W32, 8);
 //! let mut fault = SingleFlip::new(100, 3);
 //! let report = FaultChannel::halt_on_error().run(&mut enc, &mut dec, &mut fault, &trace);
 //! assert_eq!(report.first_fault_step, Some(100));

@@ -11,8 +11,7 @@
 //!    as a resync event) or its corruption ends at the boundary.
 
 use buscoding::predict::{
-    context_value_codec, fcm_codec, stride_codec, window_codec, ContextConfig, FcmConfig,
-    StrideConfig, WindowConfig,
+    context_value_codec, fcm_codec, stride_codec, window_codec, ContextConfig,
 };
 use buscoding::robust::{epoch_wrap, parity_wrap, RecoveringDecoder};
 use buscoding::{Decoder, Encoder};
@@ -25,11 +24,11 @@ fn codec(family: usize) -> (Box<dyn Encoder>, Box<dyn Decoder>) {
     let w = Width::W32;
     match family {
         0 => {
-            let (e, d) = window_codec(WindowConfig::new(w, 8));
+            let (e, d) = window_codec(w, 8);
             (Box::new(e), Box::new(d))
         }
         1 => {
-            let (e, d) = stride_codec(StrideConfig::new(w, 4));
+            let (e, d) = stride_codec(w, 4);
             (Box::new(e), Box::new(d))
         }
         2 => {
@@ -37,7 +36,7 @@ fn codec(family: usize) -> (Box<dyn Encoder>, Box<dyn Decoder>) {
             (Box::new(e), Box::new(d))
         }
         _ => {
-            let (e, d) = fcm_codec(FcmConfig::new(w, 2, 10));
+            let (e, d) = fcm_codec(w, 2, 10);
             (Box::new(e), Box::new(d))
         }
     }

@@ -13,7 +13,7 @@
 //! ```
 
 use buscoding::predict::{predictive_codec, Predictor};
-use buscoding::{evaluate, percent_energy_removed, verify_roundtrip, CostModel, IdentityCodec};
+use buscoding::{evaluate, percent_energy_removed, verify_roundtrip, IdentityCodec};
 use bustrace::{Trace, Width, Word};
 
 /// Predicts the last value seen *for the current stream class*, where
@@ -83,12 +83,8 @@ fn main() {
     let trace = Trace::from_values(Width::W32, values);
 
     // Both ends run their own predictor; the pair shares one codebook.
-    let (mut enc, mut dec) = predictive_codec(
-        Width::W32,
-        TaggedLastValue::new(),
-        TaggedLastValue::new(),
-        CostModel::default(),
-    );
+    let (mut enc, mut dec) =
+        predictive_codec(Width::W32, TaggedLastValue::new(), TaggedLastValue::new());
 
     // Correctness first: the decoder must recover every word.
     verify_roundtrip(&mut enc, &mut dec, &trace).expect("custom predictor must round-trip");
@@ -101,8 +97,8 @@ fn main() {
     println!("tagged-last-value removes {removed:.1}% of weighted transitions");
 
     // Compare with the paper's window scheme on the same traffic.
-    use buscoding::predict::{window_codec, WindowConfig};
-    let (mut wenc, _) = window_codec(WindowConfig::new(Width::W32, 8));
+    use buscoding::predict::window_codec;
+    let (mut wenc, _) = window_codec(Width::W32, 8);
     let wcoded = evaluate(&mut wenc, &trace);
     let wremoved = percent_energy_removed(&wcoded, &baseline, 1.0);
     println!("window(8) removes {wremoved:.1}% on the same traffic");

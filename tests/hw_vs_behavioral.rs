@@ -3,7 +3,7 @@
 //! every coding decision (window design), and preserve their documented
 //! invariants under real traffic (context design).
 
-use buscoding::predict::{window_codec, EncodeOutcome, WindowConfig};
+use buscoding::predict::{window_codec, EncodeOutcome};
 use buscoding::Encoder;
 use hwmodel::{ContextHardware, ContextHwConfig, HwOutcome, WindowHardware};
 use simcpu::{Benchmark, BusKind};
@@ -17,7 +17,7 @@ fn window_hardware_matches_behavioral_decisions_exactly() {
         Benchmark::Mgrid,
     ] {
         let trace = b.trace(BusKind::Register, 30_000, 4);
-        let (mut enc, _) = window_codec(WindowConfig::new(trace.width(), 8));
+        let (mut enc, _) = window_codec(trace.width(), 8);
         enc.reset();
         let mut hw = WindowHardware::new(8);
         for (i, v) in trace.iter().enumerate() {

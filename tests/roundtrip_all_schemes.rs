@@ -4,7 +4,6 @@
 use buscoding::inversion::{InversionDecoder, InversionEncoder, PatternSet};
 use buscoding::predict::{
     context_transition_codec, context_value_codec, stride_codec, window_codec, ContextConfig,
-    StrideConfig, WindowConfig,
 };
 use buscoding::spatial::SpatialCodec;
 use buscoding::{verify_roundtrip, CostModel, IdentityCodec};
@@ -51,7 +50,7 @@ proptest! {
         (width, trace) in widths().prop_flat_map(|w| (Just(w), trace_strategy(w))),
         entries in 1usize..24,
     ) {
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(width, entries));
+        let (mut enc, mut dec) = window_codec(width, entries);
         verify_roundtrip(&mut enc, &mut dec, &trace).unwrap();
     }
 
@@ -60,7 +59,7 @@ proptest! {
         (width, trace) in widths().prop_flat_map(|w| (Just(w), trace_strategy(w))),
         strides in 1usize..12,
     ) {
-        let (mut enc, mut dec) = stride_codec(StrideConfig::new(width, strides));
+        let (mut enc, mut dec) = stride_codec(width, strides);
         verify_roundtrip(&mut enc, &mut dec, &trace).unwrap();
     }
 
@@ -168,7 +167,7 @@ proptest! {
         flips in prop::collection::vec((0usize..300, 0u32..34), 1..8),
     ) {
         use buscoding::{Decoder, Encoder};
-        let (mut enc, mut dec) = window_codec(WindowConfig::new(Width::W32, 8));
+        let (mut enc, mut dec) = window_codec(Width::W32, 8);
         enc.reset();
         dec.reset();
         for (i, v) in trace.iter().enumerate() {

@@ -21,7 +21,7 @@ use buscoding::predict::trained::{
     artifact_dir, artifact_file_name, set_artifact_dir, ArtifactError,
 };
 use buscoding::predict::trained_codec;
-use buscoding::{evaluate_blocks, scheme_by_name, scheme_candidates, CostModel};
+use buscoding::{evaluate_blocks, scheme_by_name, scheme_candidates};
 use busprobe::json::JsonValue;
 use busserve::Service;
 use bustrace::Width;
@@ -98,7 +98,7 @@ fn trained_artifacts_deploy_through_every_front_end() {
     // nothing.
     let via_store = session.activity(&ActivityQuery::new("trained:demo", workload));
     let trace = session.trace_at(&TraceKey::new(workload, VALUES, SEED));
-    let (mut enc, _dec) = trained_codec(Arc::new(tables), CostModel::default());
+    let (mut enc, _dec) = trained_codec(Arc::new(tables));
     let direct = evaluate_blocks(&mut enc, &trace);
     assert_eq!(via_store, direct);
 
