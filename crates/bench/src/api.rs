@@ -5,11 +5,12 @@
 //! *what* to evaluate (a stored workload or an inline trace, one or
 //! more schemes, the lambda weighting, optional circuit pricing), an
 //! [`EvalResponse`] carries *what came out* (per-scheme transition
-//! counts and energy, cache provenance, timing), and the [`Evaluator`]
-//! trait is the seam between them. [`Session`] implements `Evaluator`;
-//! the `repro` batch binary and the `repro serve` daemon are two thin
-//! front ends over this one surface, so a request evaluated over the
-//! socket is byte-for-byte the computation the batch binary runs.
+//! counts, energy and predictor accuracy, cache provenance, timing),
+//! and the [`Evaluator`] trait is the seam between them. [`Session`]
+//! implements `Evaluator`; the `repro` batch binary and the `repro
+//! serve` daemon are two thin front ends over this one surface, so a
+//! request evaluated over the socket is byte-for-byte the computation
+//! the batch binary runs.
 //!
 //! [`ApiService`] adapts an evaluator to the wire: it implements
 //! [`busserve::Service`], translating JSON request bodies into
@@ -20,6 +21,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use buscoding::predict::trained::ArtifactError;
+use buscoding::predict::PredictStats;
 use buscoding::{percent_energy_removed, Activity, UnknownScheme, SCHEME_PATTERNS};
 use busprobe::JsonValue;
 use busserve::{Service, ServiceError};
@@ -575,6 +577,9 @@ pub struct SchemeResult {
     /// Wire energy in picojoules under the request's pricing, when
     /// pricing was supplied.
     pub energy_pj: Option<f64>,
+    /// How the scheme's predictor fared on each word, for the
+    /// predictive families; `None` for a scheme that does not predict.
+    pub predict: Option<PredictStats>,
     /// Whether the session store served the activity rather than this
     /// request encoding it (never true for inline sources).
     pub cached: bool,
@@ -639,6 +644,16 @@ impl EvalResponse {
             ];
             if let Some(e) = r.energy_pj {
                 pairs.push(("energy_pj".into(), JsonValue::Num(e)));
+            }
+            if let Some(p) = r.predict {
+                let counts = [
+                    ("last", p.last),
+                    ("ranked", p.ranked),
+                    ("raw", p.raw),
+                    ("inverted", p.inverted),
+                ];
+                let counts = counts.map(|(k, n)| (k.into(), JsonValue::from(n)));
+                pairs.push(("predict".into(), JsonValue::Obj(counts.into())));
             }
             JsonValue::Obj(pairs)
         };
@@ -730,7 +745,7 @@ impl Evaluator for Session {
                     .iter()
                     .map(|scheme| self.try_activity(scheme, &key))
                     .collect::<Result<Vec<_>, _>>()?;
-                let (baseline, _) = self.try_activity(BASELINE_SCHEME, &key)?;
+                let (baseline, ..) = self.try_activity(BASELINE_SCHEME, &key)?;
                 (
                     baseline,
                     evaluated,
@@ -758,10 +773,8 @@ impl Evaluator for Session {
                 let mut evaluated = Vec::with_capacity(request.schemes.len());
                 for scheme in &request.schemes {
                     let mut pair = buscoding::scheme_by_name(scheme, *width)?;
-                    evaluated.push((
-                        buscoding::evaluate_blocks(pair.encoder_mut(), &trace),
-                        false,
-                    ));
+                    let activity = buscoding::evaluate_blocks(pair.encoder_mut(), &trace);
+                    evaluated.push((activity, pair.encoder_mut().predict_stats(), false));
                 }
                 let baseline = baseline_activity(&trace);
                 (baseline, evaluated, "inline".to_string(), trace.len(), None)
@@ -772,7 +785,7 @@ impl Evaluator for Session {
             .schemes
             .iter()
             .zip(&evaluated)
-            .map(|(scheme, (activity, cached))| SchemeResult {
+            .map(|(scheme, (activity, predict, cached))| SchemeResult {
                 scheme: scheme.clone(),
                 lines: activity.lines(),
                 tau: activity.tau(),
@@ -781,6 +794,7 @@ impl Evaluator for Session {
                 weighted: activity.weighted(request.lambda),
                 percent_removed: percent_energy_removed(activity, &baseline, request.lambda),
                 energy_pj: price(activity),
+                predict: *predict,
                 cached: *cached,
             })
             .collect();
@@ -999,6 +1013,8 @@ mod tests {
         let warm = s.evaluate(&req).expect("warm");
         assert_eq!((warm.cached, warm.computed), (1, 0));
         assert!(warm.results[0].cached);
+        assert!(cold.results[0].predict.is_some());
+        assert_eq!(warm.results[0].predict, cold.results[0].predict);
         // The deterministic half of the response is identical.
         assert_eq!(warm.results, {
             let mut r = cold.results.clone();
@@ -1025,9 +1041,47 @@ mod tests {
             .expect("stored");
         assert_eq!(inline.results[0].tau, stored.results[0].tau);
         assert_eq!(inline.results[0].kappa, stored.results[0].kappa);
+        assert!(inline.results[0].predict.is_some());
+        assert_eq!(inline.results[0].predict, stored.results[0].predict);
         assert_eq!(inline.workload, "inline");
         assert_eq!(inline.seed, None);
         assert!(!inline.results[0].cached);
+    }
+
+    #[test]
+    fn predictive_families_report_one_outcome_per_word() {
+        let s = session();
+        let families = [
+            ("identity", false),
+            ("inversion(1ch l1)", false),
+            ("workzone(4)", false),
+            ("stride(4)", true),
+            ("window(8)", true),
+            ("context-value(28+8 d4096)", true),
+            ("context-transition(28+8 d4096)", true),
+            ("fcm(2 2^12)", true),
+        ];
+        let schemes = families.iter().map(|(name, _)| name.to_string()).collect();
+        let resp = s
+            .evaluate(&EvalRequest::stored(Workload::Random, schemes))
+            .expect("evaluates");
+        let json = resp.to_json();
+        let Some(JsonValue::Arr(rendered)) = json.get("results") else {
+            panic!("no results array: {json}")
+        };
+        for ((name, predictive), (result, json)) in
+            families.iter().zip(resp.results.iter().zip(rendered))
+        {
+            assert_eq!(result.predict.is_some(), *predictive, "{name}");
+            assert_eq!(json.get("predict").is_some(), *predictive, "{name}");
+            if let Some(p) = result.predict {
+                assert_eq!(
+                    p.last + p.ranked + p.raw + p.inverted,
+                    result.steps,
+                    "{name}"
+                );
+            }
+        }
     }
 
     #[test]

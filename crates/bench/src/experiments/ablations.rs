@@ -1,7 +1,6 @@
 //! Ablation studies of the design choices DESIGN.md calls out.
 
-use buscoding::predict::{context_value_codec, ContextConfig};
-use buscoding::{Encoder, SchemeSpec};
+use buscoding::SchemeSpec;
 use hwmodel::{CircuitModel, ContextHardware, ContextHwConfig, WindowHardware};
 use simcpu::{Benchmark, BusKind};
 use wiremodel::Technology;
@@ -44,36 +43,20 @@ pub fn sort(session: &Session) -> Vec<Table> {
     let rows = par_map(ablation_benchmarks(), move |b| {
         let w = Workload::Bench(b, BusKind::Register);
         let trace = session.trace_capped(w, CAP);
-        let cfg = ContextConfig::new(trace.width(), 28, 8);
-        // Ideal: behavioral codec — `cfg` is exactly the registry's
-        // context-value(28+8 d4096), so the session store supplies it.
-        let coded = session.activity(
-            &ActivityQuery::new(
-                SchemeSpec::ContextValue {
-                    table: 28,
-                    shift: 8,
-                    divide: 4096,
-                }
-                .to_string(),
-                w,
-            )
-            .cap(CAP),
-        );
+        // Ideal: the behavioral codec, from the session store, which
+        // also counted its hits.
+        let ideal = SchemeSpec::ContextValue {
+            table: 28,
+            shift: 8,
+            divide: 4096,
+        }
+        .to_string();
+        let key = ActivityQuery::new(&ideal, w).cap(CAP).trace_key(session);
+        let (coded, predict, _) = session.try_activity(&ideal, &key).expect("a registry name");
+        let predict = predict.expect("a predictive scheme counts its hits");
+        let ideal_hits = predict.last + predict.ranked;
         let baseline = session.baseline_capped(w, CAP);
         let ideal_removed = buscoding::percent_energy_removed(&coded, &baseline, 1.0);
-        // Ideal hit rate: count engine hits by re-running with outcome taps.
-        let (mut enc2, _) = context_value_codec(cfg);
-        enc2.reset();
-        let mut ideal_hits = 0u64;
-        for v in trace.iter() {
-            enc2.encode(v);
-            if matches!(
-                enc2.last_outcome(),
-                Some(buscoding::predict::EncodeOutcome::Hit { .. })
-            ) {
-                ideal_hits += 1;
-            }
-        }
         // Hardware: pending-bit model.
         let mut hw = ContextHardware::new(ContextHwConfig {
             table: 28,

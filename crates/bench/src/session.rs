@@ -9,8 +9,9 @@
 //!   held behind `Arc<Trace>`. Traces are not persisted: the kernels
 //!   regenerate them deterministically, and regenerating is no slower
 //!   than reading them back from disk (see `docs/PERFORMANCE.md`);
-//! * a coded-activity store keyed by `(scheme, trace key)`. The
-//!   un-encoded baseline is no special case: it is the
+//! * a coded-activity store keyed by `(scheme, trace key)`, holding
+//!   each activity with the predictor accuracy of the encode that made
+//!   it. The un-encoded baseline is no special case: it is the
 //!   [`BASELINE_SCHEME`] (`identity`) activity of the same trace.
 //!
 //! Which trace a request addresses is decided in one place,
@@ -44,6 +45,7 @@ use std::hash::Hash;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use buscoding::predict::PredictStats;
 use buscoding::{Activity, UnknownScheme};
 use busprobe::StaticCounter;
 use bustrace::Trace;
@@ -243,7 +245,7 @@ pub struct Session {
     seed: u64,
     out_dir: PathBuf,
     traces: CellMap<TraceKey, Arc<Trace>>,
-    activities: CellMap<(String, TraceKey), Activity>,
+    activities: CellMap<(String, TraceKey), (Activity, Option<PredictStats>)>,
 }
 
 impl Session {
@@ -349,16 +351,18 @@ impl Session {
     /// is the non-panicking form.
     pub fn activity(&self, query: &ActivityQuery) -> Activity {
         self.try_activity(query.scheme(), &query.trace_key(self))
-            .map(|(activity, _)| activity)
+            .map(|(activity, ..)| activity)
             .unwrap_or_else(|e| panic!("activity store: {e}"))
     }
 
     /// The one activity-store lookup: `scheme` over the trace at `key`,
-    /// plus whether the store served it (`true`) rather than this call
-    /// encoding it. A miss, inside the store's cell, parses the name as
-    /// a [`buscoding::SchemeSpec`] before it fetches the trace, builds
-    /// the scheme for the trace's width, and runs the block-batched
-    /// [`buscoding::evaluate_blocks`] engine; a hit does none of that.
+    /// its encoder's [`PredictStats`] (`None` for a scheme that does not
+    /// predict), and whether the store served it (`true`) rather than
+    /// this call encoding it. A miss, inside the store's cell, parses
+    /// the name as a [`buscoding::SchemeSpec`] before it fetches the
+    /// trace, builds the scheme for the trace's width, and runs the
+    /// block-batched [`buscoding::evaluate_blocks`] engine; a hit does
+    /// none of that.
     /// Observable via `bench.session.activity_hits` /
     /// `bench.session.activity_misses`.
     ///
@@ -372,16 +376,17 @@ impl Session {
         &self,
         scheme: &str,
         key: &TraceKey,
-    ) -> Result<(Activity, bool), UnknownScheme> {
-        let (activity, missed) =
+    ) -> Result<(Activity, Option<PredictStats>, bool), UnknownScheme> {
+        let ((activity, predict), missed) =
             self.activities
                 .get_or_try_init(&(scheme.to_string(), *key), || {
                     let spec: buscoding::SchemeSpec = scheme.parse()?;
                     let trace = self.trace_at(key);
                     let mut pair = spec.build(trace.width())?;
-                    Ok(buscoding::evaluate_blocks(pair.encoder_mut(), &trace))
+                    let activity = buscoding::evaluate_blocks(pair.encoder_mut(), &trace);
+                    Ok((activity, pair.encoder_mut().predict_stats()))
                 })?;
-        Ok((activity, !missed))
+        Ok((activity, predict, !missed))
     }
 
     /// Distinct coded activities resident in the activity store.
@@ -518,10 +523,18 @@ mod tests {
         let trace = s.trace(w);
         let mut pair = buscoding::scheme_by_name("window(8)", trace.width()).unwrap();
         let direct = buscoding::evaluate(pair.encoder_mut(), &trace);
+        let predict = pair.encoder_mut().predict_stats();
+        assert!(predict.is_some());
         let q = ActivityQuery::new("window(8)", w);
         let key = q.trace_key(&s);
-        assert_eq!(s.try_activity("window(8)", &key), Ok((direct, false)));
-        assert_eq!(s.try_activity("window(8)", &key), Ok((direct, true)));
+        assert_eq!(
+            s.try_activity("window(8)", &key),
+            Ok((direct, predict, false))
+        );
+        assert_eq!(
+            s.try_activity("window(8)", &key),
+            Ok((direct, predict, true))
+        );
         assert_eq!(s.activity(&q), direct);
         assert_eq!(s.activity_store_len(), 1);
         // A different scheme, length or workload is its own entry.
@@ -538,7 +551,7 @@ mod tests {
         assert_eq!(query.trace_key(&s), s.trace_key(w, Some(500), None, None));
         // A seed override addresses a genuinely different trace.
         let other = s.trace_key(w, None, Some(500), Some(9));
-        let (seeded, _) = s.try_activity("identity", &other).unwrap();
+        let (seeded, ..) = s.try_activity("identity", &other).unwrap();
         assert_ne!(s.activity(&query), seeded);
     }
 

@@ -14,6 +14,7 @@ use std::fmt;
 use bustrace::{Trace, Word};
 
 use crate::energy::Activity;
+use crate::predict::PredictStats;
 
 /// The sending end of a transcoder: consumes words, drives bus lines.
 pub trait Encoder {
@@ -40,6 +41,13 @@ pub trait Encoder {
 
     /// Restores the power-on state so a fresh trace can be evaluated.
     fn reset(&mut self);
+
+    /// How accurate the encoder's predictor has been since the last
+    /// [`reset`](Self::reset), or `None` for an encoder that does not
+    /// predict.
+    fn predict_stats(&self) -> Option<PredictStats> {
+        None
+    }
 }
 
 /// The receiving end of a transcoder: observes bus line states, recovers
@@ -80,6 +88,10 @@ impl<E: Encoder + ?Sized> Encoder for Box<E> {
 
     fn reset(&mut self) {
         (**self).reset()
+    }
+
+    fn predict_stats(&self) -> Option<PredictStats> {
+        (**self).predict_stats()
     }
 }
 
@@ -295,8 +307,8 @@ pub const BLOCK_WORDS: usize = 4096;
 /// the τ/κ accumulation over each output buffer with
 /// [`Activity::step_slice`]. One virtual call per block instead of two
 /// per word when `encoder` is a trait object; the counts are exactly
-/// those of the per-word path (the round-trip equivalence is proptested
-/// for every registry scheme in `tests/block_equivalence.rs`).
+/// those of the per-word path (the equivalence is proptested for every
+/// registry scheme in `crates/buscoding/tests/block_equivalence.rs`).
 pub fn evaluate_blocks<E: Encoder + ?Sized>(encoder: &mut E, trace: &Trace) -> Activity {
     static BLOCKS: busprobe::StaticCounter = busprobe::StaticCounter::new("buscoding.blocks");
     let _span = busprobe::span("buscoding.codec.evaluate_blocks");

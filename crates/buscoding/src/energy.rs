@@ -78,13 +78,6 @@ impl Activity {
         }
     }
 
-    /// The precomputed adjacent-pair mask for this bus (one bit per
-    /// wire pair, `lines - 1` bits set).
-    #[inline]
-    pub fn pair_mask(&self) -> u64 {
-        self.pair_mask
-    }
-
     /// Feeds the next absolute bus state. The first call establishes the
     /// initial state without counting a transition.
     #[inline]
@@ -171,23 +164,6 @@ impl Activity {
     /// length and per-length energy to get joules.
     pub fn weighted(&self, lambda: f64) -> f64 {
         self.tau as f64 + lambda * self.kappa as f64
-    }
-
-    /// Merges another counter's totals into this one (for parallel
-    /// sharded evaluation). The per-instance `state` of `other` is
-    /// discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two counters track different line counts.
-    pub fn merge(&mut self, other: &Activity) {
-        assert_eq!(
-            self.lines, other.lines,
-            "cannot merge activity of different buses"
-        );
-        self.tau += other.tau;
-        self.kappa += other.kappa;
-        self.steps += other.steps;
     }
 }
 
@@ -470,27 +446,6 @@ mod tests {
         assert_eq!(a.weighted(14.0), 29.0);
     }
 
-    #[test]
-    fn merge_sums_counts() {
-        let mut a = Activity::new(4);
-        a.step(0);
-        a.step(0b1111);
-        let mut b = Activity::new(4);
-        b.step(0);
-        b.step(0b0001);
-        a.merge(&b);
-        assert_eq!(a.tau(), 5);
-        assert_eq!(a.steps(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different buses")]
-    fn merge_rejects_width_mismatch() {
-        let mut a = Activity::new(4);
-        let b = Activity::new(5);
-        a.merge(&b);
-    }
-
     fn lcg_states(lines: u32, n: usize, seed: u64) -> Vec<u64> {
         let mask = if lines == 64 {
             u64::MAX
@@ -510,10 +465,10 @@ mod tests {
 
     #[test]
     fn pair_mask_is_precomputed_per_width() {
-        assert_eq!(Activity::new(1).pair_mask(), 0);
-        assert_eq!(Activity::new(2).pair_mask(), 0b1);
-        assert_eq!(Activity::new(8).pair_mask(), 0x7F);
-        assert_eq!(Activity::new(64).pair_mask(), u64::MAX >> 1);
+        assert_eq!(Activity::new(1).pair_mask, 0);
+        assert_eq!(Activity::new(2).pair_mask, 0b1);
+        assert_eq!(Activity::new(8).pair_mask, 0x7F);
+        assert_eq!(Activity::new(64).pair_mask, u64::MAX >> 1);
     }
 
     #[test]
@@ -537,34 +492,6 @@ mod tests {
             chunked.step_slice(&[]);
             assert_eq!(chunked, per_step, "{lines} lines, chunked");
         }
-    }
-
-    #[test]
-    fn merge_of_disjoint_blocks_pins_tau_kappa_to_per_step_path() {
-        // Split a state sequence into blocks, accumulate each block in
-        // its own counter (seeding each with the previous block's last
-        // state so no transition is lost), merge, and require exact τ/κ
-        // agreement with one per-step pass.
-        let lines = 34u32;
-        let states = lcg_states(lines, 1000, 0xBEEF);
-        let mut reference = Activity::new(lines);
-        for &s in &states {
-            reference.step(s);
-        }
-        let mut merged = Activity::new(lines);
-        let mut boundary: Option<u64> = None;
-        for block in states.chunks(256) {
-            let mut part = Activity::new(lines);
-            if let Some(prev) = boundary {
-                part.step(prev);
-            }
-            part.step_slice(block);
-            merged.merge(&part);
-            boundary = block.last().copied().or(boundary);
-        }
-        assert_eq!(merged.tau(), reference.tau());
-        assert_eq!(merged.kappa(), reference.kappa());
-        assert_eq!(merged.steps(), reference.steps());
     }
 
     #[test]

@@ -70,5 +70,5 @@ pub use codec::{
 };
 pub use energy::{Activity, CostModel, WireActivity};
 pub use identity::IdentityCodec;
-pub use metrics::{normalized_energy_remaining, percent_energy_removed, SchemeReport};
+pub use metrics::{normalized_energy_remaining, percent_energy_removed};
 pub use registry::{scheme_by_name, scheme_candidates, SchemeSpec, UnknownScheme, SCHEME_PATTERNS};

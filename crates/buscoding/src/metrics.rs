@@ -1,7 +1,5 @@
 //! Normalized-energy metrics used throughout the evaluation.
 
-use std::fmt;
-
 use crate::energy::Activity;
 
 /// The fraction of bus energy *remaining* after coding: the coded bus's
@@ -26,54 +24,6 @@ pub fn normalized_energy_remaining(coded: &Activity, baseline: &Activity, lambda
 /// scheme *added* energy (as the strided predictor does on random data).
 pub fn percent_energy_removed(coded: &Activity, baseline: &Activity, lambda: f64) -> f64 {
     100.0 * (1.0 - normalized_energy_remaining(coded, baseline, lambda))
-}
-
-/// A scheme's result on one trace, bundled for reporting by the bench
-/// harness.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SchemeReport {
-    /// Scheme identifier, e.g. `"window(8)"`.
-    pub scheme: String,
-    /// Workload identifier, e.g. `"gcc/register"`.
-    pub workload: String,
-    /// λ used for weighting.
-    pub lambda: f64,
-    /// Baseline weighted activity (`τ + λκ`).
-    pub baseline_weighted: f64,
-    /// Coded weighted activity.
-    pub coded_weighted: f64,
-    /// Percent of energy removed (negative when the coder hurts).
-    pub percent_removed: f64,
-}
-
-impl SchemeReport {
-    /// Builds a report from measured activities.
-    pub fn new(
-        scheme: impl Into<String>,
-        workload: impl Into<String>,
-        lambda: f64,
-        coded: &Activity,
-        baseline: &Activity,
-    ) -> Self {
-        SchemeReport {
-            scheme: scheme.into(),
-            workload: workload.into(),
-            lambda,
-            baseline_weighted: baseline.weighted(lambda),
-            coded_weighted: coded.weighted(lambda),
-            percent_removed: percent_energy_removed(coded, baseline, lambda),
-        }
-    }
-}
-
-impl fmt::Display for SchemeReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} on {}: {:.1}% energy removed (lambda {})",
-            self.scheme, self.workload, self.percent_removed, self.lambda
-        )
-    }
 }
 
 #[cfg(test)]
@@ -115,15 +65,5 @@ mod tests {
         let coded = activity(8, &[0, 1]);
         let baseline = activity(8, &[0, 0]);
         assert_eq!(normalized_energy_remaining(&coded, &baseline, 1.0), 0.0);
-    }
-
-    #[test]
-    fn report_carries_numbers() {
-        let coded = activity(8, &[0, 1]);
-        let baseline = activity(8, &[0, 0xF]);
-        let r = SchemeReport::new("window(8)", "gcc/register", 1.0, &coded, &baseline);
-        assert_eq!(r.scheme, "window(8)");
-        assert!(r.percent_removed > 0.0);
-        assert!(r.to_string().contains("window(8) on gcc/register"));
     }
 }

@@ -239,6 +239,7 @@ pub struct PredictiveEncoder<P> {
     state: EngineState<P>,
     miss_policy: MissPolicy,
     last_outcome: Option<EncodeOutcome>,
+    stats: PredictStats,
 }
 
 impl<P: Predictor> PredictiveEncoder<P> {
@@ -259,6 +260,7 @@ impl<P: Predictor> PredictiveEncoder<P> {
             state,
             miss_policy: MissPolicy::default(),
             last_outcome: None,
+            stats: PredictStats::default(),
         }
     }
 
@@ -269,8 +271,8 @@ impl<P: Predictor> PredictiveEncoder<P> {
         self
     }
 
-    /// Statistics hook: whether the most recent word hit a prediction,
-    /// and at which rank.
+    /// Whether the most recent word hit a prediction, and at which
+    /// rank.
     pub fn last_outcome(&self) -> Option<EncodeOutcome> {
         self.last_outcome
     }
@@ -288,8 +290,9 @@ pub enum MissPolicy {
     RawOnly,
 }
 
-/// What the encoder did with the most recent word (for hit-rate
-/// instrumentation and the hardware operation counting in `hwmodel`).
+/// What the encoder did with the most recent word, as
+/// [`PredictiveEncoder::last_outcome`] reports it word by word;
+/// [`PredictStats`] counts the same outcomes over a whole trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodeOutcome {
     /// The word matched the prediction at this rank (0 = LAST value).
@@ -303,58 +306,30 @@ pub enum EncodeOutcome {
     MissInverted,
 }
 
-/// Predictor accuracy probes, shared by every predictive scheme. Static
-/// handles memoize the registry lookup; the encoder tallies outcomes in
-/// a [`ProbeTally`] and flushes it once per block.
-static PROBE_HIT_LAST: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("buscoding.predict.hit_last");
-static PROBE_HIT_RANKED: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("buscoding.predict.hit_ranked");
-static PROBE_MISS: busprobe::StaticCounter = busprobe::StaticCounter::new("buscoding.predict.miss");
-static PROBE_HIT_RANK: busprobe::StaticHistogram =
-    busprobe::StaticHistogram::new("buscoding.predict.hit_rank", &[0, 1, 2, 4, 8, 16, 32]);
-
-/// Outcome counts gathered while probes are enabled, flushed with one
-/// atomic add per counter.
-#[derive(Default)]
-struct ProbeTally {
-    hit_last: u64,
-    hit_ranked: u64,
-    miss: u64,
+/// How often each [`EncodeOutcome`] happened since the encoder's last
+/// reset: the predictor's accuracy on the words it has encoded. The
+/// four counts sum to the words encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PredictStats {
+    /// Hits on the LAST value (rank 0, the free all-zero code).
+    pub last: u64,
+    /// Hits on a ranked prediction (rank 1 and up).
+    pub ranked: u64,
+    /// Misses driven as the raw word.
+    pub raw: u64,
+    /// Misses driven as the complemented word.
+    pub inverted: u64,
 }
 
-impl ProbeTally {
-    fn count(&mut self, outcome: EncodeOutcome) {
-        match outcome {
-            EncodeOutcome::Hit { rank: 0 } => self.hit_last += 1,
-            EncodeOutcome::Hit { rank } => {
-                self.hit_ranked += 1;
-                PROBE_HIT_RANK.observe(rank as u64);
-            }
-            EncodeOutcome::MissRaw | EncodeOutcome::MissInverted => self.miss += 1,
-        }
+impl<P: Predictor> Encoder for PredictiveEncoder<P> {
+    fn lines(&self) -> u32 {
+        self.state.lines()
     }
 
-    /// Adds the tallies to the probes. Zero tallies are skipped, so a
-    /// counter is registered only once its event has happened.
-    fn flush(self) {
-        for (probe, n) in [
-            (&PROBE_HIT_LAST, self.hit_last),
-            (&PROBE_HIT_RANKED, self.hit_ranked),
-            (&PROBE_MISS, self.miss),
-        ] {
-            if n > 0 {
-                probe.add(n);
-            }
-        }
-    }
-}
-
-impl<P: Predictor> PredictiveEncoder<P> {
-    /// Encodes one word without touching the probes: one match against
-    /// the predictor's candidate slice, then the codeword or miss drive,
-    /// then the predictor update with the matched slot.
-    fn step(&mut self, value: Word) -> (u64, EncodeOutcome) {
+    /// One match against the predictor's candidate slice, then the
+    /// codeword or miss drive, then the predictor update with the
+    /// matched slot.
+    fn encode(&mut self, value: Word) -> u64 {
         let value = self.state.width.truncate(value);
         let last = self.state.last;
         let (rank, slot) = match_word(self.state.predictor.candidates(), value, last);
@@ -362,6 +337,11 @@ impl<P: Predictor> PredictiveEncoder<P> {
             Some(rank) => {
                 self.state.data ^= self.state.book.code(rank);
                 self.state.control = CTRL_PRED;
+                if rank == 0 {
+                    self.stats.last += 1;
+                } else {
+                    self.stats.ranked += 1;
+                }
                 EncodeOutcome::Hit { rank }
             }
             None => {
@@ -379,55 +359,29 @@ impl<P: Predictor> PredictiveEncoder<P> {
                 if inv_cost < raw_cost {
                     self.state.data = value ^ width.mask();
                     self.state.control = CTRL_INV;
+                    self.stats.inverted += 1;
                     EncodeOutcome::MissInverted
                 } else {
                     self.state.data = value;
                     self.state.control = CTRL_RAW;
+                    self.stats.raw += 1;
                     EncodeOutcome::MissRaw
                 }
             }
         };
         self.last_outcome = Some(outcome);
         self.state.advance(value, slot);
-        (self.state.assemble(), outcome)
-    }
-}
-
-impl<P: Predictor> Encoder for PredictiveEncoder<P> {
-    fn lines(&self) -> u32 {
-        self.state.lines()
-    }
-
-    fn encode(&mut self, value: Word) -> u64 {
-        let (bus, outcome) = self.step(value);
-        if busprobe::enabled() {
-            let mut tally = ProbeTally::default();
-            tally.count(outcome);
-            tally.flush();
-        }
-        bus
-    }
-
-    fn encode_block(&mut self, words: &[Word], out: &mut Vec<u64>) {
-        // Monomorphic over the concrete predictor `P`: the match,
-        // codebook XOR and predictor update all inline per block, and
-        // the probe flag is read once per block rather than per word.
-        out.reserve(words.len());
-        let probes = busprobe::enabled();
-        let mut tally = ProbeTally::default();
-        for &value in words {
-            let (bus, outcome) = self.step(value);
-            if probes {
-                tally.count(outcome);
-            }
-            out.push(bus);
-        }
-        tally.flush();
+        self.state.assemble()
     }
 
     fn reset(&mut self) {
         self.state.reset();
         self.last_outcome = None;
+        self.stats = PredictStats::default();
+    }
+
+    fn predict_stats(&self) -> Option<PredictStats> {
+        Some(self.stats)
     }
 }
 
@@ -543,6 +497,13 @@ mod tests {
             enc.last_outcome(),
             Some(EncodeOutcome::Hit { rank: 0 })
         ));
+        // `evaluate` resets the encoder, counts and all.
+        let stats = PredictStats {
+            last: 999,
+            raw: 1,
+            ..PredictStats::default()
+        };
+        assert_eq!(enc.predict_stats(), Some(stats));
     }
 
     #[test]
@@ -571,6 +532,7 @@ mod tests {
             enc.last_outcome(),
             Some(EncodeOutcome::MissInverted)
         ));
+        assert_eq!(enc.predict_stats().map(|s| s.inverted), Some(1));
         assert_eq!(dec.decode(bus).unwrap(), 0xFFFF_FFFE);
     }
 
@@ -607,6 +569,7 @@ mod tests {
         // A value that the default policy would invert.
         let bus = enc.encode(0xFFFF_FFFE);
         assert!(matches!(enc.last_outcome(), Some(EncodeOutcome::MissRaw)));
+        assert_eq!(enc.predict_stats().map(|s| s.raw), Some(1));
         assert_eq!(dec.decode(bus).unwrap(), 0xFFFF_FFFE);
     }
 

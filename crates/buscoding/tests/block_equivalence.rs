@@ -4,7 +4,8 @@
 //! Two claims:
 //!
 //! 1. [`Encoder::encode_block`] emits exactly the state sequence the
-//!    per-word [`Encoder::encode`] loop emits, at any chunking;
+//!    per-word [`Encoder::encode`] loop emits, at any chunking, and
+//!    leaves the same [`Encoder::predict_stats`] behind;
 //! 2. [`evaluate_blocks`] produces an [`Activity`] identical (τ, κ,
 //!    steps, final state) to the per-word [`evaluate`].
 //!
@@ -18,6 +19,7 @@ use proptest::prelude::*;
 
 /// One canonical name per registry family (and the inversion coder at
 /// two design points, since λ changes its codebook ordering).
+/// `trained:` needs an artifact on disk and is left out.
 const SCHEMES: &[&str] = &[
     "identity",
     "inversion(1ch l1)",
@@ -28,6 +30,15 @@ const SCHEMES: &[&str] = &[
     "context-transition(28+8 d4096)",
     "workzone(4)",
     "fcm(2 2^12)",
+];
+
+/// The families in [`SCHEMES`] whose encoder predicts.
+const PREDICTIVE: &[&str] = &[
+    "stride",
+    "window",
+    "context-value",
+    "context-transition",
+    "fcm",
 ];
 
 /// Word streams over the three regimes: random, stride, markov-ish
@@ -55,7 +66,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Claim 1: `encode_block` is the per-word loop, at any chunking —
-    /// including the overridden fast paths in the hot schemes.
+    /// including `identity`'s overridden fast path (it and `spatial`'s
+    /// are the only overrides) — and counts the same predictor outcomes,
+    /// one per word.
     #[test]
     fn encode_block_matches_per_word_encode(
         words in word_stream(),
@@ -74,6 +87,18 @@ proptest! {
                 batched.encoder_mut().encode_block(c, &mut states);
             }
             prop_assert_eq!(&per_word, &states, "scheme {} chunk {}", name, chunk);
+
+            let stats = reference.encoder_mut().predict_stats();
+            prop_assert_eq!(stats, batched.encoder_mut().predict_stats(), "scheme {}", name);
+            let family = name.split('(').next().unwrap_or(name);
+            match stats {
+                Some(s) => {
+                    prop_assert!(PREDICTIVE.contains(&family), "scheme {}", name);
+                    let counted = s.last + s.ranked + s.raw + s.inverted;
+                    prop_assert_eq!(counted, words.len() as u64, "scheme {}", name);
+                }
+                None => prop_assert!(!PREDICTIVE.contains(&family), "scheme {}", name),
+            }
         }
     }
 
