@@ -178,15 +178,6 @@ impl EvalRequest {
         self
     }
 
-    /// Caps a stored source's trace length (no-op for inline sources).
-    #[must_use]
-    pub fn cap(mut self, cap: usize) -> Self {
-        if let TraceSource::Stored { cap: slot, .. } = &mut self.source {
-            *slot = Some(cap);
-        }
-        self
-    }
-
     /// Sets a stored source's explicit length (no-op for inline).
     #[must_use]
     pub fn len(mut self, len: usize) -> Self {

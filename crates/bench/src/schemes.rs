@@ -4,7 +4,7 @@
 use buscoding::{evaluate_blocks, Activity, IdentityCodec, SchemeSpec};
 use bustrace::Trace;
 use hwmodel::crossover::CodingOutcome;
-use hwmodel::{CircuitModel, ContextHardware, ContextHwConfig, OpCounts, WindowHardware};
+use hwmodel::{CircuitModel, OpCounts, WindowHardware};
 use wiremodel::Technology;
 
 /// Activity of the un-encoded bus over a trace.
@@ -37,23 +37,6 @@ pub fn window_transcoder_pj_per_value(trace: &Trace, entries: usize, tech: Techn
         &window_hw_ops(trace, entries),
         entries,
         tech,
-        trace.len() as u64,
-    )
-}
-
-/// Runs the Context hardware model over a trace and prices it.
-pub fn context_transcoder_pj_per_value(
-    trace: &Trace,
-    cfg: ContextHwConfig,
-    tech: Technology,
-) -> f64 {
-    let mut hw = ContextHardware::new(cfg);
-    for v in trace.iter() {
-        hw.present(v);
-    }
-    price_both_ends(
-        &CircuitModel::context(tech, cfg.table, cfg.shift),
-        hw.ops(),
         trace.len() as u64,
     )
 }
@@ -149,15 +132,6 @@ mod tests {
         let pj = window_transcoder_pj_per_value(&t, 8, Technology::tech_013());
         // Table 2: ~1.39 pJ/cycle per end, so both ends land near 2.8.
         assert!(pj > 1.0 && pj < 6.0, "window pricing {pj} pJ/value");
-        let ctx = context_transcoder_pj_per_value(
-            &t,
-            ContextHwConfig::paper_layout(),
-            Technology::tech_013(),
-        );
-        assert!(
-            ctx > pj,
-            "context hardware must cost more than window: {ctx} vs {pj}"
-        );
     }
 
     #[test]
@@ -167,12 +141,6 @@ mod tests {
         let empty = Trace::from_values(Width::W32, std::iter::empty::<u64>());
         let pj = window_transcoder_pj_per_value(&empty, 8, Technology::tech_013());
         assert_eq!(pj, 0.0);
-        let ctx = context_transcoder_pj_per_value(
-            &empty,
-            ContextHwConfig::paper_layout(),
-            Technology::tech_013(),
-        );
-        assert_eq!(ctx, 0.0);
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl ActivityQuery {
         &self.scheme
     }
 
-    /// The workload this query evaluates over.
-    pub fn workload(&self) -> Workload {
-        self.workload
-    }
-
     /// The trace this query addresses under `session`'s defaults.
     pub fn trace_key(&self, session: &Session) -> TraceKey {
         session.trace_key(self.workload, None, self.cap, None)
@@ -128,11 +123,6 @@ impl TraceKey {
             values,
             seed,
         }
-    }
-
-    /// The workload this key addresses.
-    pub fn workload(&self) -> Workload {
-        self.workload
     }
 
     /// The trace length this key addresses.
@@ -347,7 +337,7 @@ impl Session {
     /// # Panics
     ///
     /// Panics if the query's scheme is not a canonical registry name or
-    /// does not fit the trace's width; [`try_activity`](Self::try_activity)
+    /// does not build at the workload's width; [`try_activity`](Self::try_activity)
     /// is the non-panicking form.
     pub fn activity(&self, query: &ActivityQuery) -> Activity {
         self.try_activity(query.scheme(), &query.trace_key(self))
@@ -359,19 +349,20 @@ impl Session {
     /// its encoder's [`PredictStats`] (`None` for a scheme that does not
     /// predict), and whether the store served it (`true`) rather than
     /// this call encoding it. A miss, inside the store's cell, parses
-    /// the name as a [`buscoding::SchemeSpec`] before it fetches the
-    /// trace, builds the scheme for the trace's width, and runs the
-    /// block-batched [`buscoding::evaluate_blocks`] engine; a hit does
-    /// none of that.
+    /// the name as a [`buscoding::SchemeSpec`] and builds the scheme at
+    /// the workload's bus width ([`Workload::width`]) before it fetches
+    /// the trace and runs the block-batched
+    /// [`buscoding::evaluate_blocks`] engine; a hit does none of that.
     /// Observable via `bench.session.activity_hits` /
     /// `bench.session.activity_misses`.
     ///
     /// # Errors
     ///
     /// [`UnknownScheme`] when `scheme` is not a canonical registry name
-    /// or does not fit the trace's width — a typed error, so a client
-    /// typo cannot take a daemon worker down. An error leaves no store
-    /// entry, and a name that does not parse leaves no trace either.
+    /// or does not build at the workload's width (a missing `trained:`
+    /// artifact, or one trained at another width) — a typed error, so a
+    /// client typo cannot take a daemon worker down. An error leaves no
+    /// store entry and no trace.
     pub fn try_activity(
         &self,
         scheme: &str,
@@ -381,8 +372,8 @@ impl Session {
             self.activities
                 .get_or_try_init(&(scheme.to_string(), *key), || {
                     let spec: buscoding::SchemeSpec = scheme.parse()?;
+                    let mut pair = spec.build(key.workload.width())?;
                     let trace = self.trace_at(key);
-                    let mut pair = spec.build(trace.width())?;
                     let activity = buscoding::evaluate_blocks(pair.encoder_mut(), &trace);
                     Ok((activity, pair.encoder_mut().predict_stats()))
                 })?;

@@ -164,6 +164,14 @@ impl Workload {
         Ok(Workload::Bench(parse_benchmark(bench)?, parse_bus(bus)?))
     }
 
+    /// The bus width of this workload's traces, known without
+    /// synthesizing one. Every workload is a 32-bit bus: the `simcpu`
+    /// bus taps emit 32-bit words, and the random and phased generators
+    /// are built at this width.
+    pub fn width(&self) -> Width {
+        Width::W32
+    }
+
     /// Produces `values` words of this workload, deterministically per
     /// seed.
     pub fn trace(&self, values: usize, seed: u64) -> Trace {
@@ -173,10 +181,10 @@ impl Workload {
         TRACES.inc();
         match self {
             Workload::Bench(b, bus) => b.trace(*bus, values, seed),
-            Workload::Random => UniformRandomGen::new(Width::W32, seed).generate(values),
+            Workload::Random => UniformRandomGen::new(self.width(), seed).generate(values),
             Workload::Phased { phase } => {
-                let loops = WorkingSetGen::new(Width::W32, 6, 1.2, 0.0, seed);
-                let ramp = StrideGen::new(Width::W32, 0x4000_0000, PHASED_STRIDE);
+                let loops = WorkingSetGen::new(self.width(), 6, 1.2, 0.0, seed);
+                let ramp = StrideGen::new(self.width(), 0x4000_0000, PHASED_STRIDE);
                 PhasedGen::new(vec![Box::new(loops), Box::new(ramp)], *phase).generate(values)
             }
             Workload::Mixed { a, b, bus, quantum } => {
@@ -225,14 +233,6 @@ impl Workload {
     /// The SPECint workloads on a bus.
     pub fn spec_int(bus: BusKind) -> Vec<Workload> {
         Benchmark::spec_int()
-            .into_iter()
-            .map(|b| Workload::Bench(b, bus))
-            .collect()
-    }
-
-    /// The SPECfp workloads on a bus.
-    pub fn spec_fp(bus: BusKind) -> Vec<Workload> {
-        Benchmark::spec_fp()
             .into_iter()
             .map(|b| Workload::Bench(b, bus))
             .collect()
@@ -399,6 +399,23 @@ mod tests {
         let lines = Workload::figure_lines(BusKind::Memory);
         assert_eq!(lines.len(), 18);
         assert_eq!(lines[0], Workload::Random);
+    }
+
+    #[test]
+    fn every_workload_trace_has_the_declared_width() {
+        let mut all = vec![Workload::Random, Workload::PHASED, Workload::PHASED_FAST];
+        for bus in BUSES {
+            all.extend(Workload::all_benchmarks(bus));
+            all.push(Workload::Mixed {
+                a: Benchmark::Gcc,
+                b: Benchmark::Swim,
+                bus,
+                quantum: 4,
+            });
+        }
+        for w in all {
+            assert_eq!(w.trace(16, 1).width(), w.width(), "{}", w.name());
+        }
     }
 
     #[test]

@@ -149,11 +149,6 @@ impl CodeBook {
         }
     }
 
-    /// Number of bus lines the codewords span.
-    pub fn lines(&self) -> u32 {
-        self.lines
-    }
-
     /// Number of codewords.
     pub fn len(&self) -> usize {
         self.codes.len()

@@ -124,25 +124,12 @@ pub struct Transcoder {
 }
 
 impl Transcoder {
-    /// Bundles a pair under a display name.
+    /// Bundles a boxed pair under a display name.
     ///
     /// # Panics
     ///
     /// Panics if the encoder and decoder disagree on the line count —
     /// such a pair could never have come from one scheme constructor.
-    pub fn new(
-        name: impl Into<String>,
-        encoder: impl Encoder + 'static,
-        decoder: impl Decoder + 'static,
-    ) -> Self {
-        Self::from_boxed(name, Box::new(encoder), Box::new(decoder))
-    }
-
-    /// [`Transcoder::new`] for already-boxed trait objects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the encoder and decoder disagree on the line count.
     pub fn from_boxed(
         name: impl Into<String>,
         encoder: Box<dyn Encoder>,
@@ -412,10 +399,10 @@ mod tests {
     #[test]
     fn transcoder_bundles_a_pair() {
         let trace = Trace::from_values(Width::W32, [5u64, 6, 7, 7]);
-        let mut t = Transcoder::new(
+        let mut t = Transcoder::from_boxed(
             "identity",
-            IdentityCodec::new(Width::W32),
-            IdentityCodec::new(Width::W32),
+            Box::new(IdentityCodec::new(Width::W32)),
+            Box::new(IdentityCodec::new(Width::W32)),
         );
         assert_eq!(t.name(), "identity");
         assert_eq!(t.lines(), 32);
@@ -434,10 +421,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "32 lines")]
     fn transcoder_rejects_mismatched_pair() {
-        let _ = Transcoder::new(
+        let _ = Transcoder::from_boxed(
             "bad",
-            IdentityCodec::new(Width::W32),
-            IdentityCodec::new(Width::new(16).unwrap()),
+            Box::new(IdentityCodec::new(Width::W32)),
+            Box::new(IdentityCodec::new(Width::new(16).unwrap())),
         );
     }
 

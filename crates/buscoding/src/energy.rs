@@ -177,9 +177,9 @@ impl fmt::Display for Activity {
     }
 }
 
-/// Per-wire switching activity: τ per wire and κ per adjacent pair,
-/// for analyses that need to know *which* wires do the switching
-/// (e.g. exponent vs mantissa bits of floating-point traffic).
+/// Per-wire switching activity: τ per wire, for analyses that need to
+/// know *which* wires do the switching (e.g. exponent vs mantissa bits
+/// of floating-point traffic).
 ///
 /// # Example
 ///
@@ -197,7 +197,6 @@ impl fmt::Display for Activity {
 pub struct WireActivity {
     lines: u32,
     tau: Vec<u64>,
-    kappa: Vec<u64>,
     state: u64,
     started: bool,
     steps: u64,
@@ -217,7 +216,6 @@ impl WireActivity {
         WireActivity {
             lines,
             tau: vec![0; lines as usize],
-            kappa: vec![0; lines.saturating_sub(1) as usize],
             state: 0,
             started: false,
             steps: 0,
@@ -233,12 +231,6 @@ impl WireActivity {
                     self.tau[n as usize] += 1;
                 }
             }
-            let pair_flips = x ^ (x >> 1);
-            for n in 0..self.lines.saturating_sub(1) {
-                if pair_flips >> n & 1 == 1 {
-                    self.kappa[n as usize] += 1;
-                }
-            }
             self.steps += 1;
         } else {
             self.started = true;
@@ -251,19 +243,9 @@ impl WireActivity {
         &self.tau
     }
 
-    /// Coupling events per adjacent pair (index n = pair n, n+1).
-    pub fn kappa_per_pair(&self) -> &[u64] {
-        &self.kappa
-    }
-
     /// Steps counted.
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Collapses to the aggregate [`Activity`] totals.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.tau.iter().sum(), self.kappa.iter().sum())
     }
 }
 
@@ -298,12 +280,6 @@ impl CostModel {
             "lambda must be finite and >= 0"
         );
         CostModel { lambda }
-    }
-
-    /// A cost model that ignores coupling entirely (the λ0 minimizer —
-    /// equivalent to classic bus-invert coding).
-    pub fn coupling_blind() -> Self {
-        CostModel { lambda: 0.0 }
     }
 
     /// The coupling ratio.
@@ -505,9 +481,7 @@ mod tests {
             agg.step(s);
             per.step(s);
         }
-        let (tau, kappa) = per.totals();
-        assert_eq!(tau, agg.tau());
-        assert_eq!(kappa, agg.kappa());
+        assert_eq!(per.tau_per_wire().iter().sum::<u64>(), agg.tau());
         assert_eq!(per.steps(), agg.steps());
     }
 
@@ -520,9 +494,7 @@ mod tests {
         }
         assert_eq!(per.tau_per_wire()[7], 10);
         assert!(per.tau_per_wire()[..7].iter().all(|&t| t == 0));
-        // Only the top pair couples.
-        assert_eq!(per.kappa_per_pair()[6], 10);
-        assert!(per.kappa_per_pair()[..6].iter().all(|&k| k == 0));
+        assert_eq!(per.steps(), 10);
     }
 
     #[test]
@@ -539,6 +511,10 @@ mod tests {
         // Edge wires: tau 1, kappa 1.
         assert_eq!(c.transition_cost(0, 1, 32), 3.0);
         assert_eq!(c.transition_cost(0, 1 << 31, 32), 3.0);
+        // λ = 0 (the λ0 minimizer, classic bus-invert) ignores coupling.
+        let blind = CostModel::new(0.0);
+        assert_eq!(blind.transition_cost(0, 0b0110, 8), 2.0);
+        assert_eq!(blind.lambda(), 0.0);
     }
 
     #[test]
@@ -553,13 +529,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn coupling_blind_ignores_kappa() {
-        let c = CostModel::coupling_blind();
-        assert_eq!(c.transition_cost(0, 0b0110, 8), 2.0);
-        assert_eq!(c.lambda(), 0.0);
     }
 
     #[test]

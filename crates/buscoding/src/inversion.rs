@@ -117,7 +117,7 @@ struct InversionState {
 /// use buscoding::{CostModel, Decoder, Encoder};
 ///
 /// let patterns = PatternSet::bus_invert(Width::new(8)?);
-/// let mut enc = InversionEncoder::new(patterns.clone(), CostModel::coupling_blind());
+/// let mut enc = InversionEncoder::new(patterns.clone(), CostModel::new(0.0));
 /// let mut dec = InversionDecoder::new(patterns);
 /// // 0xFE differs from the all-low bus in 7 of 8 bits: invert instead.
 /// let bus = enc.encode(0xFE);
@@ -296,7 +296,7 @@ mod tests {
         // The defining property of bus-invert coding, checked under the
         // coupling-blind cost the original scheme uses.
         let patterns = PatternSet::bus_invert(W8());
-        let mut enc = InversionEncoder::new(patterns, CostModel::coupling_blind());
+        let mut enc = InversionEncoder::new(patterns, CostModel::new(0.0));
         let mut prev_data = 0u64;
         let mut x = 3u64;
         for _ in 0..1000 {

@@ -703,11 +703,6 @@ impl TrainedPredictor {
         }
     }
 
-    /// The frozen tables this predictor deploys.
-    pub fn tables(&self) -> &TrainedTables {
-        &self.tables
-    }
-
     /// The longest-context signature prediction, falling back through
     /// shorter orders (the gem5 variable-length-signature walk).
     fn signature_prediction(&self) -> Option<Word> {

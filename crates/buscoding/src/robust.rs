@@ -215,11 +215,6 @@ impl<E> EpochEncoder<E> {
     pub fn interval(&self) -> u64 {
         self.interval
     }
-
-    /// The wrapped encoder, for post-run inspection.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
 }
 
 impl<D> EpochDecoder<D> {
@@ -312,11 +307,6 @@ impl<D: Decoder> RecoveringDecoder<D> {
     /// useless. The FSM state is cleared; the tally is not.
     pub fn resync_events(&self) -> u64 {
         self.resyncs
-    }
-
-    /// The wrapped decoder, for post-run inspection.
-    pub fn inner(&self) -> &D {
-        &self.inner
     }
 }
 

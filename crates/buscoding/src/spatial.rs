@@ -110,11 +110,6 @@ impl SpatialCodec {
         );
         SpatialCodec { width }
     }
-
-    /// The input word width.
-    pub fn width(&self) -> Width {
-        self.width
-    }
 }
 
 impl Encoder for SpatialCodec {

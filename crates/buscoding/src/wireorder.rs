@@ -63,11 +63,6 @@ impl CouplingMatrix {
         CouplingMatrix { width: w, costs }
     }
 
-    /// The bus width.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
     /// Coupling cost between wires `i` and `j`.
     ///
     /// # Panics

@@ -110,16 +110,6 @@ impl FaultChannel {
         FaultChannel { policy }
     }
 
-    /// A channel that stops at the first decode error.
-    pub fn halt_on_error() -> Self {
-        Self::new(ErrorPolicy::Halt)
-    }
-
-    /// The configured error policy.
-    pub fn policy(&self) -> ErrorPolicy {
-        self.policy
-    }
-
     /// Drives `trace` through `encoder` → fault → `decoder` and scores
     /// the outcome.
     ///
@@ -294,7 +284,7 @@ mod tests {
         let (mut enc, mut dec) = window_codec(Width::W32, 8);
         // Saturate the bus with errors; detection is certain.
         let mut fault = RandomUpsets::new(0.2, 9);
-        let r = FaultChannel::halt_on_error().run(&mut enc, &mut dec, &mut fault, &trace);
+        let r = FaultChannel::new(ErrorPolicy::Halt).run(&mut enc, &mut dec, &mut fault, &trace);
         assert!(r.detected_errors <= 1);
         if r.detected_errors == 1 {
             assert_eq!(r.halted_at, r.first_detection_step);
@@ -385,7 +375,7 @@ mod tests {
     fn run_pair_matches_run_on_split_ends() {
         let trace = looping_trace(400);
         let (enc, dec) = window_codec(Width::W32, 8);
-        let mut pair = buscoding::Transcoder::new("window(8)", enc, dec);
+        let mut pair = buscoding::Transcoder::from_boxed("window(8)", Box::new(enc), Box::new(dec));
         let mut fault = SingleFlip::new(37, 4);
         let bundled = FaultChannel::default().run_pair(&mut pair, &mut fault, &trace);
         let (mut enc, mut dec) = window_codec(Width::W32, 8);

@@ -24,14 +24,14 @@
 //! # Example
 //!
 //! ```
-//! use busfault::{FaultChannel, SingleFlip};
+//! use busfault::{ErrorPolicy, FaultChannel, SingleFlip};
 //! use buscoding::predict::window_codec;
 //! use bustrace::{Trace, Width};
 //!
 //! let trace = Trace::from_values(Width::W32, (0..500u64).map(|i| i % 7));
 //! let (mut enc, mut dec) = window_codec(Width::W32, 8);
 //! let mut fault = SingleFlip::new(100, 3);
-//! let report = FaultChannel::halt_on_error().run(&mut enc, &mut dec, &mut fault, &trace);
+//! let report = FaultChannel::new(ErrorPolicy::Halt).run(&mut enc, &mut dec, &mut fault, &trace);
 //! assert_eq!(report.first_fault_step, Some(100));
 //! // The flip is either detected or silently corrupts some words.
 //! assert!(report.detected_errors > 0 || report.corrupted_words > 0 || report.clean());

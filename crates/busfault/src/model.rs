@@ -126,48 +126,30 @@ impl FaultModel for BurstFlip {
     fn reset(&mut self) {}
 }
 
-/// A stuck-at fault: one line reads a constant level from `from` until
-/// (exclusively) `until` — a hard short or a dead driver, transient if
-/// a release step is given.
+/// A stuck-at fault: one line reads a constant level from step `from`
+/// onwards — a hard short or a dead driver.
 #[derive(Debug, Clone, Copy)]
 pub struct StuckAt {
     line: u32,
     level: bool,
     from: u64,
-    until: Option<u64>,
 }
 
 impl StuckAt {
     /// Forces `line` to `level` from step `from` onwards.
     pub fn new(line: u32, level: bool, from: u64) -> Self {
-        StuckAt {
-            line,
-            level,
-            from,
-            until: None,
-        }
-    }
-
-    /// Releases the fault at `until` (exclusive), making it transient.
-    #[must_use]
-    pub fn released_at(mut self, until: u64) -> Self {
-        self.until = Some(until);
-        self
+        StuckAt { line, level, from }
     }
 }
 
 impl FaultModel for StuckAt {
     fn name(&self) -> String {
         let level = u8::from(self.level);
-        match self.until {
-            Some(u) => format!("stuck(b{}={},{}..{})", self.line, level, self.from, u),
-            None => format!("stuck(b{}={},{}..)", self.line, level, self.from),
-        }
+        format!("stuck(b{}={},{}..)", self.line, level, self.from)
     }
 
     fn corrupt(&mut self, step: u64, state: u64, lines: u32) -> u64 {
-        let active = step >= self.from && self.until.is_none_or(|u| step < u);
-        if !active {
+        if step < self.from {
             return state;
         }
         let bit = 1u64 << (self.line % lines);
@@ -208,11 +190,6 @@ impl RandomUpsets {
             seed,
             rng: SmallRng::seed_from_u64(seed),
         }
-    }
-
-    /// The per-line per-cycle upset probability.
-    pub fn rate(&self) -> f64 {
-        self.rate
     }
 }
 
@@ -379,12 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn stuck_at_holds_and_releases() {
-        let mut f = StuckAt::new(2, true, 5).released_at(8);
+    fn stuck_at_holds() {
+        let mut f = StuckAt::new(2, true, 5);
         assert_eq!(f.corrupt(4, 0, 32), 0);
         assert_eq!(f.corrupt(5, 0, 32), 0b100);
         assert_eq!(f.corrupt(7, 0b100, 32), 0b100);
-        assert_eq!(f.corrupt(8, 0, 32), 0);
+        assert_eq!(f.corrupt(1_000_000, 0, 32), 0b100);
         let mut low = StuckAt::new(0, false, 0);
         assert_eq!(low.corrupt(100, 0b11, 32), 0b10);
     }
@@ -463,10 +440,7 @@ mod tests {
         assert_eq!(SingleFlip::new(100, 3).name(), "flip(@100,b3)");
         assert_eq!(BurstFlip::new(2, 4, 3).name(), "burst(@2,b4+3)");
         assert_eq!(StuckAt::new(1, true, 0).name(), "stuck(b1=1,0..)");
-        assert_eq!(
-            StuckAt::new(1, false, 2).released_at(9).name(),
-            "stuck(b1=0,2..9)"
-        );
+        assert_eq!(StuckAt::new(1, false, 2).name(), "stuck(b1=0,2..)");
         assert_eq!(RandomUpsets::new(0.001, 0).name(), "random(p=1e-3)");
     }
 }

@@ -142,11 +142,6 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.cell.count.load(Ordering::Relaxed)
     }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.cell.sum.load(Ordering::Relaxed)
-    }
 }
 
 /// Registers (or fetches) a counter under `name`.

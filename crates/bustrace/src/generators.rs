@@ -1,11 +1,10 @@
 //! Synthetic bus-traffic generators.
 //!
-//! These generators serve two purposes. First, they provide the
-//! *controlled* traffic classes used directly by the paper: uniformly
-//! random words (the "random" line in Figures 15–23) and simple
-//! arithmetic streams. Second, they are the building blocks from which
-//! the `simcpu` crate composes SPEC-like kernels: working-set reuse,
-//! phase changes, interleaved streams, and floating-point bit patterns.
+//! The controlled traffic classes the experiments measure beside the
+//! SPEC kernel traces of the `simcpu` crate: uniformly random words (the
+//! "random" line in Figures 15–23), arithmetic streams, working-set
+//! reuse and phase changes between them. [`MarkovGen`] gives traffic
+//! whose successors are predictable but whose values are not.
 //!
 //! All generators are deterministic given their seed, so every experiment
 //! in the repository is exactly reproducible.
@@ -19,8 +18,8 @@ use crate::{Trace, Width, Word};
 /// never runs out. [`generate`](Self::generate) adapts the stream into a
 /// fixed-length [`Trace`].
 ///
-/// The `Debug` supertrait keeps composite generators (interleaves,
-/// phases) debuggable, which matters when diagnosing a kernel whose
+/// The `Debug` supertrait keeps composite generators (phases)
+/// debuggable, which matters when diagnosing a kernel whose
 /// statistics drift from their target ranges.
 pub trait TraceGenerator: std::fmt::Debug {
     /// The width of words this generator produces.
@@ -36,46 +35,6 @@ pub trait TraceGenerator: std::fmt::Debug {
             trace.push(self.next_word());
         }
         trace
-    }
-}
-
-impl<G: TraceGenerator + ?Sized> TraceGenerator for Box<G> {
-    fn width(&self) -> Width {
-        (**self).width()
-    }
-
-    fn next_word(&mut self) -> Word {
-        (**self).next_word()
-    }
-}
-
-/// Emits a single constant word forever.
-///
-/// The degenerate best case for every predictor: after the first word the
-/// LAST-value code ("0") matches every cycle.
-#[derive(Debug, Clone)]
-pub struct ConstantGen {
-    width: Width,
-    value: Word,
-}
-
-impl ConstantGen {
-    /// Creates a constant generator (the value is truncated to `width`).
-    pub fn new(width: Width, value: Word) -> Self {
-        ConstantGen {
-            width,
-            value: width.truncate(value),
-        }
-    }
-}
-
-impl TraceGenerator for ConstantGen {
-    fn width(&self) -> Width {
-        self.width
-    }
-
-    fn next_word(&mut self) -> Word {
-        self.value
     }
 }
 
@@ -138,100 +97,6 @@ impl TraceGenerator for StrideGen {
         let out = self.next;
         self.next = self.width.truncate(self.next.wrapping_add(self.stride));
         out
-    }
-}
-
-/// A stride stream disturbed by occasional random jumps, modeling array
-/// walks interrupted by pointer dereferences or loop restarts.
-#[derive(Debug, Clone)]
-pub struct NoisyStrideGen {
-    inner: StrideGen,
-    jump_probability: f64,
-    rng: SmallRng,
-}
-
-impl NoisyStrideGen {
-    /// Creates a noisy stride generator; on each word, with probability
-    /// `jump_probability` the stream restarts at a random point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jump_probability` is not in `0.0..=1.0`.
-    pub fn new(width: Width, stride: Word, jump_probability: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&jump_probability),
-            "jump_probability must be a probability, got {jump_probability}"
-        );
-        NoisyStrideGen {
-            inner: StrideGen::new(width, 0, stride),
-            jump_probability,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl TraceGenerator for NoisyStrideGen {
-    fn width(&self) -> Width {
-        self.inner.width()
-    }
-
-    fn next_word(&mut self) -> Word {
-        if self.rng.gen_bool(self.jump_probability) {
-            let start = self.width().truncate(self.rng.next_u64());
-            self.inner = StrideGen::new(self.width(), start, self.inner.stride);
-        }
-        self.inner.next_word()
-    }
-}
-
-/// Round-robin interleaving of several child streams, modeling a bus
-/// shared by independent producers (e.g. two register read ports, or a
-/// data stream interleaved with loop-counter values).
-///
-/// An interleave of `k` arithmetic streams is exactly the traffic a
-/// stride-`k` predictor captures, which the strided-predictor experiments
-/// rely on.
-#[derive(Debug)]
-pub struct InterleaveGen {
-    width: Width,
-    children: Vec<Box<dyn TraceGenerator>>,
-    cursor: usize,
-}
-
-impl InterleaveGen {
-    /// Creates an interleave of the given children.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `children` is empty or the children disagree on width —
-    /// a bus has exactly one width.
-    pub fn new(children: Vec<Box<dyn TraceGenerator>>) -> Self {
-        assert!(
-            !children.is_empty(),
-            "interleave requires at least one child"
-        );
-        let width = children[0].width();
-        assert!(
-            children.iter().all(|c| c.width() == width),
-            "all interleaved children must share one bus width"
-        );
-        InterleaveGen {
-            width,
-            children,
-            cursor: 0,
-        }
-    }
-}
-
-impl TraceGenerator for InterleaveGen {
-    fn width(&self) -> Width {
-        self.width
-    }
-
-    fn next_word(&mut self) -> Word {
-        let word = self.children[self.cursor].next_word();
-        self.cursor = (self.cursor + 1) % self.children.len();
-        word
     }
 }
 
@@ -379,56 +244,6 @@ impl TraceGenerator for PhasedGen {
     }
 }
 
-/// Repeats each word of an inner stream a geometrically distributed
-/// number of times, modeling the back-to-back repeated values that make
-/// LAST-value prediction profitable.
-#[derive(Debug, Clone)]
-pub struct RepeatGen<G> {
-    inner: G,
-    continue_probability: f64,
-    current: Option<Word>,
-    rng: SmallRng,
-}
-
-impl<G: TraceGenerator> RepeatGen<G> {
-    /// Wraps `inner`; after emitting a word, with probability
-    /// `continue_probability` the same word is emitted again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `continue_probability` is not in `0.0..1.0` (1.0 would
-    /// never advance).
-    pub fn new(inner: G, continue_probability: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&continue_probability),
-            "continue_probability must be in [0, 1), got {continue_probability}"
-        );
-        RepeatGen {
-            inner,
-            continue_probability,
-            current: None,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl<G: TraceGenerator> TraceGenerator for RepeatGen<G> {
-    fn width(&self) -> Width {
-        self.inner.width()
-    }
-
-    fn next_word(&mut self) -> Word {
-        match self.current {
-            Some(word) if self.rng.gen_bool(self.continue_probability) => word,
-            _ => {
-                let word = self.inner.next_word();
-                self.current = Some(word);
-                word
-            }
-        }
-    }
-}
-
 /// First-order Markov traffic: each value has a fixed successor
 /// distribution over a small state set.
 ///
@@ -492,11 +307,6 @@ impl MarkovGen {
         g.next = (0..n_states).map(|i| (i + 1) % n_states).collect();
         g
     }
-
-    /// The distinct state values of the chain.
-    pub fn states(&self) -> &[Word] {
-        &self.states
-    }
 }
 
 impl TraceGenerator for MarkovGen {
@@ -515,84 +325,12 @@ impl TraceGenerator for MarkovGen {
     }
 }
 
-/// Floating-point bit patterns from a smooth random walk.
-///
-/// Scientific-code buses (the SPECfp kernels) carry IEEE-754 words whose
-/// sign/exponent bits are nearly constant while mantissa bits churn; this
-/// generator walks a value multiplicatively and emits its bit pattern
-/// (`f64` bits for 64-bit buses, `f32` bits for widths ≤ 32).
-#[derive(Debug, Clone)]
-pub struct FloatWalkGen {
-    width: Width,
-    value: f64,
-    step: f64,
-    rng: SmallRng,
-}
-
-impl FloatWalkGen {
-    /// Creates a float-walk generator starting near `start` with relative
-    /// step size `step` (e.g. `0.01` for 1% steps).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not finite and positive, or `step` is not in
-    /// `(0.0, 1.0)`.
-    pub fn new(width: Width, start: f64, step: f64, seed: u64) -> Self {
-        assert!(
-            start.is_finite() && start > 0.0,
-            "start must be finite and positive"
-        );
-        assert!(
-            step > 0.0 && step < 1.0,
-            "step must be in (0, 1), got {step}"
-        );
-        FloatWalkGen {
-            width,
-            value: start,
-            step,
-            rng: SmallRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl TraceGenerator for FloatWalkGen {
-    fn width(&self) -> Width {
-        self.width
-    }
-
-    fn next_word(&mut self) -> Word {
-        let factor = 1.0 + self.step * (self.rng.next_f64() * 2.0 - 1.0);
-        self.value *= factor;
-        if !self.value.is_finite() || self.value <= f64::MIN_POSITIVE {
-            self.value = 1.0;
-        }
-        let bits = if self.width.bits() > 32 {
-            self.value.to_bits()
-        } else {
-            u64::from((self.value as f32).to_bits())
-        };
-        self.width.truncate(bits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::stats;
 
     const W: Width = Width::W32;
-
-    #[test]
-    fn constant_repeats() {
-        let t = ConstantGen::new(W, 42).generate(10);
-        assert!(t.iter().all(|v| v == 42));
-    }
-
-    #[test]
-    fn constant_truncates() {
-        let g = ConstantGen::new(Width::new(8).unwrap(), 0x1FF);
-        assert_eq!(ConstantGen::next_word(&mut g.clone()), 0xFF);
-    }
 
     #[test]
     fn uniform_is_deterministic_per_seed() {
@@ -618,50 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn noisy_stride_mostly_strides() {
-        let t = NoisyStrideGen::new(W, 8, 0.01, 3).generate(10_000);
-        assert!(stats::stride_hit_fraction(&t, 1) > 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn noisy_stride_rejects_bad_probability() {
-        let _ = NoisyStrideGen::new(W, 8, 1.5, 0);
-    }
-
-    #[test]
-    fn interleave_round_robins() {
-        let g = InterleaveGen::new(vec![
-            Box::new(ConstantGen::new(W, 1)),
-            Box::new(ConstantGen::new(W, 2)),
-        ]);
-        let t = { g }.generate(5);
-        assert_eq!(t.values(), &[1, 2, 1, 2, 1]);
-    }
-
-    #[test]
-    fn interleaved_strides_hit_stride_k() {
-        // Starts/strides chosen non-affine in the stream index so that a
-        // stride-1 predictor cannot accidentally fit the interleave.
-        let params = [(0u64, 4u64), (100_000, 12), (3_000, 7), (77_777, 9)];
-        let children: Vec<Box<dyn TraceGenerator>> = params
-            .iter()
-            .map(|&(start, stride)| {
-                Box::new(StrideGen::new(W, start, stride)) as Box<dyn TraceGenerator>
-            })
-            .collect();
-        let t = InterleaveGen::new(children).generate(4000);
-        assert!(stats::stride_hit_fraction(&t, 1) < 0.05);
-        assert!(stats::stride_hit_fraction(&t, 4) > 0.95);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one child")]
-    fn interleave_rejects_empty() {
-        let _ = InterleaveGen::new(Vec::new());
-    }
-
-    #[test]
     fn working_set_has_small_windows_but_growing_population() {
         let t = WorkingSetGen::new(W, 32, 0.8, 0.01, 5).generate(50_000);
         let census = stats::ValueCensus::of(&t);
@@ -680,47 +374,31 @@ mod tests {
 
     #[test]
     fn phased_switches_children() {
-        let g = PhasedGen::new(
+        let mut g = PhasedGen::new(
             vec![
-                Box::new(ConstantGen::new(W, 1)),
-                Box::new(ConstantGen::new(W, 2)),
+                Box::new(StrideGen::new(W, 0, 1)),
+                Box::new(StrideGen::new(W, 100, 1)),
             ],
             3,
         );
-        let t = { g }.generate(9);
-        assert_eq!(t.values(), &[1, 1, 1, 2, 2, 2, 1, 1, 1]);
-    }
-
-    #[test]
-    fn repeat_creates_runs() {
-        let inner = UniformRandomGen::new(W, 2);
-        let t = RepeatGen::new(inner, 0.75, 9).generate(20_000);
-        let stats = stats::run_lengths(&t).unwrap();
-        // Geometric with p=0.75 continue => mean run length ~4.
-        assert!(
-            stats.mean > 3.0 && stats.mean < 5.0,
-            "mean run {}",
-            stats.mean
-        );
+        // Each child resumes where its last phase left off.
+        let t = g.generate(9);
+        assert_eq!(t.values(), &[0, 1, 2, 100, 101, 102, 3, 4, 5]);
     }
 
     #[test]
     fn markov_deterministic_chain_cycles() {
         let mut g = MarkovGen::new(W, 6, 1.0, 9);
         let t = g.generate(60);
-        // A permutation with fidelity 1 repeats with period <= n_states.
-        let first_12: Vec<u64> = t.values()[..12].to_vec();
-        for start in (12..48).step_by(12) {
-            // Find the period by checking the cycle containing state 0.
-            let _ = start;
-        }
         // Values are drawn only from the state set.
-        let states = g.states().to_vec();
-        assert!(t.iter().all(|v| states.contains(&v)));
-        // Deterministic: the same prefix recurs.
+        assert!(t.iter().all(|v| g.states.contains(&v)));
+        // A permutation followed with fidelity 1 cycles with a period of
+        // at most `n_states`.
+        let v = t.values();
+        assert!((1..=6).any(|p| v[p..].iter().zip(v).all(|(a, b)| a == b)));
+        // Deterministic: the same seed gives the same chain.
         let t2 = MarkovGen::new(W, 6, 1.0, 9).generate(60);
         assert_eq!(t, t2);
-        assert!(!first_12.is_empty());
     }
 
     #[test]
@@ -745,23 +423,5 @@ mod tests {
         let total: u64 = totals.values().sum();
         let frac = predictable as f64 / total as f64;
         assert!(frac > 0.9, "best-successor fraction {frac}");
-    }
-
-    #[test]
-    fn float_walk_keeps_exponent_stable() {
-        let t = FloatWalkGen::new(W, 1.0, 0.001, 4).generate(1000);
-        // With 0.1% steps the f32 exponent byte rarely changes: the top
-        // 9 bits (sign+exponent) should take very few distinct values.
-        let mut exponents: Vec<u64> = t.iter().map(|v| v >> 23).collect();
-        exponents.sort_unstable();
-        exponents.dedup();
-        assert!(exponents.len() <= 3, "saw {} exponents", exponents.len());
-    }
-
-    #[test]
-    fn boxed_generator_is_usable() {
-        let mut g: Box<dyn TraceGenerator> = Box::new(ConstantGen::new(W, 3));
-        assert_eq!(g.next_word(), 3);
-        assert_eq!(g.generate(2).len(), 2);
     }
 }

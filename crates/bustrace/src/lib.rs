@@ -3,9 +3,10 @@
 //! This crate is the data substrate for the bus-transcoding study: it
 //! defines the [`Trace`] type (a sequence of words observed on a bus of a
 //! given [`Width`]), the statistical characterizations used in Section 4.2
-//! of the paper (unique-value CDF, window uniqueness), and a family of
-//! synthetic traffic generators used both for controlled experiments and
-//! as building blocks for the SPEC-like kernels in the `simcpu` crate.
+//! of the paper (unique-value CDF, window uniqueness), and the synthetic
+//! traffic generators of the controlled experiments (random, stride,
+//! working-set and phased traffic). The SPEC-like kernel traces come
+//! from the `simcpu` crate, which builds them with [`Trace::from_values`].
 //!
 //! # Example
 //!
@@ -33,7 +34,7 @@ pub mod stats;
 mod trace;
 mod word;
 
-pub use trace::{Trace, TraceBuilder};
+pub use trace::Trace;
 pub use word::{Width, WidthError};
 
 /// Convenience alias: a single word observed on the bus.

@@ -9,12 +9,12 @@
 //!   given size (Figure 8), which shows that a *window-based* dictionary
 //!   of only tens of entries captures most short-term reuse.
 //!
-//! This module computes both, plus supporting statistics (value run
-//! lengths for LAST-value prediction, repeat fractions, stride hit rates
-//! for the strided predictor, transition density, and empirical value
-//! entropy). Every statistic is one function over a [`Trace`]; the
-//! adaptive controller (`busadapt`) calls the same functions on each
-//! decision window it has buffered.
+//! This module computes both, plus supporting statistics (repeat
+//! fractions for LAST-value prediction, stride hit rates for the strided
+//! predictor, transition density, and empirical value entropy). Every
+//! statistic is one function over a [`Trace`]; the adaptive controller
+//! (`busadapt`) calls the same functions on each decision window it has
+//! buffered.
 
 use std::collections::HashMap;
 
@@ -222,46 +222,6 @@ pub fn transition_density(trace: &Trace) -> f64 {
     flips as f64 / ((v.len() - 1) as f64 * f64::from(trace.width().bits()))
 }
 
-/// Summary of run lengths of repeated values (strings the LAST-value
-/// predictor captures entirely after the first word).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunLengthStats {
-    /// Number of maximal runs in the trace.
-    pub runs: usize,
-    /// Mean run length (1.0 means no value ever repeats back-to-back).
-    pub mean: f64,
-    /// Longest run observed.
-    pub max: usize,
-}
-
-/// Computes [`RunLengthStats`] for a trace. Returns `None` for an empty
-/// trace.
-pub fn run_lengths(trace: &Trace) -> Option<RunLengthStats> {
-    let v = trace.values();
-    if v.is_empty() {
-        return None;
-    }
-    let mut runs = 0usize;
-    let mut max = 0usize;
-    let mut current = 1usize;
-    for i in 1..v.len() {
-        if v[i] == v[i - 1] {
-            current += 1;
-        } else {
-            runs += 1;
-            max = max.max(current);
-            current = 1;
-        }
-    }
-    runs += 1;
-    max = max.max(current);
-    Some(RunLengthStats {
-        runs,
-        mean: v.len() as f64 / runs as f64,
-        max,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,15 +356,5 @@ mod tests {
         assert_eq!(transition_density(&trace(&[7, 7, 7])), 0.0);
         // 0 -> 1: one flip over 32 lines.
         assert!((transition_density(&trace(&[0, 1])) - 1.0 / 32.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn run_length_stats() {
-        let t = trace(&[1, 1, 1, 2, 3, 3]);
-        let s = run_lengths(&t).unwrap();
-        assert_eq!(s.runs, 3);
-        assert_eq!(s.max, 3);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-        assert!(run_lengths(&Trace::new(Width::W32)).is_none());
     }
 }

@@ -137,71 +137,6 @@ impl<'a> IntoIterator for &'a Trace {
     }
 }
 
-/// Incremental builder for [`Trace`] used by the bus timing generators in
-/// `simcpu`, which interleave idle cycles (bus holds its previous value)
-/// with active cycles.
-///
-/// On an idle cycle a real bus simply keeps its last driven value, which
-/// is exactly what [`TraceBuilder::idle`] records: repeated values are
-/// energy-free in the un-encoded case and the coders must not be charged
-/// or credited for them incorrectly.
-///
-/// # Example
-///
-/// ```
-/// use bustrace::{TraceBuilder, Width};
-///
-/// let mut b = TraceBuilder::new(Width::W32);
-/// b.drive(0xAB);
-/// b.idle();
-/// b.drive(0xCD);
-/// let trace = b.finish();
-/// assert_eq!(trace.values(), &[0xAB, 0xAB, 0xCD]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceBuilder {
-    trace: Trace,
-    last: Word,
-}
-
-impl TraceBuilder {
-    /// Creates a builder whose idle value before any drive is zero
-    /// (an undriven bus is modeled as all-low).
-    pub fn new(width: Width) -> Self {
-        TraceBuilder {
-            trace: Trace::new(width),
-            last: 0,
-        }
-    }
-
-    /// Records a cycle in which `value` is driven onto the bus.
-    pub fn drive(&mut self, value: Word) {
-        let v = self.trace.width().truncate(value);
-        self.last = v;
-        self.trace.push(v);
-    }
-
-    /// Records a cycle in which the bus holds its previous value.
-    pub fn idle(&mut self) {
-        self.trace.push(self.last);
-    }
-
-    /// The number of cycles recorded so far.
-    pub fn len(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// Whether no cycles have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-
-    /// Finishes the build, returning the trace.
-    pub fn finish(self) -> Trace {
-        self.trace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,19 +162,6 @@ mod tests {
         assert_eq!(t.slice(3, 100).values(), &[4, 5]);
         assert_eq!(t.slice(10, 20).len(), 0);
         assert_eq!(t.slice(4, 2).len(), 0);
-    }
-
-    #[test]
-    fn builder_idle_repeats_last_value() {
-        let mut b = TraceBuilder::new(Width::W32);
-        b.idle(); // idle before any drive holds zero
-        b.drive(7);
-        b.idle();
-        b.idle();
-        b.idle();
-        b.drive(9);
-        let t = b.finish();
-        assert_eq!(t.values(), &[0, 7, 7, 7, 7, 9]);
     }
 
     #[test]

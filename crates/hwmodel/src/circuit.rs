@@ -164,11 +164,6 @@ impl CircuitModel {
         }
     }
 
-    /// The circuit kind.
-    pub fn kind(&self) -> CircuitKind {
-        self.kind
-    }
-
     /// The technology.
     pub fn technology(&self) -> &Technology {
         &self.tech

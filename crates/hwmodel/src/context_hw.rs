@@ -104,11 +104,6 @@ impl ContextHardware {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &ContextHwConfig {
-        &self.config
-    }
-
     /// The operation tally so far.
     pub fn ops(&self) -> &OpCounts {
         &self.ops

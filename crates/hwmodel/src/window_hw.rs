@@ -65,11 +65,6 @@ impl WindowHardware {
         }
     }
 
-    /// Shift-tag capacity.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
     /// The operation tally so far.
     pub fn ops(&self) -> &OpCounts {
         &self.ops

@@ -20,7 +20,7 @@ use std::collections::BinaryHeap;
 
 use bustrace::{Trace, Width};
 
-use crate::cache::{Cache, CacheConfig, CacheHierarchy};
+use crate::cache::{CacheConfig, CacheHierarchy};
 use crate::exec::{self, InstrClass};
 use crate::isa::NUM_REGS;
 use crate::program::Program;
@@ -221,11 +221,6 @@ impl Machine {
     /// Whether the machine has executed `halt`.
     pub fn is_halted(&self) -> bool {
         self.halted
-    }
-
-    /// L1 data-cache statistics.
-    pub fn cache(&self) -> &Cache {
-        self.cache.l1()
     }
 
     /// Retires every pending memory event whose ready time is in the

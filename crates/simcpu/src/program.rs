@@ -18,16 +18,6 @@ impl Program {
     pub fn instrs(&self) -> &[Instr] {
         &self.instrs
     }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Whether the program is empty.
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
 }
 
 impl std::fmt::Display for Program {
@@ -99,7 +89,7 @@ pub struct Label(usize);
 /// b.branch(Cond::Lt, 1, 2, loop_top);
 /// b.halt();
 /// let program = b.build()?;
-/// assert_eq!(program.len(), 5);
+/// assert_eq!(program.instrs().len(), 5);
 /// # Ok::<(), simcpu::ProgramError>(())
 /// ```
 #[derive(Debug, Default)]

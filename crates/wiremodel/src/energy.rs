@@ -64,11 +64,6 @@ impl BusEnergyModel {
         &self.wire
     }
 
-    /// Per-event energies.
-    pub fn per_event(&self) -> TransitionEnergy {
-        self.per_event
-    }
-
     /// Energy in picojoules for a bus activity profile: `tau` total
     /// self-transitions and `kappa` total coupling events summed across
     /// all wires of the bus.

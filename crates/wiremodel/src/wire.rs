@@ -124,16 +124,6 @@ impl Wire {
         }
     }
 
-    /// The wire's technology.
-    pub fn technology(&self) -> &Technology {
-        &self.tech
-    }
-
-    /// The wire's style.
-    pub fn style(&self) -> WireStyle {
-        self.style
-    }
-
     /// The wire's length in millimetres.
     pub fn length_mm(&self) -> f64 {
         self.length_mm

@@ -101,6 +101,35 @@ fn stored_sources_reject_hostile_names_too() {
 }
 
 #[test]
+fn stored_evals_of_a_missing_artifact_synthesize_no_trace() {
+    // The scheme is built at the workload's width before its trace is
+    // fetched, so a name that cannot be built costs no trace, at any
+    // seed.
+    let session = session();
+    let scheme = "trained:no-such-artifact";
+    for seed in 0..3 {
+        let request = EvalRequest::stored(Workload::Random, vec![scheme.into()]).seed(seed);
+        let err = busserve::ServiceError::from(
+            session
+                .evaluate(&request)
+                .expect_err("a missing artifact cannot be evaluated"),
+        );
+        assert_eq!(err.kind, "artifact_missing", "{}", err.message);
+        assert!(err.message.contains(scheme), "{}", err.message);
+    }
+    assert_eq!(session.trace_store_len(), 0, "no trace may be generated");
+    assert_eq!(session.activity_store_len(), 0);
+
+    let service = ApiService::new(session);
+    let request = EvalRequest::stored(Workload::Random, vec![scheme.into()]).seed(7);
+    let err = service
+        .handle("eval", &request.to_json())
+        .expect_err("a missing artifact cannot be evaluated");
+    assert_eq!(err.kind, "artifact_missing", "{}", err.message);
+    assert_live(&service);
+}
+
+#[test]
 fn over_wide_inline_words_are_bad_requests() {
     let service = service();
     let request = EvalRequest::inline(width(8), vec![1, 4096, 1, 4096], vec!["identity".into()]);
