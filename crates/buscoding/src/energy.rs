@@ -511,10 +511,14 @@ mod tests {
         // Edge wires: tau 1, kappa 1.
         assert_eq!(c.transition_cost(0, 1, 32), 3.0);
         assert_eq!(c.transition_cost(0, 1 << 31, 32), 3.0);
+    }
+
+    #[test]
+    fn coupling_blind_ignores_kappa() {
         // λ = 0 (the λ0 minimizer, classic bus-invert) ignores coupling.
-        let blind = CostModel::new(0.0);
-        assert_eq!(blind.transition_cost(0, 0b0110, 8), 2.0);
-        assert_eq!(blind.lambda(), 0.0);
+        let c = CostModel::new(0.0);
+        assert_eq!(c.transition_cost(0, 0b0110, 8), 2.0);
+        assert_eq!(c.lambda(), 0.0);
     }
 
     #[test]
