@@ -404,7 +404,8 @@ pub fn timing_model(session: &Session) -> Vec<Table> {
 /// trial and measures whether (and how fast) the decoder *notices*,
 /// and how much silently corrupted data escapes meanwhile.
 pub fn desync(session: &Session) -> Vec<Table> {
-    use buscoding::{scheme_by_name, Decoder};
+    use buscoding::scheme_by_name;
+    use busfault::{ErrorPolicy, FaultChannel, SingleFlip};
 
     let mut t = Table::new(
         "ext-desync",
@@ -417,46 +418,20 @@ pub fn desync(session: &Session) -> Vec<Table> {
         ],
     );
     let trace = session.trace_capped(Workload::Bench(Benchmark::Gcc, BusKind::Register), 20_000);
-    let values = trace.len();
+    let values = trace.len() as u64;
     const TRIALS: usize = 200;
-
-    // One trial: encode the whole trace, flip `bit` of word `at`, and
-    // decode, reporting (error index, indices of silently wrong words
-    // before the error or end).
-    fn trial(
-        bus: &[u64],
-        original: &Trace,
-        dec: &mut dyn Decoder,
-        at: usize,
-        bit: u32,
-    ) -> (Option<usize>, usize) {
-        dec.reset();
-        let mut silent_wrong = 0usize;
-        for (i, (&state, expect)) in bus.iter().zip(original.iter()).enumerate() {
-            let state = if i == at { state ^ (1 << bit) } else { state };
-            match dec.decode(state) {
-                Err(_) => return (Some(i), silent_wrong),
-                Ok(v) => {
-                    if i >= at && v != expect {
-                        silent_wrong += 1;
-                    }
-                }
-            }
-        }
-        (None, silent_wrong)
-    }
 
     // Deterministic injection points.
     let mut x = 0x9E37_79B9u64 ^ session.seed();
     let mut points = Vec::with_capacity(TRIALS);
     for _ in 0..TRIALS {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-        points.push((
-            (x >> 16) as usize % (values / 2) + 100,
-            ((x >> 58) % 34) as u32,
-        ));
+        points.push(((x >> 16) % (values / 2) + 100, ((x >> 58) % 34) as u32));
     }
 
+    // Each trial halts at the first decode error, so the silent count
+    // is the wrong words that escaped before the decoder noticed.
+    let channel = FaultChannel::new(ErrorPolicy::Halt);
     // (table label, registry name)
     let schemes = [
         ("window(8)", "window(8)"),
@@ -465,32 +440,23 @@ pub fn desync(session: &Session) -> Vec<Table> {
     ];
     for (label, scheme) in schemes {
         let mut pair = scheme_by_name(scheme, trace.width()).expect("registry name fits the bus");
-        pair.reset();
-        let lines = pair.lines();
-        let bus: Vec<u64> = trace.iter().map(|v| pair.encode(v)).collect();
-        let mut detected = 0usize;
-        let mut latency_sum = 0usize;
-        let mut silent_sum = 0usize;
+        let mut detected = 0u64;
+        let mut latency_sum = 0u64;
+        let mut silent_sum = 0u64;
         for &(at, bit) in &points {
-            let bit = bit % lines;
-            let (err_at, silent) = trial(&bus, &trace, pair.decoder_mut(), at, bit);
-            if let Some(e) = err_at {
+            let report = channel.run_pair(&mut pair, &mut SingleFlip::new(at, bit), &trace);
+            if let Some(latency) = report.detection_latency() {
                 detected += 1;
-                latency_sum += e - at;
+                latency_sum += latency;
             }
-            silent_sum += silent;
+            silent_sum += report.corrupted_words;
         }
         let detected_pct = 100.0 * detected as f64 / TRIALS as f64;
-        let mean_latency = if detected > 0 {
-            latency_sum as f64 / detected as f64
-        } else {
-            f64::NAN
-        };
         t.push(vec![
             label.into(),
             f(detected_pct, 1),
             if detected > 0 {
-                f(mean_latency, 1)
+                f(latency_sum as f64 / detected as f64, 1)
             } else {
                 "-".into()
             },
@@ -642,6 +608,16 @@ mod tests {
                 "silent corruption must stay bounded: {row:?}"
             );
         }
+        // The exact rows, so a change of harness cannot move them.
+        let rows: Vec<String> = t.rows.iter().map(|r| r.join(",")).collect();
+        assert_eq!(
+            rows,
+            [
+                "window(8),54.0,0.3,0.9",
+                "context-value(28+8),73.0,0.4,5.3",
+                "workzone(4),67.0,0.3,0.6",
+            ]
+        );
     }
 
     #[test]

@@ -142,7 +142,7 @@ mod tests {
             Some("accumulate")
         );
         assert_eq!(phase_of("x/busadapt.controller.boundary"), Some("encode"));
-        assert_eq!(phase_of("x/busfault.channel.run_adaptive"), Some("encode"));
+        assert_eq!(phase_of("x/busfault.channel.run"), Some("encode"));
         assert_eq!(phase_of("fig5/wiremodel.repeater.plan"), Some("pricing"));
         assert_eq!(phase_of("fig26/hwmodel.crossover.solve"), Some("pricing"));
         assert_eq!(phase_of("fig16/bench.report.emit"), Some("emit"));

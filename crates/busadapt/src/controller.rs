@@ -357,7 +357,7 @@ impl Decoder for DecoderHalf {
     }
 
     /// A receiver-local resync pulse: flushes only the live decoder
-    /// FSM (the `ErrorPolicy::ResetAndContinue` semantics). The full
+    /// FSM, as a receiver-side recovery does on a decode error. The full
     /// power-on reset is driven from the encoder side, which every
     /// harness resets first.
     fn reset(&mut self) {

@@ -28,8 +28,8 @@
 //! cycle itself — to the current window), and the controller counts
 //! flushes, switches and absorbed resyncs so experiments can charge
 //! them through `hwmodel::CodingOutcome::with_resync_tax`. The
-//! `busfault` crate drives the whole stack through its fault channel
-//! via `FaultChannel::run_adaptive`.
+//! `busfault` crate's fault channel drives the whole stack through
+//! [`AdaptiveTranscoder::transcoder_mut`] with `FaultChannel::run_pair`.
 //!
 //! Instrumentation: `adapt.switches`, `adapt.flushes`,
 //! `adapt.resyncs`, `adapt.window_words`,

@@ -3,13 +3,9 @@
 //!
 //! The paper's schemes assume an error-free bus; a single transient bit
 //! flip silently desynchronizes the two FSMs forever. This module adds
-//! three composable countermeasures, each of which wraps any existing
+//! two composable countermeasures, each of which wraps any existing
 //! [`Encoder`]/[`Decoder`] pair:
 //!
-//! * **Parity sideband** ([`parity_wrap`]) — one extra bus line carries
-//!   even parity over the inner lines, so any odd number of flipped
-//!   lines is *detected in the same cycle* instead of silently
-//!   corrupting the stream.
 //! * **Epoch resynchronization** ([`epoch_wrap`]) — both ends flush
 //!   their predictor state every `interval` words, bounding how long a
 //!   desync can persist to one epoch. The flush is free on the wire
@@ -47,100 +43,6 @@ use bustrace::{Width, Word};
 
 use crate::codec::{Decoder, Encoder, RoundTripError};
 
-/// Even parity over the low `lines` bits of `state`.
-fn parity_of(state: u64, lines: u32) -> u64 {
-    let mask = if lines >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << lines) - 1
-    };
-    u64::from((state & mask).count_ones() % 2)
-}
-
-/// Encoder half of the parity sideband: drives the inner encoder's
-/// lines plus one parity line above them.
-#[derive(Debug, Clone)]
-pub struct ParityEncoder<E> {
-    inner: E,
-}
-
-/// Decoder half of the parity sideband: checks the parity line before
-/// the inner decoder sees the state, so a detected upset cannot
-/// corrupt the inner FSM.
-#[derive(Debug, Clone)]
-pub struct ParityDecoder<D> {
-    inner: D,
-}
-
-/// Wraps a transcoder pair with a one-line even-parity sideband.
-///
-/// Any odd number of simultaneously flipped lines (in particular every
-/// single-event upset) is detected in the cycle it occurs, with the
-/// inner decoder state left untouched. Even-weight upsets still pass;
-/// parity is a detector, not a corrector.
-///
-/// # Panics
-///
-/// Panics if the inner pair is mismatched or already drives 64 lines
-/// (no room for the sideband).
-pub fn parity_wrap<E: Encoder, D: Decoder>(
-    encoder: E,
-    decoder: D,
-) -> (ParityEncoder<E>, ParityDecoder<D>) {
-    assert_eq!(
-        encoder.lines(),
-        decoder.lines(),
-        "parity_wrap requires a matched encoder/decoder pair"
-    );
-    assert!(
-        encoder.lines() < 64,
-        "parity sideband needs a free line; inner codec already drives 64"
-    );
-    (
-        ParityEncoder { inner: encoder },
-        ParityDecoder { inner: decoder },
-    )
-}
-
-impl<E: Encoder> Encoder for ParityEncoder<E> {
-    fn lines(&self) -> u32 {
-        self.inner.lines() + 1
-    }
-
-    fn encode(&mut self, value: Word) -> u64 {
-        let state = self.inner.encode(value);
-        let lines = self.inner.lines();
-        state | (parity_of(state, lines) << lines)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
-impl<D: Decoder> Decoder for ParityDecoder<D> {
-    fn lines(&self) -> u32 {
-        self.inner.lines() + 1
-    }
-
-    fn decode(&mut self, bus_state: u64) -> Result<Word, RoundTripError> {
-        let lines = self.inner.lines();
-        let payload = bus_state & !(1u64 << lines);
-        let observed = (bus_state >> lines) & 1;
-        if observed != parity_of(payload, lines) {
-            PROBE_PARITY.inc();
-            return Err(RoundTripError::new("parity mismatch on bus state"));
-        }
-        self.inner.decode(payload)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
-static PROBE_PARITY: busprobe::StaticCounter =
-    busprobe::StaticCounter::new("buscoding.robust.parity_errors");
 static PROBE_FLUSHES: busprobe::StaticCounter =
     busprobe::StaticCounter::new("buscoding.robust.epoch_flushes");
 static PROBE_RESYNCS: busprobe::StaticCounter =
@@ -336,63 +238,11 @@ impl<D: Decoder> Decoder for RecoveringDecoder<D> {
 mod tests {
     use super::*;
     use crate::codec::{evaluate, verify_roundtrip};
-    use crate::identity::IdentityCodec;
     use crate::predict::{stride_codec, window_codec};
     use bustrace::Trace;
 
     fn trace(n: u64) -> Trace {
         Trace::from_values(Width::W32, (0..n).map(|i| (i * 7) % 23 + (i % 3) * 1000))
-    }
-
-    #[test]
-    fn parity_roundtrip_is_lossless() {
-        let (enc, dec) = window_codec(Width::W32, 8);
-        let (mut enc, mut dec) = parity_wrap(enc, dec);
-        assert_eq!(enc.lines(), 35); // 32 data + 2 control + 1 parity
-        assert_eq!(dec.lines(), 35);
-        verify_roundtrip(&mut enc, &mut dec, &trace(500)).unwrap();
-    }
-
-    #[test]
-    fn parity_detects_any_single_flip_immediately() {
-        let (enc, dec) = window_codec(Width::W32, 8);
-        let (mut enc, mut dec) = parity_wrap(enc, dec);
-        let t = trace(50);
-        for flip_line in 0..enc.lines() {
-            enc.reset();
-            dec.reset();
-            for (i, v) in t.iter().enumerate() {
-                let state = enc.encode(v);
-                if i == 20 {
-                    let got = dec.decode(state ^ (1u64 << flip_line));
-                    assert!(got.is_err(), "flip on line {flip_line} went undetected");
-                    break;
-                }
-                dec.decode(state).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn parity_line_does_not_disturb_inner_decode() {
-        // A flipped state rejected by parity must leave the inner FSM
-        // untouched: the rest of the stream still decodes cleanly.
-        let (enc, dec) = window_codec(Width::W32, 8);
-        let (mut enc, mut dec) = parity_wrap(enc, dec);
-        for (i, v) in trace(100).iter().enumerate() {
-            let state = enc.encode(v);
-            if i == 10 {
-                assert!(dec.decode(state ^ 1).is_err());
-            }
-            assert_eq!(dec.decode(state).unwrap(), v);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "free line")]
-    fn parity_rejects_full_bus() {
-        let w64 = Width::new(64).unwrap();
-        let _ = parity_wrap(IdentityCodec::new(w64), IdentityCodec::new(w64));
     }
 
     #[test]
@@ -537,15 +387,5 @@ mod tests {
         }
         assert_eq!(enc.flushes(), 3); // before words 16, 32, 48
         assert!(dec.inner().resync_events() >= 1);
-    }
-
-    #[test]
-    fn stacked_wrappers_compose() {
-        // parity outside epoch: detection plus bounded recovery.
-        let (enc, dec) = window_codec(Width::W32, 8);
-        let (enc, dec) = epoch_wrap(enc, dec, 64);
-        let (mut enc, mut dec) = parity_wrap(enc, dec);
-        verify_roundtrip(&mut enc, &mut dec, &trace(400)).unwrap();
-        assert_eq!(enc.lines(), 35);
     }
 }

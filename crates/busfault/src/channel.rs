@@ -18,11 +18,6 @@ pub enum ErrorPolicy {
     /// flush restores synchronization.
     #[default]
     Continue,
-    /// Record the error, reset the decoder FSM, and continue — blind
-    /// local recovery. Without a matching encoder-side flush this
-    /// usually stays desynchronized; it exists to quantify exactly
-    /// that.
-    ResetAndContinue,
 }
 
 /// Everything measured from one faulted run. Counts are over trace
@@ -172,13 +167,9 @@ impl FaultChannel {
                     report.detected_errors += 1;
                     report.first_detection_step.get_or_insert(step);
                     converged_after = step + 1;
-                    match self.policy {
-                        ErrorPolicy::Halt => {
-                            report.halted_at = Some(step);
-                            break;
-                        }
-                        ErrorPolicy::Continue => {}
-                        ErrorPolicy::ResetAndContinue => decoder.reset(),
+                    if self.policy == ErrorPolicy::Halt {
+                        report.halted_at = Some(step);
+                        break;
                     }
                 }
             }
@@ -214,33 +205,12 @@ impl FaultChannel {
         let (encoder, decoder) = pair.split_mut();
         self.run(encoder, decoder, fault, trace)
     }
-
-    /// [`FaultChannel::run`] over an adaptive controller: the fault
-    /// model corrupts the shared bus while the controller keeps
-    /// re-deciding schemes, so upsets can land in the same cycle as a
-    /// scheme switch. Returns the channel's damage report alongside
-    /// the controller's own tally (switches, flushes, absorbed
-    /// resyncs) for the same run — the run starts from power-on, so
-    /// the two reports cover exactly the same words.
-    pub fn run_adaptive<F>(
-        &self,
-        adaptive: &mut busadapt::AdaptiveTranscoder,
-        fault: &mut F,
-        trace: &Trace,
-    ) -> (FaultReport, busadapt::AdaptReport)
-    where
-        F: FaultModel + ?Sized,
-    {
-        let _span = busprobe::span("busfault.channel.run_adaptive");
-        let report = self.run_pair(adaptive.transcoder_mut(), fault, trace);
-        (report, adaptive.report())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{NoFault, RandomUpsets, SingleFlip, StuckAt};
+    use crate::model::{NoFault, RandomUpsets, SingleFlip};
     use buscoding::predict::window_codec;
     use buscoding::IdentityCodec;
     use bustrace::{Width, Word};
@@ -305,17 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn stuck_line_on_predictive_codec_is_detected() {
-        let trace = looping_trace(1000);
-        let (mut enc, mut dec) = window_codec(Width::W32, 8);
-        // A stuck data line corrupts predicted-hit deltas into
-        // non-codewords, which the decoder rejects.
-        let mut fault = StuckAt::new(0, true, 200);
-        let r = FaultChannel::default().run(&mut enc, &mut dec, &mut fault, &trace);
-        assert!(r.detected_errors > 0, "{r:?}");
-    }
-
-    #[test]
     fn runs_are_deterministic() {
         let trace = looping_trace(800);
         let run = || {
@@ -324,19 +283,6 @@ mod tests {
             FaultChannel::default().run(&mut enc, &mut dec, &mut fault, &trace)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reset_and_continue_resets_decoder() {
-        // With a plain (non-epoch) pair, a blind decoder reset after an
-        // error rarely restores sync — the report records the damage.
-        let trace = looping_trace(600);
-        let (mut enc, mut dec) = window_codec(Width::W32, 8);
-        let mut fault = SingleFlip::new(10, 0);
-        let r = FaultChannel::new(ErrorPolicy::ResetAndContinue)
-            .run(&mut enc, &mut dec, &mut fault, &trace);
-        assert!(r.halted_at.is_none());
-        assert_eq!(r.words, 600);
     }
 
     #[test]

@@ -7,19 +7,19 @@
 //!
 //! * [`FaultModel`] — seedable, deterministic corruptions of the
 //!   *absolute bus state* between [`Encoder::encode`] and
-//!   [`Decoder::decode`]: single-event flips ([`SingleFlip`]), bursts
-//!   ([`BurstFlip`]), stuck-at lines ([`StuckAt`]), uniform random
-//!   upsets ([`RandomUpsets`]), and a wiremodel-derived timing-error
-//!   mode ([`TimingFaults`]) whose per-line flip probability grows with
-//!   wire length and repeater spacing;
+//!   [`Decoder::decode`]: single-event flips ([`SingleFlip`]), uniform
+//!   random upsets ([`RandomUpsets`]), and a wiremodel-derived
+//!   timing-error mode ([`TimingFaults`]) whose per-line flip
+//!   probability grows with wire length and repeater spacing;
+//!   [`NoFault`] is the error-free reference;
 //! * [`FaultChannel`] — drives any encoder/decoder pair through a
 //!   faulted trace and reports detection latency, silently corrupted
 //!   words, and whether the pair ever resynchronizes ([`FaultReport`]).
 //!
-//! The recovery countermeasures live in `buscoding::robust` (parity
-//! sideband, epoch resynchronization, bounded-recovery decode); this
-//! crate is the adversary they are measured against. See
-//! `docs/ROBUSTNESS.md`.
+//! The recovery countermeasures live in `buscoding::robust` (epoch
+//! resynchronization, bounded-recovery decode); this crate is the
+//! adversary they are measured against, in `repro fault-sweep` and
+//! `repro ext-desync`. See `docs/ROBUSTNESS.md`.
 //!
 //! # Example
 //!
@@ -47,4 +47,4 @@ mod model;
 use buscoding::{Decoder, Encoder};
 
 pub use channel::{ErrorPolicy, FaultChannel, FaultReport};
-pub use model::{BurstFlip, FaultModel, NoFault, RandomUpsets, SingleFlip, StuckAt, TimingFaults};
+pub use model::{FaultModel, NoFault, RandomUpsets, SingleFlip, TimingFaults};

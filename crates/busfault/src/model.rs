@@ -11,9 +11,6 @@ use wiremodel::Wire;
 /// so a fixed seed reproduces a fault pattern bit-for-bit. `corrupt` is
 /// called exactly once per trace step, in step order.
 pub trait FaultModel: std::fmt::Debug {
-    /// Short display name, e.g. `flip(@100,b3)`.
-    fn name(&self) -> String;
-
     /// Returns the bus state the decoder observes at `step` given the
     /// state the encoder drove. `lines` is the bus width; implementations
     /// must not set bits at or above it.
@@ -24,23 +21,11 @@ pub trait FaultModel: std::fmt::Debug {
     fn reset(&mut self);
 }
 
-fn line_mask(lines: u32) -> u64 {
-    if lines >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << lines) - 1
-    }
-}
-
 /// The error-free channel (the paper's implicit assumption).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFault;
 
 impl FaultModel for NoFault {
-    fn name(&self) -> String {
-        "none".into()
-    }
-
     fn corrupt(&mut self, _step: u64, state: u64, _lines: u32) -> u64 {
         state
     }
@@ -66,97 +51,11 @@ impl SingleFlip {
 }
 
 impl FaultModel for SingleFlip {
-    fn name(&self) -> String {
-        format!("flip(@{},b{})", self.step, self.line)
-    }
-
     fn corrupt(&mut self, step: u64, state: u64, lines: u32) -> u64 {
         if step == self.step {
             state ^ (1u64 << (self.line % lines))
         } else {
             state
-        }
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// A burst upset: `span` adjacent lines flip together at one step — the
-/// signature of a particle strike or a coupled glitch spanning
-/// neighboring wires.
-#[derive(Debug, Clone, Copy)]
-pub struct BurstFlip {
-    step: u64,
-    first_line: u32,
-    span: u32,
-}
-
-impl BurstFlip {
-    /// Flips `span` contiguous lines starting at `first_line` at `step`.
-    /// The burst is clamped to the bus width at apply time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `span` is zero.
-    pub fn new(step: u64, first_line: u32, span: u32) -> Self {
-        assert!(span > 0, "a burst must flip at least one line");
-        BurstFlip {
-            step,
-            first_line,
-            span,
-        }
-    }
-}
-
-impl FaultModel for BurstFlip {
-    fn name(&self) -> String {
-        format!("burst(@{},b{}+{})", self.step, self.first_line, self.span)
-    }
-
-    fn corrupt(&mut self, step: u64, state: u64, lines: u32) -> u64 {
-        if step != self.step {
-            return state;
-        }
-        let first = self.first_line % lines;
-        let span = self.span.min(lines - first);
-        let burst = (line_mask(span)) << first;
-        state ^ burst
-    }
-
-    fn reset(&mut self) {}
-}
-
-/// A stuck-at fault: one line reads a constant level from step `from`
-/// onwards — a hard short or a dead driver.
-#[derive(Debug, Clone, Copy)]
-pub struct StuckAt {
-    line: u32,
-    level: bool,
-    from: u64,
-}
-
-impl StuckAt {
-    /// Forces `line` to `level` from step `from` onwards.
-    pub fn new(line: u32, level: bool, from: u64) -> Self {
-        StuckAt { line, level, from }
-    }
-}
-
-impl FaultModel for StuckAt {
-    fn name(&self) -> String {
-        let level = u8::from(self.level);
-        format!("stuck(b{}={},{}..)", self.line, level, self.from)
-    }
-
-    fn corrupt(&mut self, step: u64, state: u64, lines: u32) -> u64 {
-        if step < self.from {
-            return state;
-        }
-        let bit = 1u64 << (self.line % lines);
-        if self.level {
-            state | bit
-        } else {
-            state & !bit
         }
     }
 
@@ -194,10 +93,6 @@ impl RandomUpsets {
 }
 
 impl FaultModel for RandomUpsets {
-    fn name(&self) -> String {
-        format!("random(p={:e})", self.rate)
-    }
-
     fn corrupt(&mut self, _step: u64, state: u64, lines: u32) -> u64 {
         let mut flips = 0u64;
         for line in 0..lines {
@@ -284,10 +179,6 @@ impl TimingFaults {
 }
 
 impl FaultModel for TimingFaults {
-    fn name(&self) -> String {
-        format!("timing(p={:.2e})", self.base)
-    }
-
     fn corrupt(&mut self, _step: u64, state: u64, lines: u32) -> u64 {
         let transitions = state ^ self.prev;
         let mut flips = 0u64;
@@ -319,7 +210,6 @@ mod tests {
     fn no_fault_is_identity() {
         let mut f = NoFault;
         assert_eq!(f.corrupt(0, 0xDEAD, 32), 0xDEAD);
-        assert_eq!(f.name(), "none");
     }
 
     #[test]
@@ -339,31 +229,6 @@ mod tests {
     fn single_flip_wraps_line_into_width() {
         let mut f = SingleFlip::new(0, 37);
         assert_eq!(f.corrupt(0, 0, 34), 1 << (37 % 34));
-    }
-
-    #[test]
-    fn burst_clamps_at_bus_edge() {
-        let mut f = BurstFlip::new(0, 30, 8);
-        // 34-line bus: lines 30..34 flip, nothing above.
-        let out = f.corrupt(0, 0, 34);
-        assert_eq!(out, 0b1111 << 30);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one line")]
-    fn burst_rejects_zero_span() {
-        let _ = BurstFlip::new(0, 0, 0);
-    }
-
-    #[test]
-    fn stuck_at_holds() {
-        let mut f = StuckAt::new(2, true, 5);
-        assert_eq!(f.corrupt(4, 0, 32), 0);
-        assert_eq!(f.corrupt(5, 0, 32), 0b100);
-        assert_eq!(f.corrupt(7, 0b100, 32), 0b100);
-        assert_eq!(f.corrupt(1_000_000, 0, 32), 0b100);
-        let mut low = StuckAt::new(0, false, 0);
-        assert_eq!(low.corrupt(100, 0b11, 32), 0b10);
     }
 
     #[test]
@@ -433,14 +298,5 @@ mod tests {
             .map(|(i, &s)| f.corrupt(i as u64, s, 8))
             .collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(SingleFlip::new(100, 3).name(), "flip(@100,b3)");
-        assert_eq!(BurstFlip::new(2, 4, 3).name(), "burst(@2,b4+3)");
-        assert_eq!(StuckAt::new(1, true, 0).name(), "stuck(b1=1,0..)");
-        assert_eq!(StuckAt::new(1, false, 2).name(), "stuck(b1=0,2..)");
-        assert_eq!(RandomUpsets::new(0.001, 0).name(), "random(p=1e-3)");
     }
 }

@@ -61,8 +61,9 @@ proptest! {
         let mut adaptive = always_switching(period, (len / period) as usize + 2);
         let lines = adaptive.transcoder_mut().lines();
         let mut fault = SingleFlip::new(flip_at, line_pick % lines);
-        let (report, adapt) =
-            FaultChannel::default().run_adaptive(&mut adaptive, &mut fault, &trace);
+        let report =
+            FaultChannel::default().run_pair(adaptive.transcoder_mut(), &mut fault, &trace);
+        let adapt = adaptive.report();
 
         // The alternating schedule really did switch at every boundary,
         // so the flip landed in a switch cycle.
@@ -100,8 +101,8 @@ proptest! {
             AdaptiveTranscoder::new(cfg, Box::new(GreedyShadowPolicy::new(0.05))).unwrap();
         let lines = adaptive.transcoder_mut().lines();
         let mut fault = SingleFlip::new(flip_at, line_pick % lines);
-        let (report, _adapt) =
-            FaultChannel::default().run_adaptive(&mut adaptive, &mut fault, &trace);
+        let report =
+            FaultChannel::default().run_pair(adaptive.transcoder_mut(), &mut fault, &trace);
 
         prop_assert!(report.resynchronized(), "{:?}", report);
         prop_assert!(
@@ -115,8 +116,9 @@ proptest! {
 fn clean_adaptive_channel_reports_clean() {
     let trace = Trace::from_values(Width::W32, (0..400u64).map(|i| i % 9));
     let mut adaptive = always_switching(32, 16);
-    let (report, adapt) =
-        FaultChannel::default().run_adaptive(&mut adaptive, &mut busfault::NoFault, &trace);
+    let report =
+        FaultChannel::default().run_pair(adaptive.transcoder_mut(), &mut busfault::NoFault, &trace);
+    let adapt = adaptive.report();
     assert!(report.clean(), "{report:?}");
     assert_eq!(adapt.words, 400);
     assert!(adapt.switches > 0);

@@ -242,25 +242,6 @@ impl<S: Service> Server<S> {
         Server { service, config }
     }
 
-    /// The service, for in-process callers.
-    pub fn service(&self) -> &S {
-        &self.service
-    }
-
-    /// Processes one raw request payload into one raw response payload
-    /// — the single-threaded core tests drive directly. The response
-    /// is always a well-formed envelope, whatever the input.
-    pub fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
-        let response = match parse_request(bytes) {
-            Ok((verb, body)) => dispatch(&self.service, &verb, &body),
-            Err(e) => {
-                PROTOCOL_ERRORS.inc();
-                error_envelope(&e)
-            }
-        };
-        response.to_string().into_bytes()
-    }
-
     /// Binds `path` and serves until `shutdown` goes true, then drains:
     /// stops accepting, lets every connection finish its in-flight
     /// request, removes the socket file, and returns the tally. A stale
@@ -490,91 +471,5 @@ fn write_response<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
                 Err(_) => Ok(()),
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Echo;
-    impl Service for Echo {
-        fn handle(&self, verb: &str, body: &JsonValue) -> Result<JsonValue, ServiceError> {
-            match verb {
-                "echo" => Ok(body.get("payload").cloned().unwrap_or(JsonValue::Null)),
-                "boom" => panic!("kaboom"),
-                "fail" => Err(ServiceError::bad_request("told to fail")
-                    .with_detail("candidates", JsonValue::Arr(vec![]))),
-                other => Err(ServiceError::new(
-                    "unknown_verb",
-                    format!("no such verb `{other}`"),
-                )),
-            }
-        }
-    }
-
-    fn call(server: &Server<Echo>, request: &str) -> JsonValue {
-        let raw = server.handle_frame(request.as_bytes());
-        json::parse(std::str::from_utf8(&raw).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn ok_and_error_envelopes_are_versioned() {
-        let server = Server::new(Echo, ServerConfig::default());
-        let ok = call(&server, r#"{"v":1,"verb":"echo","payload":42}"#);
-        assert_eq!(ok.get("v").unwrap().as_u64(), Some(1));
-        assert_eq!(ok.get("ok"), Some(&JsonValue::Bool(true)));
-        assert_eq!(ok.get("result").unwrap().as_u64(), Some(42));
-
-        let err = call(&server, r#"{"verb":"nope"}"#);
-        assert_eq!(err.get("ok"), Some(&JsonValue::Bool(false)));
-        let e = err.get("error").unwrap();
-        assert_eq!(e.get("kind").unwrap().as_str(), Some("unknown_verb"));
-    }
-
-    #[test]
-    fn missing_verb_bad_json_and_wrong_version_are_protocol_errors() {
-        let server = Server::new(Echo, ServerConfig::default());
-        // Far under the frame cap; unbounded parsing would overflow the
-        // stack and abort the daemon.
-        let deeply_nested = "[".repeat(1 << 20);
-        for (request, kind) in [
-            (r#"{"v":1}"#, "protocol"),
-            ("not json", "protocol"),
-            (r#"{"v":9,"verb":"echo"}"#, "version"),
-            (deeply_nested.as_str(), "protocol"),
-        ] {
-            let resp = call(&server, request);
-            assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(false)));
-            let got = resp.get("error").unwrap().get("kind").unwrap().as_str();
-            assert_eq!(
-                got,
-                Some(kind),
-                "request {:?}",
-                &request[..request.len().min(40)]
-            );
-        }
-    }
-
-    #[test]
-    fn handler_panic_becomes_a_typed_internal_error() {
-        let server = Server::new(Echo, ServerConfig::default());
-        let resp = call(&server, r#"{"verb":"boom"}"#);
-        let e = resp.get("error").unwrap();
-        assert_eq!(e.get("kind").unwrap().as_str(), Some("internal"));
-        assert!(e
-            .get("message")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .contains("kaboom"));
-    }
-
-    #[test]
-    fn error_detail_fields_are_merged() {
-        let server = Server::new(Echo, ServerConfig::default());
-        let resp = call(&server, r#"{"verb":"fail"}"#);
-        let e = resp.get("error").unwrap();
-        assert!(matches!(e.get("candidates"), Some(JsonValue::Arr(_))));
     }
 }

@@ -1,15 +1,17 @@
-//! End-to-end runtime tests against a toy service: concurrency,
-//! backpressure (`busy`), per-client quotas, and drain.
+//! End-to-end runtime tests against a toy service: response envelopes,
+//! protocol errors, concurrency, backpressure (`busy`), per-client
+//! quotas, and drain.
 
 #![cfg(unix)]
 
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use busprobe::json::JsonValue;
-use busserve::{Client, Server, ServerConfig, Service, ServiceError};
+use busprobe::json::{self, JsonValue};
+use busserve::{Client, Server, ServerConfig, Service, ServiceError, MAX_FRAME_BYTES};
 
 fn temp_socket(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("busserve-{tag}-{}.sock", std::process::id()))
@@ -24,8 +26,9 @@ fn request(verb: &str, extra: Vec<(String, JsonValue)>) -> JsonValue {
     JsonValue::Obj(pairs)
 }
 
-/// A service that can echo and sleep, and records the most `handle`
-/// calls it saw running at once.
+/// A service that can echo, sleep, panic (`boom`) and fail with a
+/// detail field (`fail`), and records the most `handle` calls it saw
+/// running at once (a `boom` call stays counted as running).
 #[derive(Clone, Default)]
 struct Toy {
     running: Arc<AtomicUsize>,
@@ -43,6 +46,9 @@ impl Service for Toy {
                 std::thread::sleep(Duration::from_millis(ms));
                 Ok(JsonValue::Int(ms as i64))
             }
+            "boom" => panic!("kaboom"),
+            "fail" => Err(ServiceError::bad_request("told to fail")
+                .with_detail("candidates", JsonValue::Arr(vec![]))),
             other => Err(ServiceError::new(
                 "unknown_verb",
                 format!("no such verb `{other}`"),
@@ -99,6 +105,100 @@ fn stop(
 ) -> busserve::ServeStats {
     shutdown.store(true, Ordering::Release);
     handle.join().expect("server thread").expect("serve_unix")
+}
+
+/// Sends one raw request payload over `stream` and parses the reply.
+fn raw_call(stream: &mut UnixStream, payload: &[u8]) -> JsonValue {
+    busserve::write_frame(stream, payload, MAX_FRAME_BYTES).expect("request frame");
+    let reply = busserve::read_frame(stream, MAX_FRAME_BYTES)
+        .expect("response frame")
+        .expect("a response, not a hang-up");
+    json::parse(std::str::from_utf8(&reply).expect("UTF-8")).expect("JSON")
+}
+
+fn error_field<'a>(response: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
+    response.get("error").and_then(|e| e.get(key))
+}
+
+#[test]
+fn ok_and_error_envelopes_are_versioned() {
+    let (path, shutdown, handle) = spawn_server("envelope", ServerConfig::default());
+    let mut stream = UnixStream::connect(&path).unwrap();
+    let ok = raw_call(&mut stream, br#"{"v":1,"verb":"echo","payload":42}"#);
+    assert_eq!(ok.get("v").unwrap().as_u64(), Some(1));
+    assert_eq!(ok.get("ok"), Some(&JsonValue::Bool(true)));
+    assert_eq!(ok.get("result").unwrap().as_u64(), Some(42));
+
+    let err = raw_call(&mut stream, br#"{"verb":"nope"}"#);
+    assert_eq!(err.get("v").unwrap().as_u64(), Some(1));
+    assert_eq!(err.get("ok"), Some(&JsonValue::Bool(false)));
+    let kind = error_field(&err, "kind").and_then(JsonValue::as_str);
+    assert_eq!(kind, Some("unknown_verb"));
+    drop(stream);
+    stop(&shutdown, handle);
+}
+
+#[test]
+fn missing_verb_bad_json_and_wrong_version_are_protocol_errors() {
+    let (path, shutdown, handle) = spawn_server("protocol", ServerConfig::default());
+    let mut stream = UnixStream::connect(&path).unwrap();
+    // Far under the frame cap; unbounded parsing would overflow the
+    // stack and abort the daemon.
+    let deeply_nested = "[".repeat(1 << 20);
+    for (request, kind) in [
+        (r#"{"v":1}"#, "protocol"),
+        ("not json", "protocol"),
+        (r#"{"v":9,"verb":"echo"}"#, "version"),
+        (deeply_nested.as_str(), "protocol"),
+    ] {
+        let resp = raw_call(&mut stream, request.as_bytes());
+        assert_eq!(resp.get("ok"), Some(&JsonValue::Bool(false)));
+        let got = error_field(&resp, "kind").and_then(JsonValue::as_str);
+        assert_eq!(
+            got,
+            Some(kind),
+            "request {:?}",
+            &request[..request.len().min(40)]
+        );
+    }
+    // A protocol error answers and keeps the connection open.
+    let ok = raw_call(&mut stream, br#"{"verb":"echo","payload":1}"#);
+    assert_eq!(ok.get("ok"), Some(&JsonValue::Bool(true)), "{ok}");
+    drop(stream);
+    let stats = stop(&shutdown, handle);
+    assert_eq!(stats.protocol_errors, 4);
+    assert_eq!(stats.requests, 1);
+}
+
+#[test]
+fn handler_panic_becomes_a_typed_internal_error() {
+    let (path, shutdown, handle) = spawn_server("panic", ServerConfig::default());
+    let mut client = Client::connect(&path).unwrap();
+    let resp = client.call(&request("boom", vec![])).unwrap();
+    let kind = error_field(&resp, "kind").and_then(JsonValue::as_str);
+    assert_eq!(kind, Some("internal"), "{resp}");
+    let message = error_field(&resp, "message").and_then(JsonValue::as_str);
+    assert!(message.unwrap_or_default().contains("kaboom"), "{resp}");
+    // The daemon survives the panic and keeps serving this client.
+    let ok = client.call(&request("echo", vec![])).unwrap();
+    assert_eq!(ok.get("ok"), Some(&JsonValue::Bool(true)), "{ok}");
+    drop(client);
+    stop(&shutdown, handle);
+}
+
+#[test]
+fn error_detail_fields_are_merged() {
+    let (path, shutdown, handle) = spawn_server("detail", ServerConfig::default());
+    let mut client = Client::connect(&path).unwrap();
+    let resp = client.call(&request("fail", vec![])).unwrap();
+    let kind = error_field(&resp, "kind").and_then(JsonValue::as_str);
+    assert_eq!(kind, Some("bad_request"), "{resp}");
+    assert!(
+        matches!(error_field(&resp, "candidates"), Some(JsonValue::Arr(_))),
+        "{resp}"
+    );
+    drop(client);
+    stop(&shutdown, handle);
 }
 
 #[test]

@@ -3,12 +3,21 @@
 //! (answered `internal`) or a process abort, and the service must keep
 //! answering afterwards.
 
+use std::io;
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
 use bench::api::{ApiService, EvalRequest, Evaluator};
 use bench::workloads::Workload;
 use bench::Session;
 use busprobe::json::JsonValue;
-use busserve::{Server, ServerConfig, Service};
+use busserve::{ServeStats, Server, ServerConfig, Service, MAX_FRAME_BYTES};
 use bustrace::Width;
+use proptest::prelude::*;
 
 fn session() -> Session {
     Session::builder().values(500).seed(3).build()
@@ -48,6 +57,72 @@ fn inline_error_kind(service: &ApiService, scheme: &str, bits: u32) -> String {
             err.kind
         }
     }
+}
+
+/// A live `ApiService` daemon on a fresh unix socket; dropping it
+/// drains the daemon and joins its thread, which must have served
+/// without error unless the test is already failing.
+struct Daemon {
+    path: PathBuf,
+    shutdown: Arc<AtomicBool>,
+    handle: Option<JoinHandle<io::Result<ServeStats>>>,
+}
+
+impl Daemon {
+    fn spawn(tag: &str) -> Daemon {
+        let path =
+            std::env::temp_dir().join(format!("bench-hostile-{tag}-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let handle = {
+            let (path, shutdown) = (path.clone(), Arc::clone(&shutdown));
+            std::thread::spawn(move || {
+                Server::new(service(), ServerConfig::default()).serve_unix(&path, &shutdown)
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !path.exists() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(path.exists(), "daemon never bound {}", path.display());
+        Daemon {
+            path,
+            shutdown,
+            handle: Some(handle),
+        }
+    }
+
+    fn connect(&self) -> UnixStream {
+        UnixStream::connect(&self.path).expect("connect to the daemon")
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::Release);
+        if let Some(handle) = self.handle.take() {
+            let served = handle.join();
+            if !std::thread::panicking() {
+                served.expect("daemon thread").expect("serve_unix");
+            }
+        }
+    }
+}
+
+/// Sends one raw request payload and parses the reply frame.
+fn raw_call(stream: &mut UnixStream, payload: &[u8]) -> JsonValue {
+    busserve::write_frame(stream, payload, MAX_FRAME_BYTES).expect("request frame");
+    let reply = busserve::read_frame(stream, MAX_FRAME_BYTES)
+        .expect("response frame")
+        .expect("a reply, not a hang-up");
+    busprobe::json::parse(std::str::from_utf8(&reply).expect("UTF-8")).expect("JSON")
+}
+
+/// `ping` on `stream` must still answer.
+fn assert_live_on(stream: &mut UnixStream) {
+    let pong = raw_call(stream, br#"{"v":1,"verb":"ping"}"#);
+    let result = pong.get("result").and_then(|r| r.get("pong"));
+    assert_eq!(result, Some(&JsonValue::Bool(true)), "{pong}");
 }
 
 fn assert_live(service: &ApiService) {
@@ -232,15 +307,15 @@ fn stored_evals_take_the_largest_seed_exactly() {
 
 #[test]
 fn sixty_four_bit_inline_words_are_exact_through_the_daemon() {
-    let server = Server::new(service(), ServerConfig::default());
+    let daemon = Daemon::spawn("u64");
+    let mut stream = daemon.connect();
     // Python's `json.dumps` separates array items with `", "`.
-    let send = |bits: u32, words: [u64; 3]| {
+    let mut send = |bits: u32, words: [u64; 3]| {
         let frame = format!(
             r#"{{"v": 1, "verb": "eval", "schemes": ["identity"], "trace": {{"width": {bits}, "words": [{}]}}}}"#,
             words.map(|w| w.to_string()).join(", ")
         );
-        let reply = server.handle_frame(frame.as_bytes());
-        busprobe::json::parse(std::str::from_utf8(&reply).expect("UTF-8")).expect("JSON")
+        raw_call(&mut stream, frame.as_bytes())
     };
     let words = [1, u64::MAX, 1 << 63];
     let reply = send(64, words);
@@ -267,7 +342,95 @@ fn sixty_four_bit_inline_words_are_exact_through_the_daemon() {
         .and_then(JsonValue::as_str)
         .unwrap_or_default();
     assert!(message.contains("words[2]"), "{message}");
-    assert_live(server.service());
+    assert_live_on(&mut stream);
+}
+
+/// Valid request bodies the mutation strategy starts from: inline and
+/// stored evals over the schemes and workloads a client would name.
+const VALID_BODIES: [&str; 4] = [
+    r#"{"v":1,"verb":"eval","schemes":["window(8)","identity"],"trace":{"width":32,"words":[1,2,3,1,2,3]}}"#,
+    r#"{"v":1,"verb":"eval","schemes":["stride(4)"],"workload":"random","seed":5}"#,
+    r#"{"v":1,"verb":"eval","schemes":["context-value(28+8 d4096)"],"workload":"gcc/register","lambda":1.0}"#,
+    r#"{"v":1,"verb":"eval","schemes":["workzone(4)"],"trace":{"width":16,"words":[7,9,7]}}"#,
+];
+
+/// A valid body with one or two printable-byte edits (overwrite,
+/// delete or insert), and now and then a cut: often still JSON, so
+/// many of these reach the evaluator.
+fn mutated_body() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0..VALID_BODIES.len(),
+        prop::collection::vec((0u8..7, any::<usize>(), 0x20u8..0x7f), 1..3),
+    )
+        .prop_map(|(pick, edits)| {
+            let mut body = VALID_BODIES[pick].as_bytes().to_vec();
+            for (op, at, byte) in edits {
+                let at = at % (body.len() + 1);
+                match op {
+                    0..=1 if at < body.len() => body[at] = byte,
+                    2..=3 if at < body.len() => {
+                        body.remove(at);
+                    }
+                    6 => body.truncate(at),
+                    _ => body.insert(at, byte),
+                }
+            }
+            body
+        })
+}
+
+/// Arbitrary payload bytes, half of them printable so some come close
+/// to JSON, and mutated valid eval bodies.
+fn hostile_payload() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        1 => prop::collection::vec(any::<u8>(), 0..64),
+        1 => prop::collection::vec(0x20u8..0x7f, 0..64),
+        2 => mutated_body(),
+    ]
+}
+
+/// Payloads per connection: two requests each (the payload and a
+/// `ping`), well under the daemon's default client quota of 1024.
+const PAYLOADS_PER_CONNECTION: usize = 128;
+
+proptest! {
+    // One case of 256 payloads, so one daemon answers them all.
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// Whatever bytes arrive, the daemon answers a `v:1` envelope whose
+    /// error, if any, has a typed kind (never `internal`), and `ping`
+    /// still answers on the same connection.
+    #[test]
+    fn arbitrary_payloads_get_typed_replies_from_a_live_daemon(
+        payloads in prop::collection::vec(hostile_payload(), 256),
+    ) {
+        let daemon = Daemon::spawn("arbitrary");
+        for chunk in payloads.chunks(PAYLOADS_PER_CONNECTION) {
+            let mut stream = daemon.connect();
+            for payload in chunk {
+                let shown = String::from_utf8_lossy(payload);
+                let reply = raw_call(&mut stream, payload);
+                let version = reply.get("v");
+                prop_assert_eq!(version, Some(&JsonValue::Int(1)), "{} -> {}", shown, reply);
+                match reply.get("ok") {
+                    Some(JsonValue::Bool(true)) => {}
+                    Some(JsonValue::Bool(false)) => {
+                        let kind = reply
+                            .get("error")
+                            .and_then(|e| e.get("kind"))
+                            .and_then(JsonValue::as_str)
+                            .unwrap_or_default();
+                        prop_assert!(
+                            !kind.is_empty() && kind != "internal",
+                            "{} -> {}", shown, reply
+                        );
+                    }
+                    _ => prop_assert!(false, "no `ok` flag: {} -> {}", shown, reply),
+                }
+                assert_live_on(&mut stream);
+            }
+        }
+    }
 }
 
 #[test]
