@@ -204,39 +204,49 @@ impl EvalRequest {
     }
 
     /// Parses a request from a JSON body (the flat object the wire
-    /// envelope carries; `v`/`verb` keys are ignored here).
+    /// envelope carries, `v`/`verb` included or not).
     ///
     /// # Errors
     ///
-    /// Typed [`ApiError`]s for malformed fields, unknown workloads, and
-    /// oversized inline traces. Unknown *schemes* are deliberately not
-    /// rejected here — they surface per-evaluation so the error can
-    /// name the offending scheme.
+    /// [`ApiError::BadField`] for a key [`EVAL_FIELDS`] does not admit,
+    /// and typed [`ApiError`]s for out-of-range values, unknown
+    /// workloads and oversized inline traces. Unknown *schemes* are
+    /// deliberately not rejected here — they surface per-evaluation so
+    /// the error can name the offending scheme.
     pub fn from_json(body: &JsonValue) -> Result<Self, ApiError> {
-        let schemes = parse_schemes(body)?;
-        let source = if let Some(trace) = body.get("trace") {
-            parse_inline(trace)?
-        } else {
-            parse_stored(body)?
+        check(body, EVAL_FIELDS)?;
+        Self::from_checked(body)
+    }
+
+    /// Builds a request from a body [`check`] has passed against
+    /// [`EVAL_FIELDS`]: every key is known, of its kind and of the
+    /// body's source, so only value rules are left.
+    fn from_checked(body: &JsonValue) -> Result<Self, ApiError> {
+        let schemes: Vec<String> = match present(body, "schemes") {
+            Some(JsonValue::Str(one)) => vec![one.clone()],
+            Some(JsonValue::Arr(items)) => items
+                .iter()
+                .filter_map(JsonValue::as_str)
+                .map(String::from)
+                .collect(),
+            _ => Vec::new(),
         };
-        let lambda = match body.get("lambda") {
-            None => 1.0,
-            Some(v) => {
-                let l = v
-                    .as_f64()
-                    .ok_or_else(|| ApiError::BadRequest("`lambda` must be a number".into()))?;
-                if !l.is_finite() || l < 0.0 {
-                    return Err(ApiError::BadRequest(format!(
-                        "`lambda` must be finite and non-negative, got {l}"
-                    )));
-                }
-                l
-            }
+        if schemes.is_empty() {
+            return Err(ApiError::BadRequest("`schemes` must not be empty".into()));
+        }
+        let source = match present(body, "trace") {
+            Some(trace) => parse_inline(trace)?,
+            None => parse_stored(body)?,
         };
-        let pricing = match body.get("pricing") {
-            None | Some(JsonValue::Null) => None,
-            Some(p) => Some(parse_pricing(p)?),
-        };
+        let lambda = present(body, "lambda")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(1.0);
+        if !lambda.is_finite() || lambda < 0.0 {
+            return Err(ApiError::BadRequest(format!(
+                "`lambda` must be finite and non-negative, got {lambda}"
+            )));
+        }
+        let pricing = present(body, "pricing").map(parse_pricing).transpose()?;
         Ok(EvalRequest {
             schemes,
             source,
@@ -302,70 +312,273 @@ impl EvalRequest {
     }
 }
 
-fn parse_schemes(body: &JsonValue) -> Result<Vec<String>, ApiError> {
-    let schemes: Vec<String> = match body.get("schemes") {
-        Some(JsonValue::Arr(items)) => items
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(String::from)
-                    .ok_or_else(|| ApiError::BadRequest("`schemes` entries must be strings".into()))
-            })
-            .collect::<Result<_, _>>()?,
-        Some(JsonValue::Str(one)) => vec![one.clone()],
-        Some(_) => {
-            return Err(ApiError::BadRequest(
-                "`schemes` must be an array of scheme names".into(),
-            ))
+/// A request field's JSON kind: the one place a field's type is
+/// checked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Kind {
+    /// A string.
+    Str,
+    /// A non-negative integer, exact up to `u64::MAX`.
+    UInt,
+    /// Any JSON number.
+    Num,
+    /// An array of strings; one bare string is a one-element array.
+    Names,
+    /// An array of non-negative integers.
+    Words,
+    /// An object whose keys are the nested table's fields.
+    Obj(&'static [Field]),
+}
+
+impl Kind {
+    /// The kind as `docs/SERVICE.md` spells it.
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Str => "string",
+            Kind::UInt => "u64",
+            Kind::Num => "number",
+            Kind::Names => "array of strings",
+            Kind::Words => "array of u64",
+            Kind::Obj(_) => "object",
         }
-        None => {
-            return Err(ApiError::BadRequest(
-                "request needs a `schemes` array".into(),
-            ))
-        }
-    };
-    if schemes.is_empty() {
-        return Err(ApiError::BadRequest("`schemes` must not be empty".into()));
     }
-    Ok(schemes)
+
+    /// Whether `value` is of this kind; an object is the walker's to
+    /// check, key by key.
+    fn admits(self, value: &JsonValue) -> bool {
+        match (self, value) {
+            (Kind::Str | Kind::Names, JsonValue::Str(_)) | (Kind::Words, JsonValue::Words(_)) => {
+                true
+            }
+            (Kind::UInt, v) => v.as_u64().is_some(),
+            (Kind::Num, v) => v.as_f64().is_some(),
+            (Kind::Names, JsonValue::Arr(items)) => items.iter().all(|v| v.as_str().is_some()),
+            (Kind::Words, JsonValue::Arr(items)) => items.iter().all(|v| v.as_u64().is_some()),
+            _ => false,
+        }
+    }
+}
+
+/// Which trace source a field belongs to. A body with a `trace` key is
+/// an inline request; any other is a stored one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Source {
+    /// Either source.
+    Both,
+    /// A stored workload.
+    Stored,
+    /// An inline trace.
+    Inline,
+}
+
+impl Source {
+    fn admits(self, source: Source) -> bool {
+        self == Source::Both || self == source
+    }
+}
+
+/// One row of a verb's field table.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Field {
+    /// The JSON key.
+    pub name: &'static str,
+    /// What its value must be.
+    pub kind: Kind,
+    /// Whether a body of the field's source must carry it. An optional
+    /// field set to `null` is absent.
+    pub required: bool,
+    /// The source the field belongs to.
+    pub source: Source,
+}
+
+const fn required(name: &'static str, kind: Kind, source: Source) -> Field {
+    Field {
+        name,
+        kind,
+        required: true,
+        source,
+    }
+}
+
+const fn optional(name: &'static str, kind: Kind, source: Source) -> Field {
+    Field {
+        name,
+        kind,
+        required: false,
+        source,
+    }
+}
+
+/// The inline `trace` object.
+const TRACE_FIELDS: &[Field] = &[
+    required("width", Kind::UInt, Source::Inline),
+    required("words", Kind::Words, Source::Inline),
+];
+
+/// The `pricing` object.
+const PRICING_FIELDS: &[Field] = &[
+    required("tech", Kind::Str, Source::Both),
+    optional("style", Kind::Str, Source::Both),
+    required("length_mm", Kind::Num, Source::Both),
+    optional("vdd", Kind::Num, Source::Both),
+];
+
+/// The body of an `eval` or `profile` request: the schema
+/// [`EvalRequest::from_json`] reads and [`EvalRequest::to_json`] writes.
+pub const EVAL_FIELDS: &[Field] = &[
+    required("schemes", Kind::Names, Source::Both),
+    required("workload", Kind::Str, Source::Stored),
+    optional("len", Kind::UInt, Source::Stored),
+    optional("cap", Kind::UInt, Source::Stored),
+    optional("seed", Kind::UInt, Source::Stored),
+    required("trace", Kind::Obj(TRACE_FIELDS), Source::Inline),
+    optional("lambda", Kind::Num, Source::Both),
+    optional("pricing", Kind::Obj(PRICING_FIELDS), Source::Both),
+];
+
+/// The busserve envelope's keys, admitted at the top of every body
+/// besides the verb's own fields.
+pub const ENVELOPE: &[Field] = &[
+    optional("v", Kind::UInt, Source::Both),
+    optional("verb", Kind::Str, Source::Both),
+];
+
+/// One verb [`ApiService`] serves: its name, its field table, and the
+/// handler that answers a body the table has passed.
+#[derive(Debug)]
+pub struct Verb {
+    /// The envelope's `verb`.
+    pub name: &'static str,
+    /// Every field the body may carry beyond the envelope.
+    pub fields: &'static [Field],
+    serve: fn(&ApiService, &JsonValue) -> Result<JsonValue, ServiceError>,
+}
+
+/// Every verb the daemon serves, in the order `unknown_verb` lists them.
+pub const VERBS: &[Verb] = &[
+    Verb {
+        name: "ping",
+        fields: &[],
+        serve: |_, _| Ok(ApiService::ping()),
+    },
+    Verb {
+        name: "eval",
+        fields: EVAL_FIELDS,
+        serve: ApiService::eval,
+    },
+    Verb {
+        name: "metrics",
+        fields: &[],
+        serve: |service, _| Ok(service.metrics()),
+    },
+    Verb {
+        name: "profile",
+        fields: EVAL_FIELDS,
+        serve: ApiService::profile,
+    },
+];
+
+/// What is wrong with one key of a body.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldProblem {
+    /// No field of that name at that level.
+    Unknown,
+    /// The key appears twice in one object.
+    Duplicate,
+    /// A stored-source key in a body that carries an inline `trace`.
+    OtherSource,
+    /// The value is not of the field's kind.
+    Kind(Kind),
+    /// A required field is absent.
+    Missing,
+}
+
+/// The value of `key` in an object, with `null` read as absent.
+fn present<'a>(object: &'a JsonValue, key: &str) -> Option<&'a JsonValue> {
+    object.get(key).filter(|v| **v != JsonValue::Null)
+}
+
+/// Walks every key of `body` against `fields` (and the envelope) before
+/// anything is built: the first key that is unknown, duplicated, of
+/// the other source or of the wrong kind, or the first required field
+/// that is absent, is an [`ApiError::BadField`].
+fn check(body: &JsonValue, fields: &'static [Field]) -> Result<(), ApiError> {
+    let Some(pairs) = body.entries() else {
+        return Err(ApiError::BadRequest(
+            "request body must be a JSON object".into(),
+        ));
+    };
+    let source = if body.get("trace").is_some() {
+        Source::Inline
+    } else {
+        Source::Stored
+    };
+    walk(None, pairs, fields, source)
+}
+
+fn walk(
+    parent: Option<&str>,
+    pairs: &[(String, JsonValue)],
+    fields: &'static [Field],
+    source: Source,
+) -> Result<(), ApiError> {
+    let bad = |key: &str, problem| ApiError::BadField {
+        field: match parent {
+            Some(parent) => format!("{parent}.{key}"),
+            None => key.to_string(),
+        },
+        problem,
+        candidates: fields,
+    };
+    let envelope = if parent.is_none() { ENVELOPE } else { &[] };
+    for (i, (key, value)) in pairs.iter().enumerate() {
+        let field = fields
+            .iter()
+            .chain(envelope)
+            .find(|f| f.name == key)
+            .ok_or_else(|| bad(key, FieldProblem::Unknown))?;
+        if pairs[..i].iter().any(|(k, _)| k == key) {
+            return Err(bad(key, FieldProblem::Duplicate));
+        }
+        if *value == JsonValue::Null && !field.required {
+            continue;
+        }
+        if !field.source.admits(source) {
+            return Err(bad(key, FieldProblem::OtherSource));
+        }
+        match (field.kind, value) {
+            (Kind::Obj(nested), JsonValue::Obj(inner)) => walk(Some(key), inner, nested, source)?,
+            (kind, value) if kind.admits(value) => {}
+            (kind, _) => return Err(bad(key, FieldProblem::Kind(kind))),
+        }
+    }
+    let absent = |f: &&Field| !pairs.iter().any(|(k, _)| k == f.name);
+    let missing = fields
+        .iter()
+        .filter(|f| f.required && f.source.admits(source))
+        .find(absent);
+    match missing {
+        Some(f) => Err(bad(f.name, FieldProblem::Missing)),
+        None => Ok(()),
+    }
 }
 
 fn parse_stored(body: &JsonValue) -> Result<TraceSource, ApiError> {
-    let name = body
-        .get("workload")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| {
-            ApiError::BadRequest("request needs a `workload` name or an inline `trace`".into())
-        })?;
-    let workload = Workload::parse(name).map_err(ApiError::UnknownWorkload)?;
-    let usize_field = |key: &str| -> Result<Option<usize>, ApiError> {
-        match body.get(key) {
-            None | Some(JsonValue::Null) => Ok(None),
-            Some(v) => v.as_u64().map(|n| Some(n as usize)).ok_or_else(|| {
-                ApiError::BadRequest(format!("`{key}` must be a non-negative integer"))
-            }),
-        }
-    };
-    let seed =
-        match body.get("seed") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                ApiError::BadRequest("`seed` must be a non-negative integer".into())
-            })?),
-        };
+    let name = present(body, "workload").and_then(JsonValue::as_str);
+    let workload = Workload::parse(name.unwrap_or_default()).map_err(ApiError::UnknownWorkload)?;
+    let number = |key: &str| present(body, key).and_then(JsonValue::as_u64);
     Ok(TraceSource::Stored {
         workload,
-        len: usize_field("len")?,
-        cap: usize_field("cap")?,
-        seed,
+        len: number("len").map(|n| n as usize),
+        cap: number("cap").map(|n| n as usize),
+        seed: number("seed"),
     })
 }
 
 fn parse_inline(trace: &JsonValue) -> Result<TraceSource, ApiError> {
-    let bits = trace
-        .get("width")
+    let bits = present(trace, "width")
         .and_then(JsonValue::as_u64)
-        .ok_or_else(|| ApiError::BadRequest("`trace.width` must be a bit count".into()))?;
+        .unwrap_or_default();
     let bits = u32::try_from(bits)
         .map_err(|_| ApiError::BadRequest(format!("`trace.width` out of range: {bits}")))?;
     let width =
@@ -379,52 +592,35 @@ fn parse_inline(trace: &JsonValue) -> Result<TraceSource, ApiError> {
         }
         Ok(())
     };
-    let words = match trace.get("words") {
+    let words = match present(trace, "words") {
         Some(JsonValue::Words(words)) => {
             within_cap(words.len())?;
             words.clone()
         }
-        // Any other array, e.g. one holding `-0` or `[]`: each element
-        // must still be a non-negative integer.
+        // Any other array, e.g. one holding `-0` or `[]`, whose
+        // elements the walker has checked.
         Some(JsonValue::Arr(items)) => {
             within_cap(items.len())?;
-            items
-                .iter()
-                .map(|v| {
-                    v.as_u64().ok_or_else(|| {
-                        ApiError::BadRequest(
-                            "`trace.words` entries must be non-negative integers".into(),
-                        )
-                    })
-                })
-                .collect::<Result<Vec<u64>, _>>()?
+            items.iter().filter_map(JsonValue::as_u64).collect()
         }
-        _ => {
-            return Err(ApiError::BadRequest(
-                "`trace.words` must be an array of words".into(),
-            ))
-        }
+        _ => Vec::new(),
     };
     Ok(TraceSource::Inline { width, words })
 }
 
 fn parse_pricing(p: &JsonValue) -> Result<Pricing, ApiError> {
-    let tech = match p.get("tech").and_then(JsonValue::as_str) {
+    let tech = match present(p, "tech").and_then(JsonValue::as_str) {
         Some("0.13um") => TechnologyKind::Tech013,
         Some("0.10um") => TechnologyKind::Tech010,
         Some("0.07um") => TechnologyKind::Tech007,
-        Some(other) => {
+        other => {
             return Err(ApiError::BadRequest(format!(
-                "`pricing.tech` must be one of 0.13um, 0.10um, 0.07um; got {other:?}"
+                "`pricing.tech` must be one of 0.13um, 0.10um, 0.07um; got {:?}",
+                other.unwrap_or_default()
             )))
         }
-        None => {
-            return Err(ApiError::BadRequest(
-                "`pricing.tech` must be a technology name".into(),
-            ))
-        }
     };
-    let style = match p.get("style").and_then(JsonValue::as_str) {
+    let style = match present(p, "style").and_then(JsonValue::as_str) {
         Some("unbuffered") => WireStyle::Unbuffered,
         Some("repeated") | None => WireStyle::Repeated,
         Some(other) => {
@@ -433,30 +629,30 @@ fn parse_pricing(p: &JsonValue) -> Result<Pricing, ApiError> {
             )))
         }
     };
-    let length_mm = p
-        .get("length_mm")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| ApiError::BadRequest("`pricing.length_mm` must be a number".into()))?;
-    let vdd = match p.get("vdd") {
-        None | Some(JsonValue::Null) => None,
-        Some(v) => Some(
-            v.as_f64()
-                .ok_or_else(|| ApiError::BadRequest("`pricing.vdd` must be a number".into()))?,
-        ),
-    };
     Ok(Pricing {
         tech,
         style,
-        length_mm,
-        vdd,
+        length_mm: present(p, "length_mm")
+            .and_then(JsonValue::as_f64)
+            .unwrap_or_default(),
+        vdd: present(p, "vdd").and_then(JsonValue::as_f64),
     })
 }
 
 /// What went wrong with an evaluation request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ApiError {
-    /// A field was missing or malformed.
+    /// A field's value is out of range.
     BadRequest(String),
+    /// A body key the verb's field table refuses.
+    BadField {
+        /// The key, dotted from the top of the body (`pricing.vdd`).
+        field: String,
+        /// What is wrong with it.
+        problem: FieldProblem,
+        /// The fields known at the key's level.
+        candidates: &'static [Field],
+    },
     /// The workload name is not a workload in its canonical spelling;
     /// the error says why.
     UnknownWorkload(WorkloadError),
@@ -482,6 +678,25 @@ impl std::fmt::Display for ApiError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ApiError::BadRequest(msg) => write!(f, "{msg}"),
+            ApiError::BadField {
+                field,
+                problem,
+                candidates,
+            } => match problem {
+                FieldProblem::Unknown => {
+                    let known: Vec<&str> = candidates.iter().map(|f| f.name).collect();
+                    write!(f, "unknown field `{field}` (known here: {})", known.join(", "))
+                }
+                FieldProblem::Duplicate => write!(f, "field `{field}` appears twice"),
+                FieldProblem::OtherSource => write!(
+                    f,
+                    "field `{field}` belongs to the stored source, but the body carries an inline `trace`"
+                ),
+                FieldProblem::Kind(kind) => {
+                    write!(f, "field `{field}` must be of kind `{}`", kind.name())
+                }
+                FieldProblem::Missing => write!(f, "request needs field `{field}`"),
+            },
             ApiError::UnknownWorkload(e) => write!(f, "{e}"),
             ApiError::UnknownScheme(e) => write!(f, "{e}"),
             ApiError::TooLarge { words, limit } => {
@@ -508,6 +723,19 @@ impl From<ApiError> for ServiceError {
         let message = e.to_string();
         match e {
             ApiError::BadRequest(_) => ServiceError::bad_request(message),
+            ApiError::BadField {
+                field, candidates, ..
+            } => ServiceError::bad_request(message)
+                .with_detail("field", JsonValue::Str(field))
+                .with_detail(
+                    "candidates",
+                    JsonValue::Arr(
+                        candidates
+                            .iter()
+                            .map(|f| JsonValue::Str(f.name.to_string()))
+                            .collect(),
+                    ),
+                ),
             ApiError::UnknownWorkload(_) => ServiceError::new("unknown_workload", message),
             // A `trained:` name whose grammar is fine but whose
             // artifact cannot be loaded is its own wire condition:
@@ -825,8 +1053,24 @@ impl ApiService {
         ApiService { session }
     }
 
+    fn ping() -> JsonValue {
+        JsonValue::Obj(vec![
+            ("pong".into(), JsonValue::Bool(true)),
+            ("api".into(), JsonValue::Int(API_VERSION)),
+            (
+                "schemes".into(),
+                JsonValue::Arr(
+                    SCHEME_PATTERNS
+                        .iter()
+                        .map(|p| JsonValue::Str((*p).to_string()))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
     fn eval(&self, body: &JsonValue) -> Result<JsonValue, ServiceError> {
-        let request = EvalRequest::from_json(body)?;
+        let request = EvalRequest::from_checked(body)?;
         let response = self.session.evaluate(&request)?;
         Ok(response.to_json())
     }
@@ -871,7 +1115,7 @@ impl ApiService {
     /// restricting to this request's subtree.
     fn profile(&self, body: &JsonValue) -> Result<JsonValue, ServiceError> {
         static RECORDER: Mutex<()> = Mutex::new(());
-        let request = EvalRequest::from_json(body)?;
+        let request = EvalRequest::from_checked(body)?;
         let _guard = RECORDER.lock().unwrap_or_else(|p| p.into_inner());
         let was_on = busprobe::trace::enabled();
         busprobe::trace::clear();
@@ -904,29 +1148,18 @@ impl ApiService {
 }
 
 impl Service for ApiService {
+    /// Finds the verb in [`VERBS`], walks the body against its field
+    /// table, and only then serves it.
     fn handle(&self, verb: &str, body: &JsonValue) -> Result<JsonValue, ServiceError> {
-        match verb {
-            "ping" => Ok(JsonValue::Obj(vec![
-                ("pong".into(), JsonValue::Bool(true)),
-                ("api".into(), JsonValue::Int(API_VERSION)),
-                (
-                    "schemes".into(),
-                    JsonValue::Arr(
-                        SCHEME_PATTERNS
-                            .iter()
-                            .map(|p| JsonValue::Str((*p).to_string()))
-                            .collect(),
-                    ),
-                ),
-            ])),
-            "eval" => self.eval(body),
-            "metrics" => Ok(self.metrics()),
-            "profile" => self.profile(body),
-            other => Err(ServiceError::new(
+        let Some(verb) = VERBS.iter().find(|v| v.name == verb) else {
+            let names: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+            return Err(ServiceError::new(
                 "unknown_verb",
-                format!("no such verb `{other}` (expected ping, eval, metrics, profile)"),
-            )),
-        }
+                format!("no such verb `{verb}` (expected {})", names.join(", ")),
+            ));
+        };
+        check(body, verb.fields)?;
+        (verb.serve)(self, body)
     }
 }
 
@@ -1157,10 +1390,245 @@ mod tests {
                 r#"{"schemes":["identity"],"workload":"random","pricing":{"tech":"5um","length_mm":1}}"#,
                 "tech",
             ),
+            (
+                r#"{"schemes":["identity"],"workload":"gcc/register","trace":{"width":8,"words":[1,2,3]}}"#,
+                "both sources",
+            ),
+            (
+                r#"{"schemes":["identity"],"trace":{"width":8,"words":[1,2,3]},"seed":5}"#,
+                "seed beside an inline trace",
+            ),
+            (
+                r#"{"schemes":["identity"],"len":9,"trace":{"width":8,"words":[1,2,3]}}"#,
+                "len beside an inline trace",
+            ),
+            (
+                r#"{"schemes":["identity"],"trace":{"width":8,"words":[1,2,3]},"cap":4}"#,
+                "cap beside an inline trace",
+            ),
         ];
         for (raw, why) in cases {
             let body = busprobe::json::parse(raw).expect("test json");
             assert!(EvalRequest::from_json(&body).is_err(), "{why}: {raw}");
+        }
+    }
+
+    /// The `field` and `candidates` details of `body`'s refusal.
+    fn refusal(body: &str) -> (String, Vec<String>) {
+        let body = busprobe::json::parse(body).expect("test json");
+        let err = ServiceError::from(EvalRequest::from_json(&body).expect_err("refused"));
+        assert_eq!(err.kind, "bad_request", "{}", err.message);
+        let detail = |key: &str| err.detail.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        let field = detail("field").and_then(JsonValue::as_str).expect("field");
+        assert!(
+            err.message.contains(&format!("`{field}`")),
+            "{}",
+            err.message
+        );
+        let Some(JsonValue::Arr(candidates)) = detail("candidates") else {
+            panic!("no candidates: {:?}", err.detail)
+        };
+        let candidates = candidates.iter().filter_map(JsonValue::as_str);
+        (field.to_string(), candidates.map(String::from).collect())
+    }
+
+    #[test]
+    fn refused_keys_name_their_field_and_its_neighbours() {
+        let top = [
+            "schemes", "workload", "len", "cap", "seed", "trace", "lambda", "pricing",
+        ];
+        let pricing = ["tech", "style", "length_mm", "vdd"];
+        let cases: &[(&str, &str, &[&str])] = &[
+            (
+                r#"{"workload":"gcc/register","schemes":["window(8)"],"len":2000,"lamda":2.0,"sead":5}"#,
+                "lamda",
+                &top,
+            ),
+            (
+                r#"{"v":1,"verb":"eval","workload":"gcc/register","schemes":["window(8)"],"sead":5}"#,
+                "sead",
+                &top,
+            ),
+            (
+                r#"{"schemes":["identity"],"workload":"random","pricng":{"tech":"0.13um","length_mm":1}}"#,
+                "pricng",
+                &top,
+            ),
+            (
+                r#"{"schemes":["identity"],"trace":{"width":8,"wdith":9,"words":[1]}}"#,
+                "trace.wdith",
+                &["width", "words"],
+            ),
+            (
+                r#"{"schemes":["identity"],"workload":"random","pricing":{"tech":"0.13um","length_mm":1,"vddd":1}}"#,
+                "pricing.vddd",
+                &pricing,
+            ),
+            (
+                r#"{"schemes":["identity"],"workload":"random","seed":1,"seed":2}"#,
+                "seed",
+                &top,
+            ),
+            (
+                r#"{"v":1,"v":1,"verb":"eval","schemes":["identity"],"workload":"random"}"#,
+                "v",
+                &top,
+            ),
+            (
+                r#"{"schemes":["identity"],"workload":"gcc/register","trace":{"width":8,"words":[1,2,3]}}"#,
+                "workload",
+                &top,
+            ),
+            (
+                r#"{"schemes":["identity"],"trace":{"width":8,"words":[1,2,3]},"seed":5}"#,
+                "seed",
+                &top,
+            ),
+            (
+                r#"{"schemes":["identity"],"workload":"random","pricing":{"length_mm":1}}"#,
+                "pricing.tech",
+                &pricing,
+            ),
+            (
+                r#"{"schemes":["identity"],"workload":"random","lambda":"2"}"#,
+                "lambda",
+                &top,
+            ),
+        ];
+        for (body, field, candidates) in cases {
+            let candidates = candidates.iter().map(|c| c.to_string()).collect();
+            assert_eq!(refusal(body), (field.to_string(), candidates), "{body}");
+        }
+    }
+
+    #[test]
+    fn null_is_absent_for_every_optional_field() {
+        let base =
+            EvalRequest::stored(Workload::Random, vec!["identity".into()]).pricing(Pricing {
+                tech: TechnologyKind::Tech010,
+                style: WireStyle::Repeated,
+                length_mm: 3.0,
+                vdd: None,
+            });
+        let JsonValue::Obj(pairs) = base.to_json() else {
+            unreachable!("a request renders as an object")
+        };
+        // Each optional field, top-level or inside `pricing`, set to
+        // null where the base request leaves it at its default.
+        let mut optional = 0;
+        for field in EVAL_FIELDS.iter().filter(|f| f.source != Source::Inline) {
+            let mut pairs = pairs.clone();
+            let nested = match field.kind {
+                Kind::Obj(nested) => nested,
+                _ => &[],
+            };
+            for inner in nested.iter().filter(|f| !f.required) {
+                let mut pairs = pairs.clone();
+                let Some((_, JsonValue::Obj(obj))) =
+                    pairs.iter_mut().find(|(k, _)| k == field.name)
+                else {
+                    unreachable!("the base request carries {}", field.name)
+                };
+                obj.retain(|(k, _)| k != inner.name);
+                obj.push((inner.name.into(), JsonValue::Null));
+                let parsed = EvalRequest::from_json(&JsonValue::Obj(pairs));
+                assert_eq!(parsed.as_ref(), Ok(&base), "{}.{}", field.name, inner.name);
+                optional += 1;
+            }
+            if field.required || field.name == "pricing" {
+                continue;
+            }
+            pairs.retain(|(k, _)| k != field.name);
+            pairs.push((field.name.into(), JsonValue::Null));
+            let parsed = EvalRequest::from_json(&JsonValue::Obj(pairs));
+            assert_eq!(parsed.as_ref(), Ok(&base), "{}", field.name);
+            optional += 1;
+        }
+        assert_eq!(
+            optional, 6,
+            "len, cap, seed, lambda, pricing.style, pricing.vdd"
+        );
+        let mut unpriced = base.clone();
+        unpriced.pricing = None;
+        let mut pairs = pairs.clone();
+        pairs.retain(|(k, _)| k != "pricing");
+        pairs.push(("pricing".into(), JsonValue::Null));
+        let parsed = EvalRequest::from_json(&JsonValue::Obj(pairs));
+        assert_eq!(parsed, Ok(unpriced), "pricing");
+        // An absent stored field sits beside an inline trace like any
+        // other absent field.
+        let width = Width::new(8).expect("a width");
+        let inline = EvalRequest::inline(width, vec![1, 2], vec!["identity".into()]);
+        let raw = r#"{"schemes":"identity","trace":{"width":8,"words":[1,2]},"seed":null}"#;
+        let body = busprobe::json::parse(raw).expect("test json");
+        assert_eq!(EvalRequest::from_json(&body), Ok(inline), "{raw}");
+    }
+
+    #[test]
+    fn envelope_only_verbs_refuse_any_other_field() {
+        let service = ApiService::new(session());
+        for verb in ["ping", "metrics"] {
+            let envelope = format!(r#"{{"v":1,"verb":"{verb}"}}"#);
+            let body = busprobe::json::parse(&envelope).expect("test json");
+            assert!(service.handle(verb, &body).is_ok(), "{verb}");
+            for (extra, field) in [(r#","x":1"#, "x"), (r#","verb":"ping""#, "verb")] {
+                let raw = format!("{}{extra}}}", &envelope[..envelope.len() - 1]);
+                let body = busprobe::json::parse(&raw).expect("test json");
+                let err = service.handle(verb, &body).expect_err(&raw);
+                assert_eq!(err.kind, "bad_request", "{raw}");
+                let named = err.detail.iter().find(|(k, _)| k == "field");
+                assert_eq!(named.map(|(_, v)| v), Some(&JsonValue::Str(field.into())));
+            }
+        }
+    }
+
+    /// Each row of `fields`, nested rows dotted under their parent, as
+    /// `docs/SERVICE.md` writes its first four cells.
+    fn rows(fields: &[Field], parent: &str) -> Vec<String> {
+        let mut out = Vec::new();
+        for f in fields {
+            let required = if f.required { "yes" } else { "no" };
+            let (kind, source) = (f.kind.name(), format!("{:?}", f.source).to_lowercase());
+            out.push(format!(
+                "`{parent}{}` | {kind} | {required} | {source}",
+                f.name
+            ));
+            if let Kind::Obj(nested) = f.kind {
+                out.extend(rows(nested, &format!("{parent}{}.", f.name)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn service_md_lists_each_verbs_fields() {
+        let doc = include_str!("../../../docs/SERVICE.md");
+        let verbs = doc.split("\n## Verbs\n").nth(1).expect("a Verbs section");
+        let verbs = verbs.split("\n## ").next().unwrap_or_default();
+        let sections: Vec<(&str, &str)> = verbs
+            .split("\n### `")
+            .skip(1)
+            .map(|s| s.split_once('`').expect("a verb heading"))
+            .collect();
+        let documented: Vec<&str> = sections.iter().map(|(name, _)| *name).collect();
+        let served: Vec<&str> = VERBS.iter().map(|v| v.name).collect();
+        assert_eq!(documented, served);
+        let table = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| l.starts_with("| `"))
+                .map(|l| {
+                    let cells: Vec<&str> = l.split('|').skip(1).take(4).map(str::trim).collect();
+                    cells.join(" | ")
+                })
+                .collect()
+        };
+        let eval_rows = table(sections[served.iter().position(|v| *v == "eval").expect("eval")].1);
+        for ((name, text), verb) in sections.iter().zip(VERBS) {
+            let mut listed = table(text);
+            if listed.is_empty() && text.contains("Request fields: those of [`eval`](#eval)") {
+                listed = eval_rows.clone();
+            }
+            assert_eq!(listed, rows(verb.fields, ""), "the `{name}` section");
         }
     }
 
@@ -1188,13 +1656,34 @@ mod tests {
             .handle("frobnicate", &JsonValue::Obj(vec![]))
             .expect_err("unknown verb");
         assert_eq!(err.kind, "unknown_verb");
+        assert_eq!(
+            err.message,
+            "no such verb `frobnicate` (expected ping, eval, metrics, profile)"
+        );
     }
 
-    /// The keys the decoder reads and some of the names it accepts:
-    /// object keys and strings in arbitrary bodies, so they reach the
-    /// decoder's branches.
-    const NAMES: &str = "schemes workload trace width words len cap seed lambda pricing tech \
-        style length_mm vdd identity phased/0 0.13um";
+    /// Every key of every verb's table, nested ones and the envelope's
+    /// included, each once.
+    fn table_keys() -> Vec<&'static str> {
+        fn push(fields: &'static [Field], keys: &mut Vec<&'static str>) {
+            for f in fields {
+                if !keys.contains(&f.name) {
+                    keys.push(f.name);
+                }
+                if let Kind::Obj(nested) = f.kind {
+                    push(nested, keys);
+                }
+            }
+        }
+        let mut keys = Vec::new();
+        push(ENVELOPE, &mut keys);
+        VERBS.iter().for_each(|v| push(v.fields, &mut keys));
+        keys
+    }
+
+    /// Some values the decoder accepts, so arbitrary strings reach its
+    /// value rules too.
+    const VALUES: [&str; 3] = ["identity", "phased/0", "0.13um"];
 
     /// An arbitrary JSON value nested at most `.0` deep.
     struct AnyJson(u32);
@@ -1203,8 +1692,11 @@ mod tests {
         type Value = JsonValue;
         fn sample(&self, rng: &mut TestRng) -> JsonValue {
             let inner = AnyJson(self.0.saturating_sub(1));
-            let names: Vec<&str> = NAMES.split_whitespace().collect();
-            let pick = |rng: &mut TestRng| names[rng.below(names.len() as u64) as usize];
+            let keys = table_keys();
+            let pick = |rng: &mut TestRng, from: &[&'static str]| {
+                from[rng.below(from.len() as u64) as usize]
+            };
+            let strings: Vec<&str> = keys.iter().chain(&VALUES).copied().collect();
             let count = |rng: &mut TestRng| 0..rng.below(6);
             match rng.below(if self.0 == 0 { 7 } else { 9 }) {
                 0 => JsonValue::Null,
@@ -1212,11 +1704,11 @@ mod tests {
                 2 => JsonValue::Int((rng.next_u64() as i64) >> rng.below(64)),
                 3 => JsonValue::UInt(rng.next_u64() | 1 << 63),
                 4 => JsonValue::Num(f64::from_bits(rng.next_u64())),
-                5 => JsonValue::Str(pick(rng).into()),
+                5 => JsonValue::Str(pick(rng, &strings).into()),
                 6 => JsonValue::Words(count(rng).map(|_| rng.next_u64() >> 40).collect()),
                 7 => JsonValue::Arr(count(rng).map(|_| inner.sample(rng)).collect()),
                 _ => {
-                    let pairs = count(rng).map(|_| (pick(rng).into(), inner.sample(rng)));
+                    let pairs = count(rng).map(|_| (pick(rng, &keys).into(), inner.sample(rng)));
                     JsonValue::Obj(pairs.collect())
                 }
             }

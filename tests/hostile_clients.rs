@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bench::api::{ApiService, EvalRequest, Evaluator};
+use bench::api::{ApiService, EvalRequest, Evaluator, Kind, ENVELOPE, EVAL_FIELDS};
 use bench::workloads::Workload;
 use bench::Session;
 use busprobe::json::JsonValue;
@@ -345,14 +345,124 @@ fn sixty_four_bit_inline_words_are_exact_through_the_daemon() {
     assert_live_on(&mut stream);
 }
 
-/// Valid request bodies the mutation strategy starts from: inline and
-/// stored evals over the schemes and workloads a client would name.
-const VALID_BODIES: [&str; 4] = [
+/// The `field` detail of a `bad_request` reply, if that is what it is.
+fn refused_field(reply: &JsonValue) -> Option<&str> {
+    let error = reply.get("error")?;
+    (error.get("kind")?.as_str()? == "bad_request").then_some(())?;
+    error.get("field")?.as_str()
+}
+
+#[test]
+fn misspelt_duplicated_and_conflicting_keys_are_named_by_a_live_daemon() {
+    let daemon = Daemon::spawn("fields");
+    let mut stream = daemon.connect();
+    let stored = r#""v":1,"verb":"eval","schemes":["window(8)"],"workload":"gcc/register""#;
+    let inline =
+        r#""v":1,"verb":"eval","schemes":["identity"],"trace":{"width":8,"words":[1,2,3]}"#;
+    let pricing = r#""pricing":{"tech":"0.13um","length_mm":1"#;
+    for (body, field) in [
+        (format!(r#"{{{stored},"lamda":2.0}}"#), "lamda"),
+        (format!(r#"{{{stored},"sead":5}}"#), "sead"),
+        (format!(r#"{{{stored},"pricng":{{}}}}"#), "pricng"),
+        (
+            r#"{"v":1,"verb":"eval","schemes":["identity"],"trace":{"width":8,"wdith":8,"words":[1]}}"#.to_string(),
+            "trace.wdith",
+        ),
+        (format!(r#"{{{stored},{pricing},"vddd":1}}}}"#), "pricing.vddd"),
+        (format!(r#"{{{stored},"seed":1,"seed":2}}"#), "seed"),
+        (format!(r#"{{{inline},"workload":"gcc/register"}}"#), "workload"),
+        (format!(r#"{{{inline},"seed":5}}"#), "seed"),
+    ] {
+        let reply = raw_call(&mut stream, body.as_bytes());
+        assert_eq!(refused_field(&reply), Some(field), "{body} -> {reply}");
+        assert_live_on(&mut stream);
+    }
+}
+
+/// Valid request bodies the mutation strategies start from: inline and
+/// stored evals over the schemes and workloads a client would name,
+/// one with every optional stored and pricing field.
+const VALID_BODIES: [&str; 5] = [
     r#"{"v":1,"verb":"eval","schemes":["window(8)","identity"],"trace":{"width":32,"words":[1,2,3,1,2,3]}}"#,
     r#"{"v":1,"verb":"eval","schemes":["stride(4)"],"workload":"random","seed":5}"#,
     r#"{"v":1,"verb":"eval","schemes":["context-value(28+8 d4096)"],"workload":"gcc/register","lambda":1.0}"#,
     r#"{"v":1,"verb":"eval","schemes":["workzone(4)"],"trace":{"width":16,"words":[7,9,7]}}"#,
+    r#"{"v":1,"verb":"eval","schemes":["window(8)"],"workload":"random","len":300,"cap":200,"seed":2,"lambda":2.5,"pricing":{"tech":"0.13um","style":"unbuffered","length_mm":5.0,"vdd":1.1}}"#,
 ];
+
+/// Applies byte edits to `text`: ops 0–1 overwrite, 2–3 delete, 6 cuts
+/// and the rest insert.
+fn edit(text: &mut Vec<u8>, edits: &[(u8, usize, u8)]) {
+    for &(op, at, byte) in edits {
+        let at = at % (text.len() + 1);
+        match op {
+            0..=1 if at < text.len() => text[at] = byte,
+            2..=3 if at < text.len() => {
+                text.remove(at);
+            }
+            6 => text.truncate(at),
+            _ => text.insert(at, byte),
+        }
+    }
+}
+
+/// A valid body with the name of one of its fields, at the top or
+/// inside `trace`/`pricing`, edited by one or two bytes into a name its
+/// level does not know; with the dotted name the reply must give as
+/// its `field`.
+fn renamed_key() -> impl Strategy<Value = (Vec<u8>, String)> {
+    (
+        0..VALID_BODIES.len(),
+        any::<usize>(),
+        prop::collection::vec((0u8..6, any::<usize>(), 0x20u8..0x7f), 1..3),
+    )
+        .prop_map(|(pick, at, edits)| {
+            let mut body = busprobe::json::parse(VALID_BODIES[pick]).expect("a valid body");
+            let JsonValue::Obj(pairs) = &mut body else {
+                unreachable!("a body is an object")
+            };
+            let mut spots = Vec::new();
+            for (i, (key, value)) in pairs.iter().enumerate() {
+                if ENVELOPE.iter().all(|f| f.name != key) {
+                    spots.push((None, i));
+                }
+                if let JsonValue::Obj(inner) = value {
+                    spots.extend((0..inner.len()).map(|j| (Some(i), j)));
+                }
+            }
+            let (parent, j) = spots[at % spots.len()];
+            let (prefix, level, known): (String, _, Vec<&str>) = match parent {
+                None => {
+                    let known = EVAL_FIELDS.iter().chain(ENVELOPE).map(|f| f.name);
+                    (String::new(), &mut *pairs, known.collect())
+                }
+                Some(i) => {
+                    let (name, inner) = &mut pairs[i];
+                    let field = EVAL_FIELDS.iter().find(|f| f.name == name);
+                    let Some(Kind::Obj(nested)) = field.map(|f| f.kind) else {
+                        unreachable!("`{name}` is a nested table")
+                    };
+                    let JsonValue::Obj(inner) = inner else {
+                        unreachable!("`{name}` is an object")
+                    };
+                    (
+                        format!("{name}."),
+                        inner,
+                        nested.iter().map(|f| f.name).collect(),
+                    )
+                }
+            };
+            let mut name = level[j].0.clone().into_bytes();
+            edit(&mut name, &edits);
+            let mut name = String::from_utf8(name).expect("printable ASCII");
+            if known.contains(&name.as_str()) {
+                // No known name holds a `#`.
+                name.push('#');
+            }
+            level[j].0.clone_from(&name);
+            (body.to_string().into_bytes(), format!("{prefix}{name}"))
+        })
+}
 
 /// A valid body with one or two printable-byte edits (overwrite,
 /// delete or insert), and now and then a cut: often still JSON, so
@@ -364,28 +474,20 @@ fn mutated_body() -> impl Strategy<Value = Vec<u8>> {
     )
         .prop_map(|(pick, edits)| {
             let mut body = VALID_BODIES[pick].as_bytes().to_vec();
-            for (op, at, byte) in edits {
-                let at = at % (body.len() + 1);
-                match op {
-                    0..=1 if at < body.len() => body[at] = byte,
-                    2..=3 if at < body.len() => {
-                        body.remove(at);
-                    }
-                    6 => body.truncate(at),
-                    _ => body.insert(at, byte),
-                }
-            }
+            edit(&mut body, &edits);
             body
         })
 }
 
 /// Arbitrary payload bytes, half of them printable so some come close
-/// to JSON, and mutated valid eval bodies.
-fn hostile_payload() -> impl Strategy<Value = Vec<u8>> {
+/// to JSON, mutated valid eval bodies, and valid bodies with one key
+/// renamed; the last come with the `field` their refusal must name.
+fn hostile_payload() -> impl Strategy<Value = (Vec<u8>, Option<String>)> {
     prop_oneof![
-        1 => prop::collection::vec(any::<u8>(), 0..64),
-        1 => prop::collection::vec(0x20u8..0x7f, 0..64),
-        2 => mutated_body(),
+        1 => prop::collection::vec(any::<u8>(), 0..64).prop_map(|b| (b, None)),
+        1 => prop::collection::vec(0x20u8..0x7f, 0..64).prop_map(|b| (b, None)),
+        2 => mutated_body().prop_map(|b| (b, None)),
+        1 => renamed_key().prop_map(|(b, field)| (b, Some(field))),
     ]
 }
 
@@ -398,8 +500,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 
     /// Whatever bytes arrive, the daemon answers a `v:1` envelope whose
-    /// error, if any, has a typed kind (never `internal`), and `ping`
-    /// still answers on the same connection.
+    /// error, if any, has a typed kind (never `internal`), a body with
+    /// a renamed key is a `bad_request` naming it, and `ping` still
+    /// answers on the same connection.
     #[test]
     fn arbitrary_payloads_get_typed_replies_from_a_live_daemon(
         payloads in prop::collection::vec(hostile_payload(), 256),
@@ -407,9 +510,12 @@ proptest! {
         let daemon = Daemon::spawn("arbitrary");
         for chunk in payloads.chunks(PAYLOADS_PER_CONNECTION) {
             let mut stream = daemon.connect();
-            for payload in chunk {
+            for (payload, renamed) in chunk {
                 let shown = String::from_utf8_lossy(payload);
                 let reply = raw_call(&mut stream, payload);
+                if let Some(field) = renamed {
+                    prop_assert_eq!(refused_field(&reply), Some(field.as_str()), "{} -> {}", shown, reply);
+                }
                 let version = reply.get("v");
                 prop_assert_eq!(version, Some(&JsonValue::Int(1)), "{} -> {}", shown, reply);
                 match reply.get("ok") {
